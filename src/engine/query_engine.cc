@@ -75,6 +75,8 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_bloom_built_(metrics_.counter("semijoin.bloom_filters_built")),
       m_bloom_skipped_(metrics_.counter("semijoin.bloom_probes_skipped")),
       m_semijoin_reductions_(metrics_.counter("semijoin.reductions")),
+      m_semijoins_(metrics_.counter("semijoin.semijoins")),
+      m_semijoin_build_rows_(metrics_.counter("semijoin.build_rows")),
       m_delta_maintained_(
           metrics_.counter("engine.result_cache.delta_maintained")),
       m_swept_(metrics_.counter("engine.result_cache.swept")),
@@ -470,7 +472,9 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       auto red = GetOrReduce(rtag, snap, *exec_q, raw, &sj_stats);
       if (!red.ok()) return red.status();
       reduced_shared = std::move(*red);
-      sj_computed = sj_stats.passes > 0;  // zero on a reduction-cache hit
+      // A cache hit leaves the stats untouched; a computed reduction
+      // records one input row count per atom.
+      sj_computed = !sj_stats.rows_before.empty();
     } else {
       auto red = SemiJoinReduce(snap, *exec_q, raw, &sj_stats);
       if (!red.ok()) return red.status();
@@ -481,6 +485,8 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       // Previously dropped on the floor: the reduction's Bloom pre-filter
       // counters now land in the engine registry.
       m_semijoin_reductions_->Add(1);
+      m_semijoins_->Add(sj_stats.semijoins);
+      m_semijoin_build_rows_->Add(sj_stats.build_rows);
       if (sj_stats.bloom_filters_built > 0) {
         m_bloom_built_->Add(sj_stats.bloom_filters_built);
       }
@@ -492,8 +498,10 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       trace->Annotate(sj_span.id(), "cached",
                       std::string(sj_computed ? "no" : "yes"));
       if (sj_computed) {
-        trace->Annotate(sj_span.id(), "passes",
-                        static_cast<uint64_t>(sj_stats.passes));
+        trace->Annotate(sj_span.id(), "semijoins",
+                        static_cast<uint64_t>(sj_stats.semijoins));
+        trace->Annotate(sj_span.id(), "build_rows",
+                        static_cast<uint64_t>(sj_stats.build_rows));
         trace->Annotate(sj_span.id(), "bloom_filters_built",
                         static_cast<uint64_t>(sj_stats.bloom_filters_built));
         trace->Annotate(sj_span.id(), "bloom_probes_skipped",

@@ -64,48 +64,134 @@ Table FilterAtomTable(const Table& src, const Atom& a) {
   return src.Select(sel);
 }
 
+/// Runs before any pair of the worklist may be rerun. A pair reruns only
+/// when its build side shrank, so real inputs reach the fixpoint far below
+/// this; the cap bounds the work on adversarial cascades.
+constexpr int kMaxRunsPerPair = 4;
+
+/// One atom's filtered input plus the row count of its relation in the
+/// catalog, the denominator of its surviving fraction.
+struct AtomInput {
+  Table table;
+  size_t catalog_rows;
+};
+
 /// Resolves each atom's source table (override first, then `get_table`) and
 /// applies the atom-local filters; shared by both public overloads.
 template <typename GetTable>
-Result<std::vector<Table>> ResolveAndFilter(
+Result<std::vector<AtomInput>> ResolveAndFilter(
     const GetTable& get_table, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     SemiJoinStats* stats) {
   const int m = q.num_atoms();
-  std::vector<Table> tables;
-  tables.reserve(m);
+  std::vector<AtomInput> inputs;
+  inputs.reserve(m);
   for (int i = 0; i < m; ++i) {
+    auto catalog = get_table(q.atom(i).relation);
     const Table* src = nullptr;
     auto it = overrides.find(i);
     if (it != overrides.end()) {
       src = it->second;
     } else {
-      auto t = get_table(q.atom(i).relation);
-      if (!t.ok()) return t.status();
-      src = *t;
+      if (!catalog.ok()) return catalog.status();
+      src = *catalog;
     }
     if (src->arity() != q.atom(i).arity()) {
       return Status::InvalidArgument("atom " + q.atom(i).relation +
                                      " arity mismatch");
     }
     // Start from the constant/repeated-variable filtered table so that
-    // selections also prune join partners.
-    tables.push_back(FilterAtomTable(*src, q.atom(i)));
-    if (stats) stats->rows_before.push_back(tables.back().NumRows());
+    // selections also prune join partners. An override whose relation is
+    // not in the catalog counts its own rows as the full relation.
+    inputs.push_back(AtomInput{FilterAtomTable(*src, q.atom(i)),
+                               catalog.ok() ? (*catalog)->NumRows()
+                                            : src->NumRows()});
+    if (stats) stats->rows_before.push_back(inputs.back().table.NumRows());
   }
-  return tables;
+  return inputs;
 }
 
-Result<std::vector<Table>> ReduceResolved(std::vector<Table> tables,
-                                          const ConjunctiveQuery& q,
-                                          SemiJoinStats* stats,
-                                          int max_passes) {
+/// Pairwise semi-join reduction of one ordered atom pair: the row indices
+/// of `ta` with a key match in `tb`, in ascending order.
+std::vector<uint32_t> SemiJoinSelect(const Table& ta,
+                                     const std::vector<int>& pos_a,
+                                     const Table& tb,
+                                     const std::vector<int>& pos_b,
+                                     SemiJoinStats* stats) {
+  // Index b's key values (batch hash + chain; real key comparison on
+  // probe avoids hash-collision survivors).
+  const size_t bn = tb.NumRows();
+  HashVector bh = HashKeyColumns(tb, pos_b);
+  FlatHashIndex index(bn);
+  std::vector<uint32_t> next(bn);
+  for (size_t r = 0; r < bn; ++r) {
+    uint32_t& head = index.HeadFor(bh[r]);
+    next[r] = head;
+    head = static_cast<uint32_t>(r);
+  }
+  // Blocked Bloom pre-filter over the build-side hashes: a probe with
+  // no possible partner pays one filter cache line instead of an index
+  // walk. No false negatives, so the surviving selection is identical
+  // with or without it.
+  const size_t bloom_min = BloomMinBuildRows().load(std::memory_order_relaxed);
+  std::unique_ptr<BlockedBloomFilter> bloom;
+  if (bn >= bloom_min) {
+    bloom = std::make_unique<BlockedBloomFilter>(bn);
+    for (uint64_t h : bh) bloom->Add(h);
+    if (stats) ++stats->bloom_filters_built;
+  }
+  HashVector ah = HashKeyColumns(ta, pos_a);
+  const size_t an = ta.NumRows();
+  std::vector<uint32_t> sel;
+  sel.reserve(an);
+  // Probe in blocks: Bloom-reject first, prefetch the survivors' index
+  // slots, then walk the chains — the slot misses overlap across the
+  // block. Survivors keep their ascending order, so `sel` is identical
+  // to the plain loop's.
+  constexpr size_t kProbeBlock = 64;
+  uint32_t survivors[kProbeBlock];
+  size_t bloom_skipped = 0;
+  for (size_t lo = 0; lo < an; lo += kProbeBlock) {
+    const size_t hi = std::min(lo + kProbeBlock, an);
+    size_t nsurv = 0;
+    for (size_t r = lo; r < hi; ++r) {
+      if (bloom != nullptr && !bloom->MayContain(ah[r])) {
+        ++bloom_skipped;
+        continue;
+      }
+      index.PrefetchSlot(ah[r]);
+      survivors[nsurv++] = static_cast<uint32_t>(r);
+    }
+    for (size_t s = 0; s < nsurv; ++s) {
+      const uint32_t r = survivors[s];
+      for (uint32_t br = index.Find(ah[r]); br != FlatHashIndex::kNil;
+           br = next[br]) {
+        if (KeysEqual(ta, r, pos_a, tb, br, pos_b)) {
+          sel.push_back(r);
+          break;
+        }
+      }
+    }
+  }
+  if (stats) {
+    ++stats->semijoins;
+    stats->build_rows += bn;
+    stats->bloom_probes_skipped += bloom_skipped;
+  }
+  return sel;
+}
+
+std::vector<Table> ReduceResolved(std::vector<AtomInput> inputs,
+                                  const ConjunctiveQuery& q,
+                                  SemiJoinStats* stats) {
   const int m = q.num_atoms();
 
-  // Shared-variable pairs.
+  // Shared-variable pairs (a ⋉ b): a is probed against an index over b.
   struct Pair {
     int a, b;
     std::vector<int> pos_a, pos_b;
+    bool pending = true;
+    int runs = 0;
   };
   std::vector<Pair> pairs;
   for (int i = 0; i < m; ++i) {
@@ -121,79 +207,53 @@ Result<std::vector<Table>> ReduceResolved(std::vector<Table> tables,
     }
   }
 
-  int pass = 0;
-  bool changed = true;
-  while (changed && pass < max_passes) {
-    changed = false;
-    ++pass;
-    for (const auto& pr : pairs) {
-      const Table& ta = tables[pr.a];
-      const Table& tb = tables[pr.b];
-      // Index b's key values (batch hash + chain; real key comparison on
-      // probe avoids hash-collision survivors).
-      const size_t bn = tb.NumRows();
-      HashVector bh = HashKeyColumns(tb, pr.pos_b);
-      FlatHashIndex index(bn);
-      std::vector<uint32_t> next(bn);
-      for (size_t r = 0; r < bn; ++r) {
-        uint32_t& head = index.HeadFor(bh[r]);
-        next[r] = head;
-        head = static_cast<uint32_t>(r);
-      }
-      // Blocked Bloom pre-filter over the build-side hashes: a probe with
-      // no possible partner pays one filter cache line instead of an index
-      // walk. No false negatives, so the surviving selection is identical
-      // with or without it.
-      const size_t bloom_min = BloomMinBuildRows().load(std::memory_order_relaxed);
-      std::unique_ptr<BlockedBloomFilter> bloom;
-      if (bn >= bloom_min) {
-        bloom = std::make_unique<BlockedBloomFilter>(bn);
-        for (uint64_t h : bh) bloom->Add(h);
-        if (stats) ++stats->bloom_filters_built;
-      }
-      HashVector ah = HashKeyColumns(ta, pr.pos_a);
-      const size_t an = ta.NumRows();
-      std::vector<uint32_t> sel;
-      sel.reserve(an);
-      // Probe in blocks: Bloom-reject first, prefetch the survivors' index
-      // slots, then walk the chains — the slot misses overlap across the
-      // block. Survivors keep their ascending order, so `sel` is identical
-      // to the plain loop's.
-      constexpr size_t kProbeBlock = 64;
-      uint32_t survivors[kProbeBlock];
-      size_t bloom_skipped = 0;
-      for (size_t lo = 0; lo < an; lo += kProbeBlock) {
-        const size_t hi = std::min(lo + kProbeBlock, an);
-        size_t nsurv = 0;
-        for (size_t r = lo; r < hi; ++r) {
-          if (bloom != nullptr && !bloom->MayContain(ah[r])) {
-            ++bloom_skipped;
-            continue;
-          }
-          index.PrefetchSlot(ah[r]);
-          survivors[nsurv++] = static_cast<uint32_t>(r);
-        }
-        for (size_t s = 0; s < nsurv; ++s) {
-          const uint32_t r = survivors[s];
-          for (uint32_t br = index.Find(ah[r]); br != FlatHashIndex::kNil;
-               br = next[br]) {
-            if (KeysEqual(ta, r, pr.pos_a, tb, br, pr.pos_b)) {
-              sel.push_back(r);
-              break;
-            }
-          }
-        }
-      }
-      if (stats) stats->bloom_probes_skipped += bloom_skipped;
-      if (sel.size() != ta.NumRows()) {
-        tables[pr.a] = ta.Select(sel);
-        changed = true;
+  // Worklist to the fixpoint. Every pair starts pending; a pair that ran
+  // stays done until its build side shrinks. The next pair is the pending
+  // one whose build side has the lowest surviving fraction (current rows
+  // over catalog rows), then the fewest build rows, then the lowest index:
+  // on foreign-key joins that fraction is the share of probe rows that
+  // survive, so selective bindings prune the big relations before those
+  // are ever indexed. Select keeps row order and the pairwise fixpoint is
+  // unique, so below the per-pair cap the result does not depend on the
+  // order.
+  auto fraction = [&](int atom) {
+    const size_t base = inputs[atom].catalog_rows;
+    return base == 0 ? 0.0
+                     : static_cast<double>(inputs[atom].table.NumRows()) /
+                           static_cast<double>(base);
+  };
+  for (;;) {
+    Pair* pick = nullptr;
+    double pick_fraction = 0.0;
+    for (Pair& pr : pairs) {
+      if (!pr.pending || pr.runs >= kMaxRunsPerPair) continue;
+      const double f = fraction(pr.b);
+      if (pick == nullptr || f < pick_fraction ||
+          (f == pick_fraction && inputs[pr.b].table.NumRows() <
+                                     inputs[pick->b].table.NumRows())) {
+        pick = &pr;
+        pick_fraction = f;
       }
     }
+    if (pick == nullptr) break;
+    pick->pending = false;
+    ++pick->runs;
+    const Table& ta = inputs[pick->a].table;
+    if (ta.NumRows() == 0) continue;  // nothing left to remove
+    std::vector<uint32_t> sel = SemiJoinSelect(
+        ta, pick->pos_a, inputs[pick->b].table, pick->pos_b, stats);
+    if (sel.size() == ta.NumRows()) continue;
+    inputs[pick->a].table = ta.Select(sel);
+    for (Pair& pr : pairs) {
+      if (pr.b == pick->a) pr.pending = true;
+    }
   }
-  if (stats) {
-    stats->passes = pass;
-    for (int i = 0; i < m; ++i) stats->rows_after.push_back(tables[i].NumRows());
+
+  std::vector<Table> tables;
+  tables.reserve(m);
+  for (AtomInput& in : inputs) {
+    if (stats) stats->rows_after.push_back(in.table.NumRows());
+    tables.push_back(std::move(in.table));
   }
   return tables;
 }
@@ -207,23 +267,23 @@ void SetSemiJoinBloomMinRowsForTesting(size_t rows) {
 Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
-    SemiJoinStats* stats, int max_passes) {
-  auto tables = ResolveAndFilter(
+    SemiJoinStats* stats) {
+  auto inputs = ResolveAndFilter(
       [&](const std::string& name) { return snap.GetTable(name); }, q,
       overrides, stats);
-  if (!tables.ok()) return tables;
-  return ReduceResolved(std::move(*tables), q, stats, max_passes);
+  if (!inputs.ok()) return inputs.status();
+  return ReduceResolved(std::move(*inputs), q, stats);
 }
 
 Result<std::vector<Table>> SemiJoinReduce(
     const Database& db, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
-    SemiJoinStats* stats, int max_passes) {
-  auto tables = ResolveAndFilter(
+    SemiJoinStats* stats) {
+  auto inputs = ResolveAndFilter(
       [&](const std::string& name) { return db.GetTable(name); }, q,
       overrides, stats);
-  if (!tables.ok()) return tables;
-  return ReduceResolved(std::move(*tables), q, stats, max_passes);
+  if (!inputs.ok()) return inputs.status();
+  return ReduceResolved(std::move(*inputs), q, stats);
 }
 
 }  // namespace dissodb

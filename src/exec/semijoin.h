@@ -21,7 +21,10 @@ namespace dissodb {
 struct SemiJoinStats {
   std::vector<size_t> rows_before;
   std::vector<size_t> rows_after;
-  int passes = 0;
+  /// Pairwise semi-joins run, and the build-side rows they indexed in
+  /// total (each run indexes its build side's current rows once).
+  size_t semijoins = 0;
+  size_t build_rows = 0;
   /// Build sides large enough to get a blocked Bloom pre-filter, and probe
   /// rows the filter rejected without touching the hash index. The filter
   /// has no false negatives, so it never changes which rows survive.
@@ -29,24 +32,30 @@ struct SemiJoinStats {
   size_t bloom_probes_skipped = 0;
 };
 
-/// Pairwise semi-join reduction to fixpoint (bounded by `max_passes`):
-/// repeatedly removes from each atom's table the tuples with no match in
-/// some other atom on their shared variables. Returns one reduced table per
-/// atom. For acyclic (e.g. hierarchical or chain/star) queries two passes
-/// reach the full reduction. Catalog bindings resolve against the pinned
-/// snapshot `snap`, so a reduction is internally consistent no matter how
-/// many commits run concurrently.
+/// Pairwise semi-join reduction to fixpoint: removes from each atom's table
+/// the tuples with no match in some other atom on their shared variables,
+/// until no pair removes anything. Returns one reduced table per atom, rows
+/// in their input order. Pairs run from a worklist, most selective build
+/// side first (current rows over the relation's catalog rows), and a pair
+/// reruns only after its build side shrank, so big relations are indexed
+/// only once the selective bindings have pruned them. Each ordered pair
+/// runs at most 4 times; below that cap the result is the unique pairwise
+/// fixpoint, whatever the order (a dangling tuple at one end of a chain
+/// cascades through every atom, so no fixed number of passes suffices).
+/// Catalog bindings resolve against the pinned snapshot `snap`, so a
+/// reduction is internally consistent no matter how many commits run
+/// concurrently.
 Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
-    SemiJoinStats* stats = nullptr, int max_passes = 4);
+    SemiJoinStats* stats = nullptr);
 
 /// Legacy shim resolving against the live head of `db` (single-threaded
 /// callers; no snapshot-isolation guarantees under concurrent writers).
 Result<std::vector<Table>> SemiJoinReduce(
     const Database& db, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
-    SemiJoinStats* stats = nullptr, int max_passes = 4);
+    SemiJoinStats* stats = nullptr);
 
 /// Overrides the build-side row count at which reductions add a Bloom
 /// pre-filter (default 4096; env DISSODB_BLOOM_MIN_ROWS overrides the

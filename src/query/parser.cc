@@ -1,10 +1,12 @@
 #include "src/query/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <string>
+#include <system_error>
+#include <unordered_map>
 
 namespace dissodb {
 
@@ -90,12 +92,51 @@ bool IsVariableName(const std::string& ident) {
   return !ident.empty() && std::islower(static_cast<unsigned char>(ident[0]));
 }
 
+/// Converts a whole numeric literal from Cursor::Number. Malformed text
+/// ("-", "1.2.3") and values outside int64 / double range ("1e999") are
+/// InvalidArgument, never an exception.
+Result<Value> NumericLiteral(const std::string& text, bool is_double) {
+  std::string_view s = text;
+  if (!s.empty() && s[0] == '+') s.remove_prefix(1);  // from_chars rejects '+'
+  const char* const end = s.data() + s.size();
+  std::from_chars_result r;
+  Value v;
+  if (is_double) {
+    double d = 0.0;
+    r = std::from_chars(s.data(), end, d);
+    v = Value::Double(d);
+  } else {
+    int64_t i = 0;
+    r = std::from_chars(s.data(), end, i);
+    v = Value::Int64(i);
+  }
+  if (r.ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("numeric literal " + text +
+                                   " is out of range");
+  }
+  if (r.ec != std::errc() || r.ptr != end) {
+    return Status::InvalidArgument("bad numeric literal '" + text + "'");
+  }
+  return v;
+}
+
 using StringInterner = std::function<Result<int64_t>(const std::string&)>;
 
 Result<ConjunctiveQuery> ParseQueryImpl(std::string_view text,
                                         const StringInterner& intern) {
   Cursor c(text);
   ConjunctiveQuery q;
+  // VarMask holds one bit per variable, so the 65th distinct name is an
+  // error here rather than an overflowed mask downstream.
+  auto add_var = [&q](const std::string& name) -> Result<VarId> {
+    constexpr int kMaxVars = 64;
+    if (q.num_vars() >= kMaxVars && q.FindVar(name) < 0) {
+      return Status::InvalidArgument("query has more than " +
+                                     std::to_string(kMaxVars) +
+                                     " distinct variables");
+    }
+    return q.AddVar(name);
+  };
 
   std::string head_name = c.Ident();
   if (head_name.empty()) {
@@ -112,7 +153,9 @@ Result<ConjunctiveQuery> ParseQueryImpl(std::string_view text,
         return Status::InvalidArgument(
             "head arguments must be lowercase variables");
       }
-      DISSODB_RETURN_NOT_OK(q.AddHeadVar(q.AddVar(v)));
+      auto var = add_var(v);
+      if (!var.ok()) return var.status();
+      DISSODB_RETURN_NOT_OK(q.AddHeadVar(*var));
       if (c.Consume(',')) continue;
       if (c.Consume(')')) break;
       return Status::InvalidArgument("expected ',' or ')' in head");
@@ -172,12 +215,9 @@ Result<ConjunctiveQuery> ParseQueryImpl(std::string_view text,
                    p == '+') {
           bool is_double = false;
           std::string n = c.Number(&is_double);
-          if (n.empty()) {
-            return Status::InvalidArgument("bad numeric literal");
-          }
-          atom.terms.push_back(Term::Const(
-              is_double ? Value::Double(std::stod(n))
-                        : Value::Int64(std::stoll(n))));
+          auto value = NumericLiteral(n, is_double);
+          if (!value.ok()) return value.status();
+          atom.terms.push_back(Term::Const(*value));
         } else {
           std::string ident = c.Ident();
           if (ident.empty()) {
@@ -188,7 +228,9 @@ Result<ConjunctiveQuery> ParseQueryImpl(std::string_view text,
                 "term '" + ident +
                 "' must be a lowercase variable or quoted constant");
           }
-          atom.terms.push_back(Term::Var(q.AddVar(ident)));
+          auto var = add_var(ident);
+          if (!var.ok()) return var.status();
+          atom.terms.push_back(Term::Var(*var));
         }
         if (c.Consume(',')) continue;
         if (c.Consume(')')) break;

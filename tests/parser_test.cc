@@ -1,6 +1,8 @@
 // Unit tests for the datalog query parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/query/parser.h"
 #include "src/storage/database.h"
 
@@ -47,6 +49,65 @@ TEST(ParserTest, DoubleConstants) {
   auto q = ParseQuery("q() :- R(1.5)");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->atom(0).terms[0].constant.type(), ValueType::kDouble);
+}
+
+TEST(ParserTest, SignedAndExponentLiterals) {
+  auto q = ParseQuery("q() :- R(+7, 25e2, -1E2)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->atom(0).terms[0].constant, Value::Int64(7));
+  EXPECT_EQ(q->atom(0).terms[1].constant, Value::Double(2500.0));
+  EXPECT_EQ(q->atom(0).terms[2].constant, Value::Double(-100.0));
+}
+
+TEST(ParserTest, OutOfRangeIntegerIsInvalidArgument) {
+  auto q = ParseQuery("q() :- R(99999999999999999999)");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(ParseQuery("q() :- R(-9223372036854775808)").ok());
+  EXPECT_FALSE(ParseQuery("q() :- R(9223372036854775808)").ok());
+}
+
+TEST(ParserTest, OutOfRangeDoubleIsInvalidArgument) {
+  auto q = ParseQuery("q() :- R(1e999)");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+}
+
+TEST(ParserTest, MalformedNumbersAreInvalidArgument) {
+  for (const char* text : {"q() :- R(-)", "q() :- R(+)", "q() :- R(1.2.3)",
+                           "q() :- R(1e)", "q() :- R(-e5)"}) {
+    auto q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument) << text;
+  }
+}
+
+TEST(ParserTest, SixtyFifthVariableIsInvalidArgument) {
+  // 64 distinct variables fill the VarMask; the 65th must be rejected, in
+  // the body or in the head, and a repeated name never counts twice.
+  auto body = [](int vars) {
+    std::string text = "q() :- ";
+    for (int i = 0; i < vars; ++i) {
+      if (i > 0) text += ", ";
+      text += "R" + std::to_string(i) + "(v" + std::to_string(i) + ", v0)";
+    }
+    return text;
+  };
+  auto q64 = ParseQuery(body(64));
+  ASSERT_TRUE(q64.ok()) << q64.status().ToString();
+  EXPECT_EQ(q64->num_vars(), 64);
+  auto q65 = ParseQuery(body(65));
+  ASSERT_FALSE(q65.ok());
+  EXPECT_EQ(q65.status().code(), Status::Code::kInvalidArgument);
+
+  std::string head = "q(";
+  for (int i = 0; i < 65; ++i) {
+    if (i > 0) head += ",";
+    head += "h" + std::to_string(i);
+  }
+  auto qh = ParseQuery(head + ") :- R(h0)");
+  ASSERT_FALSE(qh.ok());
+  EXPECT_EQ(qh.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(ParserTest, StringConstantsNeedPool) {

@@ -31,7 +31,8 @@ TEST(SemiJoinTest, RemovesDanglingTuples) {
   EXPECT_EQ((*reduced)[1].NumRows(), 1u);  // S: {(1,4)}
   EXPECT_EQ((*reduced)[2].NumRows(), 1u);  // T: {4}
   EXPECT_EQ(stats.rows_before[0], 3u);
-  EXPECT_GE(stats.passes, 1);
+  EXPECT_GE(stats.semijoins, 1u);
+  EXPECT_GT(stats.build_rows, 0u);
 }
 
 TEST(SemiJoinTest, FullyJoinableInputUnchanged) {
@@ -67,6 +68,60 @@ TEST(SemiJoinTest, CascadingReductionNeedsMultiplePasses) {
   EXPECT_EQ((*reduced)[0].NumRows(), 0u);
   EXPECT_EQ((*reduced)[1].NumRows(), 0u);
   EXPECT_EQ((*reduced)[2].NumRows(), 0u);
+}
+
+TEST(SemiJoinTest, LongChainCascadeReachesEveryAtom) {
+  // R1..R8 each hold the live path (1,1); R1..R7 also hold the path (2,2),
+  // which R8 breaks. The break has to cascade from R7 back to R1. A fixed
+  // schedule of 4 passes in atom order moves it one atom per pass and
+  // leaves the dangling rows in R1..R3; the fixpoint removes them all.
+  auto q = Q(
+      "q() :- R1(x1,x2), R2(x2,x3), R3(x3,x4), R4(x4,x5), R5(x5,x6), "
+      "R6(x6,x7), R7(x7,x8), R8(x8,x9)");
+  Database db;
+  for (int i = 1; i <= 7; ++i) {
+    AddTable(&db, "R" + std::to_string(i), 2,
+             {{{1, 1}, 0.5}, {{2, 2}, 0.5}});
+  }
+  AddTable(&db, "R8", 2, {{{1, 1}, 0.5}});
+  SemiJoinStats stats;
+  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  ASSERT_TRUE(reduced.ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ((*reduced)[i].NumRows(), 1u) << "R" << i + 1;
+    EXPECT_EQ((*reduced)[i].At(0, 0), Value::Int64(1)) << "R" << i + 1;
+    EXPECT_EQ(stats.rows_after[i], 1u);
+  }
+}
+
+TEST(SemiJoinTest, SelectiveBuildSideRunsFirst) {
+  // Big(x,y) is joined to a one-row selection of Small(x) and to the
+  // unselective Other(y). Small's surviving fraction (1 of 1000 catalog
+  // rows) sends Big ⋉ Small first, so the unreduced Big is never indexed:
+  // every index is built over at most the one surviving Big row, or over
+  // the selection or Other.
+  auto q = Q("q() :- Small(x), Big(x,y), Other(y)");
+  Database db;
+  std::vector<std::pair<std::vector<int64_t>, double>> small, big, other;
+  for (int64_t i = 0; i < 1000; ++i) {
+    small.push_back({{i}, 0.5});
+    big.push_back({{i, i % 10}, 0.5});
+  }
+  for (int64_t i = 0; i < 10; ++i) other.push_back({{i}, 0.5});
+  AddTable(&db, "Small", 1, small);
+  AddTable(&db, "Big", 2, big);
+  AddTable(&db, "Other", 1, other);
+  Table selection(RelationSchema::AllInt64("Small", 1));
+  selection.AddRow({Value::Int64(7)}, 0.5);
+
+  SemiJoinStats stats;
+  auto reduced = SemiJoinReduce(db, q, {{0, &selection}}, &stats);
+  ASSERT_TRUE(reduced.ok());
+  EXPECT_EQ((*reduced)[0].NumRows(), 1u);
+  EXPECT_EQ((*reduced)[1].NumRows(), 1u);
+  EXPECT_EQ((*reduced)[2].NumRows(), 1u);
+  EXPECT_LT(stats.build_rows, 1000u);
+  EXPECT_GE(stats.semijoins, 4u);  // every ordered pair ran at least once
 }
 
 TEST(SemiJoinTest, PreservesAnswersAndScoresOnRandomInstances) {

@@ -418,6 +418,18 @@ TEST(EngineTraceTest, SemiJoinSpanAndBloomStatsFlowIntoEngineStats) {
   ASSERT_NE(Arg(*sj, "bloom_filters_built"), nullptr);
   EXPECT_EQ(std::stoull(*Arg(*sj, "bloom_filters_built")),
             stats.bloom_filters_built);
+
+  // The worklist's own telemetry: pairs run and build rows indexed, on the
+  // span and in the registry.
+  ASSERT_NE(Arg(*sj, "semijoins"), nullptr);
+  ASSERT_NE(Arg(*sj, "build_rows"), nullptr);
+  const uint64_t semijoins = std::stoull(*Arg(*sj, "semijoins"));
+  EXPECT_GE(semijoins, 4u);  // R-S, S-R, S-T, T-S each run at least once
+  EXPECT_EQ(engine.metrics().counter("semijoin.semijoins")->Value(),
+            semijoins);
+  EXPECT_EQ(engine.metrics().counter("semijoin.build_rows")->Value(),
+            std::stoull(*Arg(*sj, "build_rows")));
+  EXPECT_GT(std::stoull(*Arg(*sj, "build_rows")), 0u);
 }
 
 TEST(EngineTraceTest, PrometheusDumpCoversEngineSchedulerAndScans) {
