@@ -17,7 +17,8 @@ std::vector<VarId> MaskToVars(VarMask m) {
 VarId ConjunctiveQuery::AddVar(const std::string& name) {
   VarId existing = FindVar(name);
   if (existing >= 0) return existing;
-  assert(var_names_.size() < 64 && "queries are limited to 64 variables");
+  assert(var_names_.size() < static_cast<size_t>(kMaxQueryVars) &&
+         "queries are limited to kMaxQueryVars variables");
   var_names_.push_back(name);
   return static_cast<VarId>(var_names_.size()) - 1;
 }

@@ -16,8 +16,10 @@
 namespace dissodb {
 
 using VarId = int;
-/// Bitmask over the (at most 64) variables of one query.
+/// Bitmask over the (at most kMaxQueryVars) variables of one query.
 using VarMask = uint64_t;
+/// One VarMask bit per variable bounds the variables of a query.
+inline constexpr int kMaxQueryVars = 8 * sizeof(VarMask);
 
 inline VarMask MaskOf(VarId v) { return VarMask{1} << v; }
 inline bool MaskContains(VarMask m, VarId v) { return (m >> v) & 1; }
@@ -56,7 +58,8 @@ struct Atom {
 /// \brief A self-join-free conjunctive query.
 class ConjunctiveQuery {
  public:
-  /// Adds a variable named `name`; returns its id. Fails (assert) beyond 64.
+  /// Adds a variable named `name`; returns its id. Fails (assert) beyond
+  /// kMaxQueryVars.
   VarId AddVar(const std::string& name);
   /// Finds a variable by name, or -1.
   VarId FindVar(const std::string& name) const;

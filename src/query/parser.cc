@@ -126,13 +126,12 @@ Result<ConjunctiveQuery> ParseQueryImpl(std::string_view text,
                                         const StringInterner& intern) {
   Cursor c(text);
   ConjunctiveQuery q;
-  // VarMask holds one bit per variable, so the 65th distinct name is an
-  // error here rather than an overflowed mask downstream.
+  // VarMask holds one bit per variable, so a distinct name beyond
+  // kMaxQueryVars is an error here rather than an overflowed mask downstream.
   auto add_var = [&q](const std::string& name) -> Result<VarId> {
-    constexpr int kMaxVars = 64;
-    if (q.num_vars() >= kMaxVars && q.FindVar(name) < 0) {
+    if (q.num_vars() >= kMaxQueryVars && q.FindVar(name) < 0) {
       return Status::InvalidArgument("query has more than " +
-                                     std::to_string(kMaxVars) +
+                                     std::to_string(kMaxQueryVars) +
                                      " distinct variables");
     }
     return q.AddVar(name);
