@@ -93,8 +93,8 @@ void BM_BuildSinglePlan(benchmark::State& state) {
   ConjunctiveQuery q = MakeChainQuery(k);
   SchemaKnowledge none = SchemaKnowledge::None(q);
   for (auto _ : state) {
-    auto plan = BuildSinglePlan(q, none);
-    benchmark::DoNotOptimize(plan->get());
+    auto lifted = lift::CompileSafePlan(q, none);
+    benchmark::DoNotOptimize(lifted->plan.get());
   }
 }
 BENCHMARK(BM_BuildSinglePlan)->Arg(4)->Arg(8);

@@ -6,10 +6,8 @@
 //      vs N full Run(text) calls (parse + canonicalize + plan-cache lookup
 //      every time).
 //   2. isomorphic batch: 64 pairwise variable-renamed chain queries through
-//      RunBatch with canonicalization (handles collapse to one plan-cache
-//      entry and shared ResultCache fingerprints) vs the legacy
-//      un-canonicalized engine (the PR 3 baseline behavior, where renamed
-//      queries share almost nothing).
+//      RunBatch; canonicalization collapses their handles to one plan-cache
+//      entry and shared ResultCache fingerprints.
 //   3. opt3 batch: the same workload with semi-join reduction enabled —
 //      reductions are fingerprinted and cached, so (unlike PR 3, where
 //      opt3 disabled all sharing) the batch still gets result-cache hits.
@@ -57,10 +55,9 @@ std::vector<int> RandomOrder(Rng* rng, int n) {
   return order;
 }
 
-EngineOptions BatchOptions(bool canonicalize) {
+EngineOptions BatchOptions() {
   const unsigned hw = std::thread::hardware_concurrency();
   EngineOptions opts;
-  opts.canonicalize = canonicalize;
   opts.num_threads = static_cast<int>(std::min(hw ? hw : 1u, 8u));
   return opts;
 }
@@ -148,7 +145,7 @@ int main() {
             Fmt(run_ms / exec_ms)});
 
   // -------------------------------------------------------------------------
-  // 2. isomorphic batch: canonicalized vs legacy (PR 3 baseline behavior)
+  // 2. isomorphic batch (canonicalized), plain and with Opt. 3
   // -------------------------------------------------------------------------
   Rng rng(33);
   std::vector<ConjunctiveQuery> workload;
@@ -158,11 +155,11 @@ int main() {
                                    "n" + std::to_string(i) + "_"));
   }
 
-  auto run_batch = [&](bool canonicalize, bool opt3, double* best_ms,
+  auto run_batch = [&](bool opt3, double* best_ms,
                        EngineStats* best_stats) -> bool {
     *best_ms = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
-      EngineOptions opts = BatchOptions(canonicalize);
+      EngineOptions opts = BatchOptions();
       opts.propagation.opt3_semijoin_reduction = opt3;
       QueryEngine engine = QueryEngine::Borrow(db, opts);
       Timer t;
@@ -181,11 +178,10 @@ int main() {
     return true;
   };
 
-  double canon_ms, legacy_ms, opt3_ms;
-  EngineStats canon_stats, legacy_stats, opt3_stats;
-  if (!run_batch(true, false, &canon_ms, &canon_stats)) return 1;
-  if (!run_batch(false, false, &legacy_ms, &legacy_stats)) return 1;
-  if (!run_batch(true, true, &opt3_ms, &opt3_stats)) return 1;
+  double canon_ms, opt3_ms;
+  EngineStats canon_stats, opt3_stats;
+  if (!run_batch(false, &canon_ms, &canon_stats)) return 1;
+  if (!run_batch(true, &opt3_ms, &opt3_stats)) return 1;
 
   auto served = [](const EngineStats& s) {
     return s.result_cache_hits + s.result_cache_in_flight_waits;
@@ -194,9 +190,6 @@ int main() {
   PrintHeader({"engine", "wall_ms", "rc_served", "plan_miss"});
   PrintRow({"canonical", FmtMs(canon_ms), std::to_string(served(canon_stats)),
             std::to_string(canon_stats.plan_cache_misses)});
-  PrintRow({"legacy(PR3)", FmtMs(legacy_ms),
-            std::to_string(served(legacy_stats)),
-            std::to_string(legacy_stats.plan_cache_misses)});
   PrintRow({"canonical+opt3", FmtMs(opt3_ms),
             std::to_string(served(opt3_stats)),
             std::to_string(opt3_stats.plan_cache_misses)});
@@ -213,8 +206,6 @@ int main() {
                   small_exec_ms * 1e6 / kSmallExecs);
   BenchJsonRecord("isomorphic_batch_canonical", kBatchSize,
                   canon_ms * 1e6 / kBatchSize);
-  BenchJsonRecord("isomorphic_batch_legacy", kBatchSize,
-                  legacy_ms * 1e6 / kBatchSize);
   BenchJsonRecord("opt3_batch", kBatchSize, opt3_ms * 1e6 / kBatchSize);
   // Non-time records (compare_bench skips by name): sharing counters.
   BenchJsonRecord("prepared_amortization_speedup", kExecs, amortization);
@@ -228,12 +219,6 @@ int main() {
   // machine-speed, properties).
   if (served(canon_stats) == 0) {
     std::printf("FAIL: canonicalized isomorphic batch shared nothing\n");
-    return 1;
-  }
-  if (served(canon_stats) < 2 * served(legacy_stats)) {
-    std::printf("FAIL: canonicalization did not restore sharing "
-                "(canonical %zu vs legacy %zu)\n",
-                served(canon_stats), served(legacy_stats));
     return 1;
   }
   if (served(opt3_stats) == 0) {

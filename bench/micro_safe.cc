@@ -1,33 +1,38 @@
-// Safe-plan router benchmark: the same hierarchical workload compiled and
-// served through the lifted safe-plan fast path vs. the forced-dissociation
-// legacy pipeline (EngineOptions::safe_plan_fast_path = false).
+// Safe-plan compile benchmark: the engine's one Opt. 1 compile path (the
+// lifted compiler, src/lift/) against the paper's Algorithm 1 route
+// (PropagationOptions::opt1_single_plan = false), and the cost of a cold
+// Prepare on unsafe queries.
 //
-// Workload: nested-containment chains
+// Workload 1: nested-containment chains
 //   q() :- R1(x1), R2(x1,x2), ..., Rk(x1,...,xk)
 // These are hierarchical (at-sets form a chain under containment), so the
 // lifted compiler resolves every level with the separator rule in one
-// linear walk. The legacy pipeline compiles the *same plan* but discovers
-// each separator by Gosper-enumerating all 2^|evars| candidate cut-sets
-// per level, and additionally walks the dissociation lattice in
-// EnumerateMinimalPlans — so compile cost grows exponentially in k while
-// the lifted cost stays linear. Execution cost is identical by
-// construction (bit-identical plans), which the benchmark asserts.
+// linear walk. Algorithm 1 reaches the same single minimal plan by
+// Gosper-enumerating all 2^|evars| candidate cut-sets per level and walking
+// the dissociation lattice, so its compile cost grows exponentially in k
+// while the lifted cost stays linear. Both routes evaluate one plan with
+// the same score, which the benchmark asserts bit for bit.
+//
+// Workload 2: boolean k-chains q() :- R1(x0,x1), ..., Rk(x_{k-1},xk), which
+// are unsafe with Catalan(k-1) minimal plans. A cold Prepare compiles one
+// min-plan and never enumerates those plans.
 //
 // Measurements (BENCH_micro_safe.json):
-//   - compile_safe_k{4,8,12}     ns per cold Prepare, fast path on
-//   - compile_dissoc_k{4,8,12}   ns per cold Prepare, fast path off
-//   - serve_safe_k12             ns per cold Prepare+Execute, fast path on
-//   - serve_dissoc_k12           ns per cold Prepare+Execute, fast path off
-//   - compile_speedup_k12        ratio (skipped by compare_bench)
-//   - unsafe_residue_overhead    ns per cold Prepare of a 3-chain (routed
-//                                through the residue path; stays within
-//                                noise of legacy — skipped by compare)
+//   - compile_safe_k{4,8,12}         ns per lifted compile
+//   - compile_alg1_k{4,8,12}         ns per Algorithm 1 enumeration
+//   - serve_safe_k12                 ns per cold Prepare+Execute, Opt. 1
+//   - serve_alg1_k12                 ns per cold Prepare+Execute, Opt. 1 off
+//   - compile_speedup_k12            ratio (skipped by compare_bench)
+//   - prepare_unsafe_chain_k{3,8,12} ns per cold QueryEngine::Prepare of a
+//                                    boolean k-chain, plan cache off
 //
 // Unconditional acceptance gates:
-//   - both routes return bit-identical rankings on every workload query,
-//   - the safe route reports exact=true / 1 minimal plan on the chains,
-//   - cold end-to-end latency (Prepare+Execute) with the fast path on is
-//     strictly below the forced-dissociation latency at k=12.
+//   - both routes return bit-identical rankings on every chain and flag
+//     them exact,
+//   - cold end-to-end latency (Prepare+Execute) through the lifted route is
+//     strictly below the Algorithm 1 route at k=12,
+//   - a cold Prepare of the unsafe 12-chain stays within 3x of a bare
+//     lift::CompileSafePlan on the same query (no plan enumeration).
 //
 //   $ ./micro_safe
 #include <cstdio>
@@ -57,6 +62,17 @@ std::string ChainOfContainmentQuery(int k) {
   return text;
 }
 
+/// q() :- R1(x0,x1), R2(x1,x2), ..., Rk(x_{k-1},xk).
+std::string BooleanChainQuery(int k) {
+  std::string text = "q() :- ";
+  for (int j = 1; j <= k; ++j) {
+    if (j > 1) text += ", ";
+    text += "R" + std::to_string(j) + "(x" + std::to_string(j - 1) + ",x" +
+            std::to_string(j) + ")";
+  }
+  return text;
+}
+
 /// Tables R1..Rk with `rows` distinct random rows each over a small domain,
 /// so joins produce work without blowing up the answer set.
 Database ChainDatabase(int k, size_t rows, uint64_t seed) {
@@ -75,9 +91,9 @@ Database ChainDatabase(int k, size_t rows, uint64_t seed) {
   return db;
 }
 
-EngineOptions RouteOptions(bool fast_path) {
+EngineOptions RouteOptions(bool lifted) {
   EngineOptions o;
-  o.safe_plan_fast_path = fast_path;
+  o.propagation.opt1_single_plan = lifted;
   return o;
 }
 
@@ -94,25 +110,22 @@ double LiftedCompileNs(const ConjunctiveQuery& q) {
          1e6;
 }
 
-double LegacyCompileNs(const ConjunctiveQuery& q) {
-  // The legacy Prepare enumerates the minimal-plan lattice (for the plan
-  // count / Min-merge) and then builds the combined single plan.
+double Alg1CompileNs(const ConjunctiveQuery& q) {
+  // With Opt. 1 off, Prepare enumerates the minimal plans (Algorithm 1);
+  // execution then evaluates each one and min-merges them.
   SchemaKnowledge none = SchemaKnowledge::None(q);
   return TimeMs(
              [&] {
                auto plans = EnumerateMinimalPlans(q, none);
                if (!plans.ok() || plans->size() != 1) std::abort();
-               auto single = BuildSinglePlan(q, none);
-               if (!single.ok()) std::abort();
              },
              20.0, 2000, 3) *
          1e6;
 }
 
-double ColdServeNs(Database& db, const ConjunctiveQuery& q, bool fast_path) {
+double ColdServeNs(Database& db, const ConjunctiveQuery& q, bool lifted) {
   return TimeMs([&] {
-           QueryEngine engine =
-               QueryEngine::Borrow(db, RouteOptions(fast_path));
+           QueryEngine engine = QueryEngine::Borrow(db, RouteOptions(lifted));
            if (!engine.Run(q).ok()) std::abort();
          }) *
          1e6;
@@ -129,16 +142,16 @@ int main() {
     auto q = ParseQuery(ChainOfContainmentQuery(k), &pool);
     if (!q.ok()) std::abort();
     Database db = ChainDatabase(k, rows, 1000 + k);
-    QueryEngine fast = QueryEngine::Borrow(db, RouteOptions(true));
-    QueryEngine legacy = QueryEngine::Borrow(db, RouteOptions(false));
-    auto a = fast.Run(*q);
-    auto b = legacy.Run(*q);
+    QueryEngine lifted = QueryEngine::Borrow(db, RouteOptions(true));
+    QueryEngine alg1 = QueryEngine::Borrow(db, RouteOptions(false));
+    auto a = lifted.Run(*q);
+    auto b = alg1.Run(*q);
     if (!a.ok() || !b.ok()) {
       std::printf("FAIL: k=%d run failed\n", k);
       return 1;
     }
-    if (!a->exact || a->num_minimal_plans != 1) {
-      std::printf("FAIL: k=%d not routed to an exact safe plan\n", k);
+    if (!a->exact || !b->exact) {
+      std::printf("FAIL: k=%d not flagged exact on both routes\n", k);
       return 1;
     }
     if (a->answers.size() != b->answers.size()) {
@@ -153,82 +166,92 @@ int main() {
       }
     }
   }
-  std::printf("bit-identity: safe-routed == forced-dissociation rankings "
-              "(k=4,8,12), exact=true, 1 minimal plan\n\n");
+  std::printf("bit-identity: lifted == Algorithm 1 rankings (k=4,8,12), "
+              "exact=true on both routes\n\n");
 
   // -- Compile cost: lifted linear walk vs Gosper + lattice ---------------
-  PrintHeader({"k", "safe ns", "dissoc ns", "speedup"});
-  double safe12 = 0, dissoc12 = 0;
+  PrintHeader({"k", "lifted ns", "alg1 ns", "speedup"});
+  double safe12 = 0, alg1_12 = 0;
   for (int k : {4, 8, 12}) {
     auto q = ParseQuery(ChainOfContainmentQuery(k), &pool);
     if (!q.ok()) std::abort();
     const double safe_ns = LiftedCompileNs(*q);
-    const double dissoc_ns = LegacyCompileNs(*q);
+    const double alg1_ns = Alg1CompileNs(*q);
     if (k == 12) {
       safe12 = safe_ns;
-      dissoc12 = dissoc_ns;
+      alg1_12 = alg1_ns;
     }
     BenchJsonRecord("compile_safe_k" + std::to_string(k), rows, safe_ns);
-    BenchJsonRecord("compile_dissoc_k" + std::to_string(k), rows, dissoc_ns);
-    PrintRow({std::to_string(k), Fmt(safe_ns), Fmt(dissoc_ns),
-              Fmt(dissoc_ns / safe_ns)});
+    BenchJsonRecord("compile_alg1_k" + std::to_string(k), rows, alg1_ns);
+    PrintRow({std::to_string(k), Fmt(safe_ns), Fmt(alg1_ns),
+              Fmt(alg1_ns / safe_ns)});
   }
-  BenchJsonRecord("compile_speedup_k12", rows, dissoc12 / safe12);
+  BenchJsonRecord("compile_speedup_k12", rows, alg1_12 / safe12);
 
   // -- End-to-end: cold Prepare+Execute at k=12 ---------------------------
   auto q12 = ParseQuery(ChainOfContainmentQuery(12), &pool);
   if (!q12.ok()) std::abort();
   Database db12 = ChainDatabase(12, rows, 2012);
   const double serve_safe = ColdServeNs(db12, *q12, true);
-  const double serve_dissoc = ColdServeNs(db12, *q12, false);
+  const double serve_alg1 = ColdServeNs(db12, *q12, false);
   BenchJsonRecord("serve_safe_k12", rows, serve_safe);
-  BenchJsonRecord("serve_dissoc_k12", rows, serve_dissoc);
-  std::printf("\nend-to-end k=12 cold query: safe-routed %s, "
-              "forced-dissociation %s (%.1fx)\n",
-              FmtMs(serve_safe / 1e6).c_str(),
-              FmtMs(serve_dissoc / 1e6).c_str(), serve_dissoc / serve_safe);
+  BenchJsonRecord("serve_alg1_k12", rows, serve_alg1);
+  std::printf("\nend-to-end k=12 cold query: lifted %s, Algorithm 1 %s "
+              "(%.1fx)\n",
+              FmtMs(serve_safe / 1e6).c_str(), FmtMs(serve_alg1 / 1e6).c_str(),
+              serve_alg1 / serve_safe);
 
   // The acceptance gate: exact routing must be a strict latency win on the
   // hierarchical workload, not just a semantics win.
-  if (serve_safe >= serve_dissoc) {
-    std::printf("FAIL: safe-routed latency (%.0f ns) not below "
-                "forced-dissociation (%.0f ns)\n",
-                serve_safe, serve_dissoc);
+  if (serve_safe >= serve_alg1) {
+    std::printf("FAIL: lifted latency (%.0f ns) not below Algorithm 1 "
+                "(%.0f ns)\n",
+                serve_safe, serve_alg1);
     return 1;
   }
 
-  // -- Unsafe residue: routing must not tax dissociated queries ----------
-  {
-    auto chain3 = ParseQuery("q() :- A(x), B(x,y), C(y)", &pool);
-    if (!chain3.ok()) std::abort();
-    SchemaKnowledge none = SchemaKnowledge::None(*chain3);
-    // Routed: lifted compile (hits the residue) + the enumeration the
-    // engine still runs for the plan count. Legacy: enumeration + the
-    // duplicate BuildSinglePlan.
-    const double residue_ns =
+  // -- Unsafe chains: a cold Prepare compiles, it does not enumerate ------
+  std::printf("\n");
+  PrintHeader({"chain k", "prepare ns", "compile ns", "ratio"});
+  for (int k : {3, 8, 12}) {
+    auto q = ParseQuery(BooleanChainQuery(k), &pool);
+    if (!q.ok()) std::abort();
+    ChainSpec spec;
+    spec.k = k;
+    spec.n = rows;
+    spec.seed = 3000 + k;
+    Database db = MakeChainDatabase(spec);
+    EngineOptions opts;
+    opts.plan_cache_capacity = 0;  // every Prepare compiles
+    QueryEngine engine = QueryEngine::Borrow(db, opts);
+    const double prepare_ns =
         TimeMs(
             [&] {
-              auto r = lift::CompileSafePlan(*chain3, none);
+              auto p = engine.Prepare(*q);
+              if (!p.ok() || p->exact()) std::abort();
+            },
+            20.0, 2000, 3) *
+        1e6;
+    auto sk = SchemaKnowledge::FromDatabase(*q, db);
+    if (!sk.ok()) std::abort();
+    const double compile_ns =
+        TimeMs(
+            [&] {
+              auto r = lift::CompileSafePlan(*q, *sk);
               if (!r.ok() || r->exact) std::abort();
-              auto plans = EnumerateMinimalPlans(*chain3, none);
-              if (!plans.ok()) std::abort();
             },
             20.0, 2000, 3) *
         1e6;
-    const double legacy_ns =
-        TimeMs(
-            [&] {
-              auto plans = EnumerateMinimalPlans(*chain3, none);
-              if (!plans.ok()) std::abort();
-              auto single = BuildSinglePlan(*chain3, none);
-              if (!single.ok()) std::abort();
-            },
-            20.0, 2000, 3) *
-        1e6;
-    BenchJsonRecord("unsafe_residue_prepare", rows, residue_ns);
-    std::printf("unsafe 3-chain cold compile: routed %.0f ns, "
-                "legacy %.0f ns\n",
-                residue_ns, legacy_ns);
+    BenchJsonRecord("prepare_unsafe_chain_k" + std::to_string(k), rows,
+                    prepare_ns);
+    PrintRow({std::to_string(k), Fmt(prepare_ns), Fmt(compile_ns),
+              Fmt(prepare_ns / compile_ns)});
+    if (k == 12 && prepare_ns > 3 * compile_ns) {
+      std::printf("FAIL: cold Prepare of the unsafe 12-chain (%.0f ns) is "
+                  "over 3x a bare CompileSafePlan (%.0f ns)\n",
+                  prepare_ns, compile_ns);
+      return 1;
+    }
   }
 
   BenchJsonWrite("micro_safe");

@@ -85,14 +85,13 @@ int main(int argc, char** argv) {
     std::printf("  ... (%zu more)\n", plans->size() - 20);
   }
 
-  SinglePlanOptions spo;
-  auto single = BuildSinglePlan(*q, none, spo);
+  auto single = lift::CompileSafePlan(*q, none);
   if (single.ok()) {
-    PlanSize sz = MeasurePlan(*single);
+    PlanSize sz = MeasurePlan(single->plan);
     std::printf("\ncombined single plan (Opt. 1+2): %zu DAG nodes "
                 "(%zu as a tree)\n%s",
                 sz.dag_nodes, sz.tree_nodes,
-                PlanToTreeString(*single, *q).c_str());
+                PlanToTreeString(single->plan, *q).c_str());
   }
 
   // End-to-end: evaluate the query on a small random instance through the
@@ -222,9 +221,8 @@ int main(int argc, char** argv) {
                 s.bloom_probes_skipped);
     std::printf("  traces recorded:    %zu\n", s.traces_recorded);
     std::printf("  safe-plan router:   %zu exact-routed, %zu with unsafe "
-                "residues, %zu legacy fallbacks\n",
-                s.safe_plan_routed, s.safe_plan_unsafe_residue,
-                s.safe_plan_fallback);
+                "residues\n",
+                s.safe_plan_routed, s.safe_plan_unsafe_residue);
     auto compile =
         engine.metrics().histogram("engine.safe_plan.compile_ns")->Snapshot();
     if (compile.count > 0) {

@@ -79,10 +79,10 @@ int main() {
 
   // 6. The generated SQL, as it would be pushed into an external DBMS.
   auto sk = SchemaKnowledge::FromDatabase(*q, db);
-  SinglePlanOptions spo;
-  auto single = BuildSinglePlan(*q, *sk, spo);
+  auto single = lift::CompileSafePlan(*q, *sk);
   std::printf("\nsingle combined plan (Opt. 1+2):\n%s\n",
-              PlanToTreeString(*single, *q).c_str());
-  std::printf("equivalent SQL:\n%s\n", PlanToSql(*single, *q, db).c_str());
+              PlanToTreeString(single->plan, *q).c_str());
+  std::printf("equivalent SQL:\n%s\n",
+              PlanToSql(single->plan, *q, db).c_str());
   return 0;
 }

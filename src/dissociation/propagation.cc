@@ -20,7 +20,6 @@ Result<PropagationResult> PropagationScore(
   if (!r.ok()) return r.status();
   PropagationResult result;
   result.answers = std::move(r->answers);
-  result.num_minimal_plans = r->num_minimal_plans;
   result.nodes_evaluated = r->nodes_evaluated;
   return result;
 }

@@ -31,8 +31,6 @@ struct PropagationOptions {
 struct PropagationResult {
   /// Answers sorted by descending propagation score.
   std::vector<RankedAnswer> answers;
-  /// Number of minimal plans (1 iff the query is safe given the knowledge).
-  size_t num_minimal_plans = 0;
   /// Plan-DAG nodes actually evaluated (shows Opt. 2 sharing).
   size_t nodes_evaluated = 0;
 };

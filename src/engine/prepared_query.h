@@ -28,18 +28,11 @@ namespace dissodb {
 struct CompiledPlans {
   PlanPtr single_plan;           // non-null iff opt1_single_plan
   std::vector<PlanPtr> plans;    // used when opt1 is off
-  size_t num_minimal_plans = 0;
   /// True iff the query is safe given the schema knowledge (Corollary 28):
   /// the compiled plan's scores are exact probabilities, not upper bounds.
-  /// Set by the lifted analyzer on the fast path and by the minimal-plan
-  /// count (== 1) on the legacy path, so the verdict is route-independent.
+  /// Under Opt. 1 it is the lifted compiler's verdict (src/lift/); with
+  /// Opt. 1 off, a single minimal plan. The two always agree.
   bool exact = false;
-  /// Whether the lifted compiler (src/lift/) produced single_plan. When
-  /// additionally `exact`, minimal-plan enumeration was skipped entirely.
-  bool safe_routed = false;
-  /// Lifted compilation only: subproblems that needed dissociation's
-  /// Min-over-cuts fallback (0 iff the lifted rules resolved every level).
-  size_t unsafe_residues = 0;
 };
 
 /// \brief Value-type handle over an immutable prepared query. Copy freely;
@@ -64,14 +57,9 @@ class PreparedQuery {
   bool needs_remap() const { return !impl_->canon.identity; }
   /// Whether Prepare was served from the engine's plan cache.
   bool from_plan_cache() const { return impl_->from_plan_cache; }
-  size_t num_minimal_plans() const {
-    return impl_->compiled->num_minimal_plans;
-  }
   /// True iff executions of this handle return exact probabilities (the
   /// query is safe given the schema knowledge), not dissociation bounds.
   bool exact() const { return impl_->compiled->exact; }
-  /// Whether the plan came from the lifted safe-plan compiler (src/lift/).
-  bool safe_routed() const { return impl_->compiled->safe_routed; }
 
   struct Impl {
     ConjunctiveQuery original;

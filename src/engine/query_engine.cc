@@ -8,7 +8,6 @@
 
 #include "src/anytime/controller.h"
 #include "src/dissociation/minimal_plans.h"
-#include "src/dissociation/single_plan.h"
 #include "src/exec/evaluator.h"
 #include "src/exec/semijoin.h"
 #include "src/lift/safe_plan.h"
@@ -23,15 +22,13 @@ namespace {
 
 /// Cache key: canonical query rendering plus the flags that change the
 /// compiled artifact.
-std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o,
-                     bool safe_plan_fast_path) {
+std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o) {
   std::string key = q.ToString();
   key += '|';
   key += o.opt1_single_plan ? '1' : '0';
   key += o.opt2_reuse_subplans ? '1' : '0';
   key += o.enum_opts.use_deterministic ? '1' : '0';
   key += o.enum_opts.use_fds ? '1' : '0';
-  key += safe_plan_fast_path ? '1' : '0';
   return key;
 }
 
@@ -82,7 +79,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_swept_(metrics_.counter("engine.result_cache.swept")),
       m_safe_routed_(metrics_.counter("engine.safe_plan.routed")),
       m_safe_residue_(metrics_.counter("engine.safe_plan.unsafe_residue")),
-      m_safe_fallback_(metrics_.counter("engine.safe_plan.fallback")),
       m_anytime_runs_(metrics_.counter("engine.anytime.runs")),
       m_anytime_exact_(metrics_.counter("engine.anytime.exact")),
       m_anytime_certified_(metrics_.counter("engine.anytime.certified")),
@@ -205,32 +201,11 @@ Result<PreparedQuery> QueryEngine::Prepare(std::string_view query_text) {
 Result<PreparedQuery> QueryEngine::Prepare(const ConjunctiveQuery& q) {
   auto impl = std::make_shared<PreparedQuery::Impl>();
   impl->original = q;
-  if (opts_.canonicalize) {
-    auto canon = CanonicalizeQuery(q);
-    if (!canon.ok()) return canon.status();
-    impl->canon = std::move(*canon);
-  } else {
-    // Legacy mode: plans are compiled in the caller's variable space and
-    // the caller's body order.
-    CanonicalizedQuery id;
-    id.query = q;
-    id.orig_to_canon.resize(q.num_vars());
-    id.canon_to_orig.resize(q.num_vars());
-    for (VarId v = 0; v < q.num_vars(); ++v) {
-      id.orig_to_canon[v] = v;
-      id.canon_to_orig[v] = v;
-    }
-    id.atom_orig_to_canon.resize(q.num_atoms());
-    id.atom_canon_to_orig.resize(q.num_atoms());
-    for (int i = 0; i < q.num_atoms(); ++i) {
-      id.atom_orig_to_canon[i] = i;
-      id.atom_canon_to_orig[i] = i;
-    }
-    impl->canon = std::move(id);
-  }
+  auto canon = CanonicalizeQuery(q);
+  if (!canon.ok()) return canon.status();
+  impl->canon = std::move(*canon);
   impl->share_results = !HasUnknownStringConstants(impl->canon.query);
-  impl->cache_key = CacheKey(impl->canon.query, opts_.propagation,
-                             opts_.safe_plan_fast_path);
+  impl->cache_key = CacheKey(impl->canon.query, opts_.propagation);
 
   bool cache_hit = false;
   bool renamed_hit = false;
@@ -264,7 +239,7 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
   }
   *cache_hit = false;
 
-  // Compile outside any lock: enumeration can be expensive and two threads
+  // Compile outside any lock: compiling can be expensive and two threads
   // compiling the same key just race to an identical immutable artifact.
   // Schema knowledge reads a pinned snapshot, so Prepare is safe while
   // writers commit.
@@ -272,15 +247,12 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
   if (!sk.ok()) return sk.status();
 
   auto compiled = std::make_shared<CompiledPlans>();
-  if (opts_.safe_plan_fast_path && opts_.propagation.opt1_single_plan) {
-    // Lifted fast path (src/lift/): one recursive pass of the Dalvi–Suciu
-    // rules. A safe query resolves every level by independent join /
-    // independent project and skips both the cut-set scan and the minimal-
-    // plan enumeration — the safe plan is the unique minimal plan and its
-    // score is exact. Unsafe residues fall back to Min-over-cuts inside the
-    // same pass, emitting a plan bit-identical to BuildSinglePlan's; the
-    // enumeration then still runs once to report num_minimal_plans (and can
-    // upgrade the verdict to exact when it finds a single plan).
+  if (opts_.propagation.opt1_single_plan) {
+    // Opt. 1 through the lifted compiler (src/lift/): one recursive pass of
+    // the Dalvi–Suciu rules emits the single min-plan. Safe levels resolve
+    // by independent join / independent project; only unsafe residues take
+    // Min over minimal cuts. The compiler's verdict is the exactness flag
+    // (Corollary 28), so no minimal-plan enumeration runs here.
     lift::LiftOptions lo;
     lo.reuse_common_subplans = opts_.propagation.opt2_reuse_subplans;
     lo.enum_opts = opts_.propagation.enum_opts;
@@ -289,40 +261,16 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
     m_safe_compile_ns_->Record(obs::NowNanos() - t0);
     if (!lifted.ok()) return lifted.status();
     compiled->single_plan = std::move(lifted->plan);
-    compiled->safe_routed = true;
-    compiled->unsafe_residues = lifted->unsafe_residues;
-    if (lifted->exact) {
-      compiled->exact = true;
-      compiled->num_minimal_plans = 1;
-      m_safe_routed_->Add(1);
-    } else {
-      m_safe_residue_->Add(1);
-      auto plans = EnumerateMinimalPlans(q, *sk, opts_.propagation.enum_opts);
-      if (!plans.ok()) return plans.status();
-      compiled->num_minimal_plans = plans->size();
-      compiled->exact = plans->size() == 1;
-    }
+    compiled->exact = lifted->exact;
+    (lifted->exact ? m_safe_routed_ : m_safe_residue_)->Add(1);
   } else {
-    m_safe_fallback_->Add(1);
-    {
-      auto plans = EnumerateMinimalPlans(q, *sk, opts_.propagation.enum_opts);
-      if (!plans.ok()) return plans.status();
-      compiled->num_minimal_plans = plans->size();
-      if (!opts_.propagation.opt1_single_plan) {
-        compiled->plans = std::move(*plans);
-      }
-    }
-    // A single minimal plan means the query is safe given the knowledge
-    // (Corollary 28): the verdict is route-independent.
-    compiled->exact = compiled->num_minimal_plans == 1;
-    if (opts_.propagation.opt1_single_plan) {
-      SinglePlanOptions sp;
-      sp.reuse_common_subplans = opts_.propagation.opt2_reuse_subplans;
-      sp.enum_opts = opts_.propagation.enum_opts;
-      auto plan = BuildSinglePlan(q, *sk, sp);
-      if (!plan.ok()) return plan.status();
-      compiled->single_plan = std::move(*plan);
-    }
+    // The paper's baseline (Algorithm 1): every minimal plan, evaluated
+    // separately and min-merged. A single minimal plan means the query is
+    // safe given the knowledge (Corollary 28).
+    auto plans = EnumerateMinimalPlans(q, *sk, opts_.propagation.enum_opts);
+    if (!plans.ok()) return plans.status();
+    compiled->exact = plans->size() == 1;
+    compiled->plans = std::move(*plans);
   }
 
   m_plan_misses_->Add(1);
@@ -518,7 +466,6 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   }
 
   QueryResult result;
-  result.num_minimal_plans = impl.compiled->num_minimal_plans;
   result.from_plan_cache = impl.from_plan_cache;
   result.exact = impl.compiled->exact;
 
@@ -679,7 +626,6 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
   result.deadline_hit = o.stats.deadline_hit;
   result.exponents = std::move(o.exponents);
 
-  result.base.num_minimal_plans = impl.compiled->num_minimal_plans;
   result.base.from_plan_cache = impl.from_plan_cache;
   result.base.exact = o.verdict == AnytimeVerdict::kExact;
   result.base.certified = o.verdict != AnytimeVerdict::kBoundsOnly;
@@ -968,7 +914,6 @@ EngineStats QueryEngine::stats() const {
   s.traces_recorded = m_traces_->Value();
   s.safe_plan_routed = m_safe_routed_->Value();
   s.safe_plan_unsafe_residue = m_safe_residue_->Value();
-  s.safe_plan_fallback = m_safe_fallback_->Value();
   return s;
 }
 

@@ -97,21 +97,6 @@ struct EngineOptions {
   /// Max entries rolled forward per commit, hottest (most recently used)
   /// first; the rest fall to the sweep.
   size_t delta_maintain_limit = 64;
-  /// Route Prepare through the lifted safe-plan compiler (src/lift/): the
-  /// Dalvi–Suciu rules (independent join, independent project, base atom)
-  /// compile hierarchical queries — and hierarchical subqueries of unsafe
-  /// ones — directly, reserving cut-set enumeration for genuinely unsafe
-  /// residues. Safe queries skip minimal-plan enumeration entirely and
-  /// their results are flagged exact. Emitted plans are bit-identical to
-  /// the legacy pipeline's on every query, so scores, plan fingerprints,
-  /// and caches are unaffected; off = legacy compilation (differential
-  /// mode for tests and benches).
-  bool safe_plan_fast_path = true;
-  /// Canonicalize variable ids at Prepare time so isomorphic queries share
-  /// plans and cached results. Off = legacy behavior (plans compiled in
-  /// the caller's variable space); used by differential tests and the
-  /// micro_prepared baseline comparison.
-  bool canonicalize = true;
   /// Worker threads for Submit / batches / morsel-parallel operators;
   /// 0 = hardware concurrency. The pool starts lazily on first use.
   int num_threads = 0;
@@ -134,8 +119,8 @@ struct EngineStats {
   size_t canonical_remaps = 0;
   /// Plan-cache hits that only exist because of canonicalization: the
   /// hitting query's original spelling differs from the spelling that
-  /// installed the entry, so the legacy (un-canonicalized) cache key would
-  /// have missed.
+  /// installed the entry, so a cache keyed on the spelling would have
+  /// missed.
   size_t canonical_remap_hits = 0;
   size_t result_cache_hits = 0;
   size_t result_cache_misses = 0;  ///< actual computations (leaders)
@@ -166,23 +151,17 @@ struct EngineStats {
   size_t bloom_probes_skipped = 0;
   /// Executions that recorded a span tree (sampling or per-query opt-in).
   size_t traces_recorded = 0;
-  /// Compiles the lifted analyzer resolved exactly (safe query: enumeration
-  /// skipped, results exact).
+  /// Opt. 1 compiles the lifted analyzer resolved exactly (safe query:
+  /// results exact).
   size_t safe_plan_routed = 0;
-  /// Lifted compiles that hit >= 1 unsafe residue (dissociation reserved
-  /// for the residues; scores are upper bounds unless enumeration still
-  /// finds a single minimal plan).
+  /// Opt. 1 compiles that hit >= 1 unsafe residue (dissociation reserved
+  /// for the residues; scores are upper bounds).
   size_t safe_plan_unsafe_residue = 0;
-  /// Compiles that bypassed the lifted compiler (fast path disabled or
-  /// opt1_single_plan off).
-  size_t safe_plan_fallback = 0;
 };
 
 struct QueryResult {
   /// Answers sorted by descending propagation score.
   std::vector<RankedAnswer> answers;
-  /// Number of minimal plans (1 iff the query is safe given the knowledge).
-  size_t num_minimal_plans = 0;
   /// Plan-DAG nodes actually evaluated (shows Opt. 2 sharing).
   size_t nodes_evaluated = 0;
   /// Plan nodes served from the shared result cache instead of evaluated.
@@ -464,7 +443,6 @@ class QueryEngine {
   obs::Counter* m_swept_;
   obs::Counter* m_safe_routed_;
   obs::Counter* m_safe_residue_;
-  obs::Counter* m_safe_fallback_;
   obs::Counter* m_anytime_runs_;
   obs::Counter* m_anytime_exact_;
   obs::Counter* m_anytime_certified_;

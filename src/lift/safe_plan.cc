@@ -39,11 +39,11 @@ bool SeparatorIsTheCut(std::span<const WorkAtom> atoms, VarMask evars,
   return ConnectedComponents(atoms, evars & ~sep).size() >= 2;
 }
 
-/// Mirrors SinglePlanBuilder (src/dissociation/single_plan.cc) with the
-/// lifted separator rule short-circuiting the cut-set enumeration wherever
-/// it provably yields the same (single-cut) result. Decisions, recursion
-/// order, and memoization granularity are kept identical so the emitted
-/// plan is bit-for-bit the legacy one.
+/// Algorithm 2's recursion (stop rule, independent join, Min over minimal
+/// cuts) with the lifted separator rule short-circuiting the cut-set
+/// enumeration wherever it provably yields the same (single-cut) result.
+/// Recursion order and memoization granularity match the plain recursion,
+/// so the emitted plan is bit-for-bit the same.
 class LiftCompiler {
  public:
   LiftCompiler(const ConjunctiveQuery& q, std::vector<WorkAtom> atoms,
@@ -133,9 +133,9 @@ class LiftCompiler {
           result = *child;
           if (result->head != head) result = MakeProject(head, result);
         } else {
-          // Unsafe residue: dissociation's Min over minimal cut-sets,
-          // exactly as the legacy builder. Nested hierarchical subqueries
-          // still resolve by the lifted rules on the way down.
+          // Unsafe residue: dissociation's Min over minimal cut-sets
+          // (Algorithm 2). Nested hierarchical subqueries still resolve by
+          // the lifted rules on the way down.
           ++unsafe_residues_;
           auto cuts = use_dr_ ? MinPCuts(atoms, evars) : MinCuts(atoms, evars);
           if (!cuts.ok()) return cuts.status();

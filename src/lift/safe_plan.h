@@ -1,4 +1,10 @@
-// Lifted safe-plan compiler and safety analyzer (Dalvi–Suciu dichotomy).
+// Lifted safe-plan compiler and safety analyzer (Dalvi–Suciu dichotomy):
+// the engine's one Opt. 1 compile path.
+//
+// Optimizations 1 & 2 (Section 4): one single plan computes the propagation
+// score, with the min operator pushed down into the leaves (Algorithm 2) and
+// common subplans shared as DAG nodes (Algorithm 3's views). Without subplan
+// reuse the plan is a tree (Figure 4b); with reuse it is a DAG (Figure 4c).
 //
 // Hierarchical queries have exact PTIME extensional plans (Theorem 2): the
 // classic lifted rules — independent join (connected components),
@@ -10,16 +16,17 @@
 // reach (hierarchical subqueries compile exactly), and only the genuinely
 // unsafe residues fall back to dissociation's min-over-minimal-cuts.
 //
-// The residue fallback mirrors src/dissociation/single_plan.cc decision
-// for decision, and the separator rule only short-circuits where the
-// separator set provably *is* the unique minimal (p-)cut — every cut-set
-// must contain the full separator set (a remaining separator variable
-// keeps all (probabilistic) atoms connected), so if removing it
-// disconnects the atoms, {separator set} is the one minimal cut and
-// Min-over-cuts collapses to a plain projection. Consequence: the emitted
-// plan is bit-identical to BuildSinglePlan's on every query; what changes
-// is compile cost (safe levels skip the Gosper subset scan entirely) and
-// the exactness verdict the engine can route on.
+// The separator rule only short-circuits where the separator set provably
+// *is* the unique minimal (p-)cut — every cut-set must contain the full
+// separator set (a remaining separator variable keeps all (probabilistic)
+// atoms connected), so if removing it disconnects the atoms, {separator
+// set} is the one minimal cut and Min-over-cuts collapses to a plain
+// projection. Consequence: the emitted plan is bit-identical to the plain
+// Min-over-cuts recursion of Algorithm 2 (kept as a test reference in
+// tests/reference_ops.h), safe levels skip the Gosper subset scan
+// entirely, and `exact` holds iff Algorithm 1 would return a single
+// minimal plan (Theorem 20 / Corollary 28) — so callers that want the
+// plan count call EnumerateMinimalPlans themselves.
 #ifndef DISSODB_LIFT_SAFE_PLAN_H_
 #define DISSODB_LIFT_SAFE_PLAN_H_
 
@@ -34,7 +41,7 @@ namespace lift {
 
 struct LiftOptions {
   /// Memoize subproblems by (atom set, head) so shared subplans come out as
-  /// one DAG node (Opt. 2); matches SinglePlanOptions::reuse_common_subplans.
+  /// one DAG node (Opt. 2).
   bool reuse_common_subplans = true;
   /// Which schema knowledge the rules may exploit (Section 3.3).
   PlanEnumOptions enum_opts;
@@ -51,13 +58,12 @@ struct LiftedPlan {
   /// fell back to Min over minimal cut-sets (dissociation upper bounds).
   size_t unsafe_residues = 0;
   /// Recursion levels resolved by the separator rule (each one skips a
-  /// full cut-set enumeration the legacy builder would have run).
+  /// full cut-set enumeration).
   size_t separator_shortcuts = 0;
 };
 
 /// Compiles `q` with the lifted rules, falling back to dissociation only at
-/// unsafe residues. The emitted plan is structurally identical to
-/// BuildSinglePlan(q, sk, ...) under matching options.
+/// unsafe residues. The emitted plan is Algorithm 2's single min-plan.
 Result<LiftedPlan> CompileSafePlan(const ConjunctiveQuery& q,
                                    const SchemaKnowledge& sk,
                                    const LiftOptions& opts = {});

@@ -42,6 +42,10 @@ Status ConjunctiveQuery::AddHeadVar(VarId v) {
 }
 
 Status ConjunctiveQuery::AddAtom(Atom atom) {
+  if (num_atoms() >= kMaxQueryAtoms) {
+    return Status::InvalidArgument("query has more than " +
+                                   std::to_string(kMaxQueryAtoms) + " atoms");
+  }
   for (const auto& a : atoms_) {
     if (a.relation == atom.relation) {
       return Status::InvalidArgument(

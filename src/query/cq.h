@@ -20,6 +20,9 @@ using VarId = int;
 using VarMask = uint64_t;
 /// One VarMask bit per variable bounds the variables of a query.
 inline constexpr int kMaxQueryVars = 8 * sizeof(VarMask);
+/// Atom sets are 64-bit masks as well (analysis, plan compilation, the
+/// evaluator), which bounds the atoms of a query.
+inline constexpr int kMaxQueryAtoms = 8 * sizeof(uint64_t);
 
 inline VarMask MaskOf(VarId v) { return VarMask{1} << v; }
 inline bool MaskContains(VarMask m, VarId v) { return (m >> v) & 1; }
@@ -68,6 +71,8 @@ class ConjunctiveQuery {
   const std::string& name() const { return name_; }
 
   Status AddHeadVar(VarId v);
+  /// Appends a body atom; InvalidArgument on a self-join, an unknown
+  /// variable id, or an atom beyond kMaxQueryAtoms.
   Status AddAtom(Atom atom);
 
   int num_vars() const { return static_cast<int>(var_names_.size()); }

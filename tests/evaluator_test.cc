@@ -5,10 +5,10 @@
 #include "src/dissociation/dissociation.h"
 #include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
-#include "src/dissociation/single_plan.h"
 #include "src/exec/deterministic.h"
 #include "src/exec/evaluator.h"
 #include "src/infer/query_inference.h"
+#include "src/lift/safe_plan.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
@@ -131,15 +131,15 @@ TEST(EvaluatorTest, CacheSharesDagNodes) {
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 2}, 0.5}});
   AddTable(&db, "T", 1, {{{2}, 0.5}});
-  SinglePlanOptions opts;
+  lift::LiftOptions opts;
   opts.reuse_common_subplans = true;
   auto sk = SchemaKnowledge::None(q);
-  auto plan = BuildSinglePlan(q, sk, opts);
-  ASSERT_TRUE(plan.ok());
+  auto lifted = lift::CompileSafePlan(q, sk, opts);
+  ASSERT_TRUE(lifted.ok());
   PlanEvaluator ev(db, q);
-  auto rel = ev.Evaluate(*plan);
+  auto rel = ev.Evaluate(lifted->plan);
   ASSERT_TRUE(rel.ok());
-  PlanSize sz = MeasurePlan(*plan);
+  PlanSize sz = MeasurePlan(lifted->plan);
   EXPECT_EQ(ev.nodes_evaluated(), sz.dag_nodes);
   EXPECT_LE(sz.dag_nodes, sz.tree_nodes);
 }
@@ -153,7 +153,9 @@ TEST(EvaluatorTest, NonBooleanAnswersPerHeadValue) {
   auto res = PropagationScore(db, q);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->answers.size(), 2u);
-  EXPECT_EQ(res->num_minimal_plans, 2u);
+  auto plans = EnumerateMinimalPlans(q);
+  ASSERT_TRUE(plans.ok());
+  EXPECT_EQ(plans->size(), 2u);
   // Exact per-answer probabilities (each answer's lineage is a single path):
   // z=10: 0.5*0.5*0.9; z=20: 0.7*0.5*0.9. Single-term lineages are exact.
   for (const auto& a : res->answers) {

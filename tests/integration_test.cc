@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
 #include "src/exec/deterministic.h"
 #include "src/infer/query_inference.h"
@@ -41,7 +42,11 @@ TEST(TpchIntegrationTest, DissociationRanksAlmostExactly) {
   popts.opt3_semijoin_reduction = true;
   auto diss = PropagationScore(db, q, popts, overrides);
   ASSERT_TRUE(diss.ok());
-  EXPECT_EQ(diss->num_minimal_plans, 2u);
+  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  ASSERT_TRUE(sk.ok());
+  auto plans = EnumerateMinimalPlans(q, *sk, popts.enum_opts);
+  ASSERT_TRUE(plans.ok());
+  EXPECT_EQ(plans->size(), 2u);
 
   auto gt_scores = Align(*exact, *exact);
   auto diss_scores = Align(*exact, diss->answers);

@@ -15,6 +15,7 @@
 #include <map>
 
 #include "src/common/string_util.h"
+#include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
 #include "src/infer/query_inference.h"
 #include "src/workload/random_instance.h"
@@ -239,16 +240,23 @@ TEST(OptEquivalenceTest, DrKnowledgeKeepsScoresForSafePart) {
   AddTable(&db, "S", 2, {{{1, 4}, 0.6}, {{2, 4}, 0.5}, {{2, 5}, 0.3}});
   AddTable(&db, "T", 1, {{{4}, 1.0}, {{5}, 1.0}}, /*deterministic=*/true);
 
+  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  ASSERT_TRUE(sk.ok());
+
   PropagationOptions with_dr;
   auto a = PropagationScore(db, q, with_dr);
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->num_minimal_plans, 1u);
+  auto a_plans = EnumerateMinimalPlans(q, *sk, with_dr.enum_opts);
+  ASSERT_TRUE(a_plans.ok());
+  EXPECT_EQ(a_plans->size(), 1u);
 
   PropagationOptions without_dr;
   without_dr.enum_opts.use_deterministic = false;
   auto b = PropagationScore(db, q, without_dr);
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->num_minimal_plans, 2u);
+  auto b_plans = EnumerateMinimalPlans(q, *sk, without_dr.enum_opts);
+  ASSERT_TRUE(b_plans.ok());
+  EXPECT_EQ(b_plans->size(), 2u);
 
   ExpectSameScores(ToMap(a->answers), ToMap(b->answers), "dr");
 }

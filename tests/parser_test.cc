@@ -1,8 +1,10 @@
 // Unit tests for the datalog query parser.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
+#include "src/engine/query_engine.h"
 #include "src/query/parser.h"
 #include "src/storage/database.h"
 
@@ -108,6 +110,58 @@ TEST(ParserTest, SixtyFifthVariableIsInvalidArgument) {
   auto qh = ParseQuery(head + ") :- R(h0)");
   ASSERT_FALSE(qh.ok());
   EXPECT_EQ(qh.status().code(), Status::Code::kInvalidArgument);
+}
+
+/// q() :- R0(x), R1(x), ..., R{atoms-1}(x).
+std::string StarOfAtoms(int atoms) {
+  std::string text = "q() :- ";
+  for (int i = 0; i < atoms; ++i) {
+    if (i > 0) text += ", ";
+    text += "R" + std::to_string(i) + "(x)";
+  }
+  return text;
+}
+
+TEST(ParserTest, SixtyFifthAtomIsInvalidArgument) {
+  // Atom sets are 64-bit masks: the 65th atom must be rejected with a
+  // Status, from the parser and from programmatic AddAtom alike.
+  auto q65 = ParseQuery(StarOfAtoms(kMaxQueryAtoms + 1));
+  ASSERT_FALSE(q65.ok());
+  EXPECT_EQ(q65.status().code(), Status::Code::kInvalidArgument);
+
+  auto q64 = ParseQuery(StarOfAtoms(kMaxQueryAtoms));
+  ASSERT_TRUE(q64.ok()) << q64.status().ToString();
+  EXPECT_EQ(q64->num_atoms(), kMaxQueryAtoms);
+  ConjunctiveQuery q = *q64;
+  Atom extra;
+  extra.relation = "Extra";
+  extra.terms.push_back(Term::Var(0));
+  Status st = q.AddAtom(std::move(extra));
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(q.num_atoms(), kMaxQueryAtoms);
+}
+
+TEST(ParserTest, SixtyFourAtomsPrepareAndExecute) {
+  // The largest query still compiles and runs: 64 atoms sharing x form a
+  // hierarchical query whose exact score is prod_i 0.9.
+  Database db;
+  for (int i = 0; i < kMaxQueryAtoms; ++i) {
+    Table t(RelationSchema::AllInt64("R" + std::to_string(i), 1));
+    t.AddRow({Value::Int64(1)}, 0.9);
+    ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  }
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto prepared = engine.Prepare(StarOfAtoms(kMaxQueryAtoms));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(prepared->exact());
+  auto r = engine.Execute(*prepared);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->answers.size(), 1u);
+  EXPECT_NEAR(r->answers[0].score, std::pow(0.9, kMaxQueryAtoms), 1e-12);
+
+  auto too_big = engine.Prepare(StarOfAtoms(kMaxQueryAtoms + 1));
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(ParserTest, StringConstantsNeedPool) {

@@ -11,8 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "src/dissociation/single_plan.h"
+#include "src/dissociation/propagation.h"
 #include "src/engine/query_engine.h"
+#include "src/lift/safe_plan.h"
 #include "src/query/canonicalize.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
@@ -31,7 +32,8 @@ void ExpectSameRankings(const std::vector<RankedAnswer>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tuple, b[i].tuple) << what << " row " << i;
     // Bit-identical: the canonical path must perform the same
-    // floating-point operations in the same order as the legacy path.
+    // floating-point operations in the same order as the caller-space
+    // reference.
     EXPECT_EQ(a[i].score, b[i].score) << what << " row " << i;
   }
 }
@@ -118,20 +120,33 @@ TEST(PreparedQueryTest, RenamingInvarianceOfPlanFingerprints) {
 
     // The compiled single plans fingerprint identically, so isomorphic
     // subplans key into the same ResultCache entries.
-    SinglePlanOptions sp;
-    auto p1 = BuildSinglePlan(c1->query, SchemaKnowledge::None(c1->query), sp);
-    auto p2 = BuildSinglePlan(c2->query, SchemaKnowledge::None(c2->query), sp);
+    auto p1 = lift::CompileSafePlan(c1->query,
+                                    SchemaKnowledge::None(c1->query));
+    auto p2 = lift::CompileSafePlan(c2->query,
+                                    SchemaKnowledge::None(c2->query));
     ASSERT_EQ(p1.ok(), p2.ok()) << "seed " << seed;
     if (!p1.ok()) continue;
-    EXPECT_EQ(PlanFingerprint(*p1, c1->query), PlanFingerprint(*p2, c2->query))
+    EXPECT_EQ(PlanFingerprint(p1->plan, c1->query),
+              PlanFingerprint(p2->plan, c2->query))
         << "seed " << seed;
   }
 }
 
+/// The query's own single plan evaluated in the caller's variable space
+/// (no canonicalization): the reference the prepared path must reproduce.
+Result<std::vector<RankedAnswer>> CallerSpaceScores(
+    const Database& db, const ConjunctiveQuery& q) {
+  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  if (!sk.ok()) return sk.status();
+  auto lifted = lift::CompileSafePlan(q, *sk);
+  if (!lifted.ok()) return lifted.status();
+  return PlanScore(db, q, lifted->plan);
+}
+
 TEST(PreparedQueryTest, RenamedExecutionMatchesLegacyRunBitExactly) {
   // Differential: prepared execution of a renamed query (evaluated in
-  // canonical space, answers column-remapped) against the un-prepared
-  // legacy path (canonicalize off, evaluated in the caller's space).
+  // canonical space, answers column-remapped) against the query's plan
+  // evaluated directly in the caller's space.
   Rng rng(902);
   for (int seed = 0; seed < 40; ++seed) {
     Rng qrng(6200 + seed);
@@ -143,10 +158,7 @@ TEST(PreparedQueryTest, RenamedExecutionMatchesLegacyRunBitExactly) {
         PermuteVars(q, RandomOrder(&rng, q.num_vars()), "z");
     Database db = RandomDatabaseFor(q, &qrng);
 
-    EngineOptions legacy_opts;
-    legacy_opts.canonicalize = false;
-    QueryEngine legacy = QueryEngine::Borrow(db, legacy_opts);
-    auto expected = legacy.Run(renamed);
+    auto expected = CallerSpaceScores(db, renamed);
 
     QueryEngine engine = QueryEngine::Borrow(db);
     auto prepared = engine.Prepare(renamed);
@@ -154,9 +166,8 @@ TEST(PreparedQueryTest, RenamedExecutionMatchesLegacyRunBitExactly) {
     if (!expected.ok()) continue;
     auto got = engine.Execute(*prepared);
     ASSERT_TRUE(got.ok()) << got.status().ToString() << " seed " << seed;
-    ExpectSameRankings(expected->answers, got->answers,
+    ExpectSameRankings(*expected, got->answers,
                        "seed " + std::to_string(seed));
-    EXPECT_EQ(expected->num_minimal_plans, got->num_minimal_plans);
   }
 }
 
@@ -471,8 +482,7 @@ TEST(PreparedQueryTest, TaggedAtomBindingsKeepResultSharing) {
 }
 
 // Acceptance: a batch of 64 pairwise variable-renamed (isomorphic) chain
-// queries shows the same result-cache sharing as 64 identical copies,
-// while the legacy (un-canonicalized) engine shares nothing.
+// queries shows the same result-cache sharing as 64 identical copies.
 TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   ChainSpec spec;
   spec.k = 4;
@@ -491,11 +501,8 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   }
   std::vector<ConjunctiveQuery> identical(kBatch, base);
 
-  auto served = [&](const std::vector<ConjunctiveQuery>& workload,
-                    bool canonicalize) {
-    EngineOptions opts;
-    opts.canonicalize = canonicalize;
-    QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto served = [&](const std::vector<ConjunctiveQuery>& workload) {
+    QueryEngine engine = QueryEngine::Borrow(db);
     // Warm with a single-query batch so hit counts are deterministic.
     auto warm = engine.RunBatch(std::vector<ConjunctiveQuery>{base});
     EXPECT_TRUE(warm.ok());
@@ -505,31 +512,21 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
     return s.result_cache_hits + s.result_cache_in_flight_waits;
   };
 
-  const size_t hits_identical = served(identical, /*canonicalize=*/true);
-  const size_t hits_renamed = served(renamed, /*canonicalize=*/true);
-  const size_t hits_legacy = served(renamed, /*canonicalize=*/false);
+  const size_t hits_identical = served(identical);
+  const size_t hits_renamed = served(renamed);
 
   EXPECT_GT(hits_identical, 0u);
-  // Sharing restored: the renamed batch behaves exactly like the identical
-  // one (every query keys into the same canonical fingerprints).
+  // The renamed batch behaves exactly like the identical one (every query
+  // keys into the same canonical fingerprints).
   EXPECT_EQ(hits_renamed, hits_identical);
-  // Without canonicalization, sharing only happens when a random renaming
-  // coincidentally reproduces the same variable ids on a subplan — well
-  // under half of the restored sharing (empirically ~0.3x; the exact count
-  // is timing-dependent because a hit at a plan's root skips the lookups
-  // below it).
-  EXPECT_LT(hits_legacy * 2, hits_identical);
 
-  // And the remapped answers are the legacy answers, query by query.
-  EngineOptions legacy_opts;
-  legacy_opts.canonicalize = false;
-  QueryEngine legacy = QueryEngine::Borrow(db, legacy_opts);
+  // And the remapped answers are the caller-space answers, query by query.
   QueryEngine engine = QueryEngine::Borrow(db);
   for (int i = 0; i < kBatch; i += 16) {
-    auto expected = legacy.Run(renamed[i]);
+    auto expected = CallerSpaceScores(db, renamed[i]);
     auto got = engine.Run(renamed[i]);
     ASSERT_TRUE(expected.ok() && got.ok());
-    ExpectSameRankings(expected->answers, got->answers,
+    ExpectSameRankings(*expected, got->answers,
                        "renamed " + std::to_string(i));
   }
 }

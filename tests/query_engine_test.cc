@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
 #include "src/engine/query_engine.h"
 #include "src/workload/random_instance.h"
@@ -45,7 +46,11 @@ TEST(QueryEngineTest, MatchesPropagationScoreOnRandomInstances) {
       EXPECT_EQ(got->answers[i].tuple, expected->answers[i].tuple);
       EXPECT_DOUBLE_EQ(got->answers[i].score, expected->answers[i].score);
     }
-    EXPECT_EQ(got->num_minimal_plans, expected->num_minimal_plans);
+    auto sk = SchemaKnowledge::FromDatabase(q, db);
+    ASSERT_TRUE(sk.ok());
+    auto is_safe = IsSafeQuery(q, *sk);
+    ASSERT_TRUE(is_safe.ok());
+    EXPECT_EQ(got->exact, *is_safe) << "seed " << seed;
   }
 }
 

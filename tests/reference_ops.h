@@ -4,15 +4,30 @@
 // on random instances. These mirror the extensional semantics of Def. 4:
 // joins multiply scores, independent projection combines as 1 - prod(1-s),
 // distinct projection forces 1, MinMerge takes per-row minima.
+//
+// BuildSinglePlan is the reference for the lifted compiler
+// (src/lift/safe_plan.h): Algorithm 2's single min-plan built by the plain
+// recursion — stop rule, independent join, Min over *every* minimal cut —
+// with no separator shortcut. The lifted compiler must emit exactly its
+// plan.
 #ifndef DISSODB_TESTS_REFERENCE_OPS_H_
 #define DISSODB_TESTS_REFERENCE_OPS_H_
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
+#include "src/common/status.h"
+#include "src/dissociation/dissociation.h"
+#include "src/dissociation/minimal_plans.h"
 #include "src/exec/rel.h"
+#include "src/plan/plan.h"
+#include "src/query/analysis.h"
 #include "src/query/cq.h"
+#include "src/query/cuts.h"
 
 namespace dissodb {
 namespace testing_util {
@@ -126,6 +141,141 @@ inline RefRel RefMinMerge(const std::vector<RefRel>& inputs) {
     out.scores.push_back(best[key]);
   }
   return out;
+}
+
+struct MemoKey {
+  uint64_t atom_set;
+  VarMask head;
+  bool operator==(const MemoKey& o) const {
+    return atom_set == o.atom_set && head == o.head;
+  }
+};
+struct MemoKeyHash {
+  size_t operator()(const MemoKey& k) const {
+    size_t h = Mix64(k.atom_set);
+    HashCombine(&h, Mix64(k.head));
+    return h;
+  }
+};
+
+class SinglePlanBuilder {
+ public:
+  SinglePlanBuilder(const ConjunctiveQuery& q, std::vector<WorkAtom> atoms,
+                    bool use_dr, bool memoize)
+      : q_(q), atoms_(std::move(atoms)), use_dr_(use_dr), memoize_(memoize) {}
+
+  Result<PlanPtr> Run() {
+    std::vector<int> all;
+    for (int i = 0; i < q_.num_atoms(); ++i) all.push_back(i);
+    return Rec(all, q_.HeadMask());
+  }
+
+ private:
+  PlanPtr Leaf(int atom_idx) const {
+    const WorkAtom& a = atoms_[atom_idx];
+    return MakeScan(a.atom_idx, q_.AtomMask(a.atom_idx),
+                    a.vars & ~q_.AtomMask(a.atom_idx));
+  }
+
+  Result<PlanPtr> Rec(const std::vector<int>& idxs, VarMask head) {
+    std::vector<WorkAtom> atoms;
+    for (int i : idxs) atoms.push_back(atoms_[i]);
+    VarMask all = UnionVars(atoms);
+    head &= all;
+
+    uint64_t atom_set = 0;
+    for (int i : idxs) atom_set |= uint64_t{1} << i;
+    MemoKey key{atom_set, head};
+    if (memoize_) {
+      auto it = memo_.find(key);
+      if (it != memo_.end()) return it->second;
+    }
+
+    int n_prob = 0;
+    for (const auto& a : atoms) n_prob += a.probabilistic ? 1 : 0;
+    const bool stop = use_dr_ ? n_prob <= 1 : atoms.size() == 1;
+
+    PlanPtr result;
+    if (stop) {
+      if (idxs.size() == 1) {
+        result = Leaf(idxs[0]);
+        if (result->head != head) result = MakeProject(head, result);
+      } else {
+        // See MinimalPlanEnumerator::BaseCase: dissociate the deterministic
+        // atoms fully (free by Lemma 22) and emit the unique safe plan.
+        VarMask evars = all & ~head;
+        std::vector<WorkAtom> datoms = atoms;
+        for (auto& a : datoms) {
+          if (!a.probabilistic) a.vars |= evars;
+        }
+        auto base = SafePlanForWorkAtoms(q_, std::move(datoms), head);
+        if (!base.ok()) return base.status();
+        result = *base;
+      }
+    } else {
+      VarMask evars = all & ~head;
+      auto comps = ConnectedComponents(atoms, evars);
+      if (comps.size() > 1) {
+        std::vector<PlanPtr> children;
+        for (const auto& comp : comps) {
+          std::vector<int> sub;
+          for (int ci : comp) sub.push_back(idxs[ci]);
+          std::vector<WorkAtom> sub_atoms;
+          for (int i : sub) sub_atoms.push_back(atoms_[i]);
+          auto child = Rec(sub, head & UnionVars(sub_atoms));
+          if (!child.ok()) return child.status();
+          children.push_back(std::move(*child));
+        }
+        result = MakeJoin(std::move(children));
+      } else {
+        auto cuts = use_dr_ ? MinPCuts(atoms, evars) : MinCuts(atoms, evars);
+        if (!cuts.ok()) return cuts.status();
+        if (cuts->empty()) {
+          return Status::Internal("connected query with no cut-set");
+        }
+        std::vector<PlanPtr> branches;
+        for (VarMask y : *cuts) {
+          auto child = Rec(idxs, head | y);
+          if (!child.ok()) return child.status();
+          PlanPtr branch = *child;
+          if (branch->head != head) branch = MakeProject(head, branch);
+          branches.push_back(std::move(branch));
+        }
+        result = MakeMin(std::move(branches));
+      }
+    }
+    if (memoize_) memo_.emplace(key, result);
+    return result;
+  }
+
+  const ConjunctiveQuery& q_;
+  std::vector<WorkAtom> atoms_;  // indexed by original atom index
+  bool use_dr_;
+  bool memoize_;
+  std::unordered_map<MemoKey, PlanPtr, MemoKeyHash> memo_;
+};
+
+struct SinglePlanOptions {
+  /// Opt. 2: memoize subplans by (atom set, head) so identical subqueries
+  /// become shared DAG nodes, evaluated once (the paper's views).
+  bool reuse_common_subplans = true;
+  PlanEnumOptions enum_opts;
+};
+
+/// Builds the single min-plan of Algorithm 2. Without subplan reuse the
+/// result is a tree (Figure 4b); with reuse it is a DAG (Figure 4c).
+inline Result<PlanPtr> BuildSinglePlan(const ConjunctiveQuery& q,
+                                       const SchemaKnowledge& sk,
+                                       const SinglePlanOptions& opts = {}) {
+  std::vector<WorkAtom> atoms;
+  if (opts.enum_opts.use_fds && !sk.fds.empty()) {
+    atoms = ApplyDissociation(q, sk, ChaseDissociation(q, sk));
+  } else {
+    atoms = MakeWorkAtoms(q, sk);
+  }
+  SinglePlanBuilder b(q, std::move(atoms), opts.enum_opts.use_deterministic,
+                      opts.reuse_common_subplans);
+  return b.Run();
 }
 
 }  // namespace testing_util

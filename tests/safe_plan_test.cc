@@ -1,7 +1,8 @@
 // Lifted safe-plan subsystem (src/lift/): analyzer verdicts, bit-identity
-// of lifted plans with the legacy single-plan builder, the IsSafePlan
-// audit, engine routing, and the exactness differential against
-// src/infer/exact.cc on randomized hierarchical queries.
+// of lifted plans with the reference single-plan builder
+// (tests/reference_ops.h), the IsSafePlan audit, engine routing, and the
+// exactness differential against src/infer/exact.cc on randomized
+// hierarchical queries.
 #include "src/lift/safe_plan.h"
 
 #include <gtest/gtest.h>
@@ -13,18 +14,21 @@
 #include <vector>
 
 #include "src/dissociation/minimal_plans.h"
-#include "src/dissociation/single_plan.h"
+#include "src/dissociation/propagation.h"
 #include "src/engine/query_engine.h"
 #include "src/infer/query_inference.h"
 #include "src/workload/random_instance.h"
+#include "tests/reference_ops.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::BuildSinglePlan;
 using testing_util::ChunkCapOverride;
 using testing_util::Q;
+using testing_util::SinglePlanOptions;
 
 std::map<std::vector<Value>, double> ToMap(
     const std::vector<RankedAnswer>& answers) {
@@ -37,26 +41,88 @@ std::map<std::vector<Value>, double> ToMap(
 struct PlanShape {
   bool has_min = false;
   /// Scan leaves of probabilistic atoms carrying dissociated variables
-  /// (deterministic dissociation is free and appears in exact plans too).
+  /// beyond `free_extra` (deterministic dissociation and the FD chase are
+  /// free and appear in exact plans too).
   bool prob_dissociated = false;
 };
 
 void WalkShape(const PlanPtr& plan, const SchemaKnowledge& sk,
+               const std::vector<VarMask>& free_extra,
                std::unordered_set<const PlanNode*>* seen, PlanShape* out) {
   if (!seen->insert(plan.get()).second) return;
   if (plan->kind == PlanNode::Kind::kMin) out->has_min = true;
-  if (plan->kind == PlanNode::Kind::kScan && plan->extra_vars != 0 &&
+  if (plan->kind == PlanNode::Kind::kScan &&
+      (plan->extra_vars & ~free_extra[plan->atom_idx]) != 0 &&
       !sk.IsDeterministic(plan->atom_idx)) {
     out->prob_dissociated = true;
   }
-  for (const auto& c : plan->children) WalkShape(c, sk, seen, out);
+  for (const auto& c : plan->children) {
+    WalkShape(c, sk, free_extra, seen, out);
+  }
 }
 
-PlanShape ShapeOf(const PlanPtr& plan, const SchemaKnowledge& sk) {
+PlanShape ShapeOf(const ConjunctiveQuery& q, const PlanPtr& plan,
+                  const SchemaKnowledge& sk, const PlanEnumOptions& opts) {
+  std::vector<VarMask> free_extra(q.num_atoms(), 0);
+  if (opts.use_fds && !sk.fds.empty()) {
+    free_extra = ChaseDissociation(q, sk).extra;
+  }
   PlanShape s;
   std::unordered_set<const PlanNode*> seen;
-  WalkShape(plan, sk, &seen, &s);
+  WalkShape(plan, sk, free_extra, &seen, &s);
   return s;
+}
+
+/// Random schema knowledge: each atom deterministic with probability 1/4,
+/// plus 0-2 query-level FDs x -> y, with x drawn from one atom's variables
+/// (as a relation's FD lifts to its atom) and y from the whole query.
+SchemaKnowledge RandomKnowledge(const ConjunctiveQuery& q, Rng* rng) {
+  SchemaKnowledge sk = SchemaKnowledge::None(q);
+  for (int i = 0; i < q.num_atoms(); ++i) {
+    sk.deterministic[i] = rng->NextBernoulli(0.25);
+  }
+  const int n = q.num_vars();
+  const int num_fds = static_cast<int>(rng->NextBounded(3));
+  for (int f = 0; f < num_fds && n >= 2; ++f) {
+    const std::vector<VarId> atom_vars = MaskToVars(
+        q.AtomMask(static_cast<int>(rng->NextBounded(q.num_atoms()))));
+    const VarId lhs = atom_vars[rng->NextBounded(atom_vars.size())];
+    const VarId rhs = static_cast<VarId>(rng->NextBounded(n));
+    if (lhs == rhs) continue;
+    sk.fds.push_back(QueryFD{MaskOf(lhs), MaskOf(rhs)});
+  }
+  return sk;
+}
+
+/// The four (use_deterministic, use_fds) settings of Section 3.3.
+std::vector<PlanEnumOptions> AllEnumOptions() {
+  std::vector<PlanEnumOptions> out;
+  for (bool dr : {true, false}) {
+    for (bool fds : {true, false}) {
+      PlanEnumOptions o;
+      o.use_deterministic = dr;
+      o.use_fds = fds;
+      out.push_back(o);
+    }
+  }
+  return out;
+}
+
+std::string Describe(const ConjunctiveQuery& q, const SchemaKnowledge& sk,
+                     const PlanEnumOptions& o) {
+  return q.ToString() + " fds=" + std::to_string(sk.fds.size()) +
+         " dr=" + std::to_string(o.use_deterministic) +
+         " use_fds=" + std::to_string(o.use_fds);
+}
+
+void ExpectBitIdentical(const std::vector<RankedAnswer>& got,
+                        const std::vector<RankedAnswer>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].tuple, want[i].tuple) << what;
+    EXPECT_EQ(got[i].score, want[i].score) << what;  // bit-for-bit
+  }
 }
 
 TEST(SafePlanTest, AnalyzerVerdictsOnKnownQueries) {
@@ -116,99 +182,117 @@ TEST(SafePlanTest, DeterministicKnowledgeWidensTheSafeClass) {
 }
 
 TEST(SafePlanTest, LiftedPlanBitIdenticalToLegacySinglePlan) {
-  // On random queries (safe and unsafe, with random deterministic flags)
-  // the lifted compiler must emit exactly the plan BuildSinglePlan emits:
-  // same canonical structure and same DAG/tree node counts, with and
-  // without Opt. 2 memoization.
+  // On random queries (safe and unsafe, with random deterministic flags and
+  // random query-level FDs) under all four (use_deterministic, use_fds)
+  // settings, the lifted compiler must emit exactly the plan the reference
+  // builder emits: same canonical structure and same DAG/tree node counts,
+  // with and without Opt. 2 memoization.
   Rng rng(424242);
   RandomQuerySpec qspec;
-  qspec.max_atoms = 4;
-  qspec.max_vars = 5;
+  qspec.min_atoms = 2;
+  qspec.max_atoms = 6;
+  qspec.max_vars = 7;
   int safe_seen = 0;
   int unsafe_seen = 0;
   for (int trial = 0; trial < 300; ++trial) {
     ConjunctiveQuery q = RandomQuery(&rng, qspec);
-    SchemaKnowledge sk = SchemaKnowledge::None(q);
-    for (int i = 0; i < q.num_atoms(); ++i) {
-      sk.deterministic[i] = rng.NextBernoulli(0.25);
-    }
-    for (bool memoize : {true, false}) {
-      lift::LiftOptions lo;
-      lo.reuse_common_subplans = memoize;
-      auto lifted = lift::CompileSafePlan(q, sk, lo);
-      ASSERT_TRUE(lifted.ok()) << q.ToString();
+    SchemaKnowledge sk = RandomKnowledge(q, &rng);
+    for (const PlanEnumOptions& eo : AllEnumOptions()) {
+      for (bool memoize : {true, false}) {
+        const std::string what = Describe(q, sk, eo);
+        lift::LiftOptions lo;
+        lo.reuse_common_subplans = memoize;
+        lo.enum_opts = eo;
+        auto lifted = lift::CompileSafePlan(q, sk, lo);
+        ASSERT_TRUE(lifted.ok()) << what;
 
-      SinglePlanOptions sp;
-      sp.reuse_common_subplans = memoize;
-      auto legacy = BuildSinglePlan(q, sk, sp);
-      ASSERT_TRUE(legacy.ok()) << q.ToString();
+        SinglePlanOptions sp;
+        sp.reuse_common_subplans = memoize;
+        sp.enum_opts = eo;
+        auto legacy = BuildSinglePlan(q, sk, sp);
+        ASSERT_TRUE(legacy.ok()) << what;
 
-      EXPECT_EQ(CanonicalKey(lifted->plan), CanonicalKey(*legacy))
-          << q.ToString();
-      PlanSize a = MeasurePlan(lifted->plan);
-      PlanSize b = MeasurePlan(*legacy);
-      EXPECT_EQ(a.dag_nodes, b.dag_nodes) << q.ToString();
-      EXPECT_EQ(a.tree_nodes, b.tree_nodes) << q.ToString();
-      if (memoize) (lifted->exact ? safe_seen : unsafe_seen)++;
+        EXPECT_EQ(CanonicalKey(lifted->plan), CanonicalKey(*legacy)) << what;
+        PlanSize a = MeasurePlan(lifted->plan);
+        PlanSize b = MeasurePlan(*legacy);
+        EXPECT_EQ(a.dag_nodes, b.dag_nodes) << what;
+        EXPECT_EQ(a.tree_nodes, b.tree_nodes) << what;
+        if (memoize) (lifted->exact ? safe_seen : unsafe_seen)++;
+      }
     }
   }
   // The corpus must exercise both verdicts.
-  EXPECT_GE(safe_seen, 50);
-  EXPECT_GE(unsafe_seen, 20);
+  EXPECT_GE(safe_seen, 600);
+  EXPECT_GE(unsafe_seen, 200);
 }
 
 TEST(SafePlanTest, EmittedPlansSatisfyIsSafePlanIffExact) {
   // The IsSafePlan audit (plan.h): an exact verdict must come with a plan
   // that is structurally safe *for the original query* — IsSafePlan true,
-  // no Min node, no dissociated probabilistic scan — and must agree with
-  // Algorithm 1's IsSafeQuery. An inexact verdict must carry visible
-  // dissociation and never sneak through as an undissociated safe plan.
+  // no Min node, no dissociated probabilistic scan beyond the free FD
+  // chase — and must agree with Algorithm 1's IsSafeQuery under the same
+  // knowledge and options. That agreement is why Prepare takes `exact`
+  // from the lifted compiler alone, so it is checked with random
+  // query-level FDs under all four (use_deterministic, use_fds) settings.
+  // An inexact verdict must carry visible dissociation and never sneak
+  // through as an undissociated safe plan.
   Rng rng(20150602);
   RandomQuerySpec qspec;
-  qspec.max_atoms = 4;
-  qspec.max_vars = 5;
+  qspec.min_atoms = 2;
+  qspec.max_atoms = 6;
+  qspec.max_vars = 7;
   int exact_seen = 0;
   int residue_seen = 0;
+  int fd_widened = 0;
   for (int trial = 0; trial < 250; ++trial) {
     ConjunctiveQuery q = RandomQuery(&rng, qspec);
-    SchemaKnowledge sk = SchemaKnowledge::None(q);
-    for (int i = 0; i < q.num_atoms(); ++i) {
-      sk.deterministic[i] = rng.NextBernoulli(0.25);
-    }
-    auto lifted = lift::CompileSafePlan(q, sk);
-    ASSERT_TRUE(lifted.ok()) << q.ToString();
-    auto is_safe = IsSafeQuery(q, sk);
-    ASSERT_TRUE(is_safe.ok()) << q.ToString();
-    PlanShape shape = ShapeOf(lifted->plan, sk);
+    SchemaKnowledge sk = RandomKnowledge(q, &rng);
     uint64_t det_atoms = 0;
     for (int i = 0; i < q.num_atoms(); ++i) {
       if (sk.IsDeterministic(i)) det_atoms |= uint64_t{1} << i;
     }
+    std::map<std::pair<bool, bool>, bool> verdicts;
+    for (const PlanEnumOptions& eo : AllEnumOptions()) {
+      const std::string what = Describe(q, sk, eo);
+      lift::LiftOptions lo;
+      lo.enum_opts = eo;
+      auto lifted = lift::CompileSafePlan(q, sk, lo);
+      ASSERT_TRUE(lifted.ok()) << what;
+      auto is_safe = IsSafeQuery(q, sk, eo);
+      ASSERT_TRUE(is_safe.ok()) << what;
+      PlanShape shape = ShapeOf(q, lifted->plan, sk, eo);
+      verdicts[{eo.use_deterministic, eo.use_fds}] = lifted->exact;
 
-    EXPECT_EQ(lifted->exact, *is_safe) << q.ToString();
-    EXPECT_EQ(lifted->exact, lift::AnalyzeSafety(q, sk).safe) << q.ToString();
-    if (lifted->exact) {
-      ++exact_seen;
-      EXPECT_TRUE(IsSafePlan(lifted->plan, q.HeadMask(), det_atoms))
-          << q.ToString();
-      EXPECT_FALSE(shape.has_min) << q.ToString();
-      EXPECT_FALSE(shape.prob_dissociated) << q.ToString();
-    } else {
-      ++residue_seen;
-      // Dissociation must be visible: a Min over cut branches, or a single
-      // collapsed branch whose probabilistic scans carry extra variables.
-      EXPECT_TRUE(shape.has_min || shape.prob_dissociated) << q.ToString();
+      EXPECT_EQ(lifted->exact, *is_safe) << what;
+      EXPECT_EQ(lifted->exact, lift::AnalyzeSafety(q, sk, eo).safe) << what;
+      if (lifted->exact) {
+        ++exact_seen;
+        EXPECT_TRUE(IsSafePlan(lifted->plan, q.HeadMask(),
+                               eo.use_deterministic ? det_atoms : 0))
+            << what;
+        EXPECT_FALSE(shape.has_min) << what;
+        EXPECT_FALSE(shape.prob_dissociated) << what;
+      } else {
+        ++residue_seen;
+        // Dissociation must be visible: a Min over cut branches, or a
+        // single collapsed branch whose probabilistic scans carry extra
+        // variables.
+        EXPECT_TRUE(shape.has_min || shape.prob_dissociated) << what;
+      }
     }
+    if (verdicts[{true, true}] && !verdicts[{true, false}]) ++fd_widened;
   }
-  EXPECT_GE(exact_seen, 60);
-  EXPECT_GE(residue_seen, 10);
+  EXPECT_GE(exact_seen, 500);
+  EXPECT_GE(residue_seen, 150);
+  // The FDs must matter in the corpus: some queries are safe only given
+  // them.
+  EXPECT_GE(fd_widened, 5);
 }
 
 TEST(SafePlanTest, HierarchicalDifferentialAgainstExactInference) {
-  // >= 100 randomized hierarchical queries: the engine (fast path on by
-  // default) must route them to exact plans whose scores match the WMC
-  // ground truth to 1e-12, report a single minimal plan, and flag the
-  // result exact.
+  // >= 100 randomized hierarchical queries: the engine must route them to
+  // exact plans whose scores match the WMC ground truth to 1e-12, and flag
+  // the result exact (Algorithm 1 agrees: a single minimal plan).
   Rng rng(314159);
   RandomQuerySpec qspec;
   qspec.max_atoms = 4;
@@ -225,7 +309,9 @@ TEST(SafePlanTest, HierarchicalDifferentialAgainstExactInference) {
     auto res = engine.Run(q);
     ASSERT_TRUE(res.ok()) << q.ToString();
     EXPECT_TRUE(res->exact) << q.ToString();
-    EXPECT_EQ(res->num_minimal_plans, 1u) << q.ToString();
+    auto plans = EnumerateMinimalPlans(q);
+    ASSERT_TRUE(plans.ok()) << q.ToString();
+    EXPECT_EQ(plans->size(), 1u) << q.ToString();
 
     auto exact = ExactProbabilities(db, q);
     ASSERT_TRUE(exact.ok()) << q.ToString();
@@ -288,7 +374,7 @@ TEST(SafePlanTest, ChunkSeamDifferential) {
 TEST(SafePlanTest, SafeSubqueryInsideUnsafeQuery) {
   // A(u), B(u,x) is a hierarchical subquery of this unsafe query: the
   // lifted rules resolve it exactly on the way down and only the S/T
-  // residue dissociates. Scores stay bit-identical to the legacy pipeline
+  // residue dissociates. Scores stay bit-identical to the reference plan's
   // and upper-bound the exact probability.
   auto q = Q("q() :- A(u), B(u,x), S(x,y), T(y)");
   EXPECT_FALSE(IsHierarchical(q));
@@ -302,35 +388,32 @@ TEST(SafePlanTest, SafeSubqueryInsideUnsafeQuery) {
 
   Rng rng(2718);
   Database db = RandomDatabaseFor(q, &rng);
-  QueryEngine fast = QueryEngine::Borrow(db);
-  EngineOptions legacy_opts;
-  legacy_opts.safe_plan_fast_path = false;
-  QueryEngine legacy = QueryEngine::Borrow(db, legacy_opts);
-
-  auto a = fast.Run(q);
-  auto b = legacy.Run(q);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto a = engine.Run(q);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
+  auto is_safe = IsSafeQuery(q, none);
+  ASSERT_TRUE(is_safe.ok());
   EXPECT_FALSE(a->exact);
-  EXPECT_EQ(a->num_minimal_plans, b->num_minimal_plans);
-  ASSERT_EQ(a->answers.size(), b->answers.size());
-  for (size_t i = 0; i < a->answers.size(); ++i) {
-    EXPECT_EQ(a->answers[i].tuple, b->answers[i].tuple);
-    EXPECT_EQ(a->answers[i].score, b->answers[i].score);  // bit-for-bit
-  }
+  EXPECT_EQ(a->exact, *is_safe);
+
+  auto reference = BuildSinglePlan(q, none);
+  ASSERT_TRUE(reference.ok());
+  auto want = PlanScore(db, q, *reference);
+  ASSERT_TRUE(want.ok());
+  ExpectBitIdentical(a->answers, *want, q.ToString());
 
   auto exact = ExactProbabilities(db, q);
   ASSERT_TRUE(exact.ok());
   if (!exact->empty() && !a->answers.empty()) {
     EXPECT_GE(a->answers[0].score, (*exact)[0].score - 1e-9);  // upper bound
   }
-  EXPECT_EQ(fast.stats().safe_plan_unsafe_residue, 1u);
-  EXPECT_EQ(legacy.stats().safe_plan_fallback, 1u);
+  EXPECT_EQ(engine.stats().safe_plan_unsafe_residue, 1u);
 }
 
-TEST(SafePlanTest, FastPathOffDifferentialOnRandomQueries) {
-  // Legacy-off differential mode: same scores bit-for-bit, same plan
-  // counts, same exactness verdict (the verdict is route-independent).
+TEST(SafePlanTest, EngineMatchesReferencePlanOnRandomQueries) {
+  // The engine's one compile path against the reference builder: scores
+  // bit-for-bit equal to evaluating the reference plan, and the exactness
+  // verdict equal to Algorithm 1's (a single minimal plan).
   Rng rng(161803);
   RandomQuerySpec qspec;
   qspec.max_atoms = 4;
@@ -338,21 +421,19 @@ TEST(SafePlanTest, FastPathOffDifferentialOnRandomQueries) {
   for (int trial = 0; trial < 40; ++trial) {
     ConjunctiveQuery q = RandomQuery(&rng, qspec);
     Database db = RandomDatabaseFor(q, &rng);
-    QueryEngine fast = QueryEngine::Borrow(db);
-    EngineOptions off;
-    off.safe_plan_fast_path = false;
-    QueryEngine legacy = QueryEngine::Borrow(db, off);
-    auto a = fast.Run(q);
-    auto b = legacy.Run(q);
+    QueryEngine engine = QueryEngine::Borrow(db);
+    auto a = engine.Run(q);
     ASSERT_TRUE(a.ok()) << q.ToString();
-    ASSERT_TRUE(b.ok()) << q.ToString();
-    EXPECT_EQ(a->num_minimal_plans, b->num_minimal_plans) << q.ToString();
-    EXPECT_EQ(a->exact, b->exact) << q.ToString();
-    ASSERT_EQ(a->answers.size(), b->answers.size()) << q.ToString();
-    for (size_t i = 0; i < a->answers.size(); ++i) {
-      EXPECT_EQ(a->answers[i].tuple, b->answers[i].tuple) << q.ToString();
-      EXPECT_EQ(a->answers[i].score, b->answers[i].score) << q.ToString();
-    }
+    auto sk = SchemaKnowledge::FromDatabase(q, db);
+    ASSERT_TRUE(sk.ok()) << q.ToString();
+    auto is_safe = IsSafeQuery(q, *sk);
+    ASSERT_TRUE(is_safe.ok()) << q.ToString();
+    EXPECT_EQ(a->exact, *is_safe) << q.ToString();
+    auto reference = BuildSinglePlan(q, *sk);
+    ASSERT_TRUE(reference.ok()) << q.ToString();
+    auto want = PlanScore(db, q, *reference);
+    ASSERT_TRUE(want.ok()) << q.ToString();
+    ExpectBitIdentical(a->answers, *want, q.ToString());
   }
 }
 
@@ -433,7 +514,6 @@ TEST(SafePlanTest, RoutingStabilityUnderConcurrentWriter) {
   EngineStats s = engine.stats();
   EXPECT_GE(s.safe_plan_routed, 1u);
   EXPECT_GE(s.safe_plan_unsafe_residue, 1u);
-  EXPECT_EQ(s.safe_plan_fallback, 0u);
 }
 
 TEST(SafePlanTest, TelemetryExportsThroughPrometheus) {
@@ -446,7 +526,6 @@ TEST(SafePlanTest, TelemetryExportsThroughPrometheus) {
   EXPECT_NE(prom.find("dissodb_engine_safe_plan_routed"), std::string::npos);
   EXPECT_NE(prom.find("dissodb_engine_safe_plan_unsafe_residue"),
             std::string::npos);
-  EXPECT_NE(prom.find("dissodb_engine_safe_plan_fallback"), std::string::npos);
   EXPECT_NE(prom.find("dissodb_engine_safe_plan_compile_ns"),
             std::string::npos);
 }

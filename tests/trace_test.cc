@@ -11,11 +11,11 @@
 #include <vector>
 
 #include "src/dissociation/dissociation.h"
-#include "src/dissociation/single_plan.h"
 #include "src/engine/query_engine.h"
 #include "src/exec/evaluator.h"
 #include "src/exec/operators.h"
 #include "src/exec/semijoin.h"
+#include "src/lift/safe_plan.h"
 #include "src/obs/trace.h"
 #include "src/plan/plan.h"
 #include "src/query/analysis.h"
@@ -173,17 +173,18 @@ TEST(TraceShapeTest, SpanTreeExpandsToPlanTreeShape) {
 
   auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
-  SinglePlanOptions sp;
-  sp.reuse_common_subplans = true;
-  auto plan = BuildSinglePlan(q, *sk, sp);
-  ASSERT_TRUE(plan.ok());
-  const size_t tree_nodes = MeasurePlan(*plan).tree_nodes;
+  lift::LiftOptions lo;
+  lo.reuse_common_subplans = true;
+  auto lifted = lift::CompileSafePlan(q, *sk, lo);
+  ASSERT_TRUE(lifted.ok());
+  const PlanPtr& plan = lifted->plan;
+  const size_t tree_nodes = MeasurePlan(plan).tree_nodes;
 
   obs::TraceContext ctx;
   uint32_t root = ctx.BeginSpan("evaluate", 0);
   PlanEvaluator ev(db.snapshot(), q);
   ev.SetTrace(&ctx, root);
-  auto rel = ev.Evaluate(*plan);
+  auto rel = ev.Evaluate(plan);
   ASSERT_TRUE(rel.ok());
   ctx.EndSpan(root);
   obs::QueryTrace trace = ctx.Finish();
@@ -318,14 +319,15 @@ TEST(EngineTraceTest, JoinOutputMatchesReferenceJoin) {
   auto q = Q("q(x,y) :- R(x), S(x,y)");
   auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
-  auto plan = BuildSinglePlan(q, *sk, SinglePlanOptions{});
-  ASSERT_TRUE(plan.ok());
+  auto lifted = lift::CompileSafePlan(q, *sk);
+  ASSERT_TRUE(lifted.ok());
+  const PlanPtr& plan = lifted->plan;
 
   obs::TraceContext ctx;
   uint32_t root = ctx.BeginSpan("evaluate", 0);
   PlanEvaluator ev(db.snapshot(), q);
   ev.SetTrace(&ctx, root);
-  auto rel = ev.Evaluate(*plan);
+  auto rel = ev.Evaluate(plan);
   ASSERT_TRUE(rel.ok());
   ctx.EndSpan(root);
   obs::QueryTrace trace = ctx.Finish();
