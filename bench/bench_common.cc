@@ -95,7 +95,8 @@ void BenchJsonWrite(const std::string& bench_name) {
 MethodTiming TimeAllMethods(const Database& db, const ConjunctiveQuery& q,
                             bool skip_all_plans) {
   MethodTiming out;
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  const Snapshot snap = db.snapshot();
+  auto sk = SchemaKnowledge::FromSnapshot(q, snap);
   {
     auto plans = EnumerateMinimalPlans(q, *sk);
     out.num_plans = plans->size();
@@ -123,7 +124,7 @@ MethodTiming TimeAllMethods(const Database& db, const ConjunctiveQuery& q,
   out.opt12_ms = run(true, true, false);
   out.opt123_ms = run(true, true, true);
   out.standard_sql_ms = TimeMs([&] {
-    auto res = EvaluateDeterministic(db, q);
+    auto res = EvaluateDeterministic(snap, q);
     (void)res;
   });
   return out;
@@ -135,6 +136,7 @@ TpchRun RunTpchMethods(const Database& db, const ConjunctiveQuery& q,
   TpchRun out;
   out.dollar1 = dollar1;
   out.dollar2 = dollar2;
+  const Snapshot snap = db.snapshot();
 
   // Selections are part of each measured query (the paper's WHERE clauses).
   QueryEngine engine = QueryEngine::Borrow(db);
@@ -153,18 +155,18 @@ TpchRun RunTpchMethods(const Database& db, const ConjunctiveQuery& q,
   });
   out.sql_ms = TimeMs([&] {
     auto sel = MakeTpchSelections(db, dollar1, dollar2);
-    auto res = EvaluateDeterministic(db, q, (*sel)->overrides);
+    auto res = EvaluateDeterministic(snap, q, (*sel)->overrides);
     (void)res;
   });
   out.lineage_ms = TimeMs([&] {
     auto sel = MakeTpchSelections(db, dollar1, dollar2);
-    auto lin = ComputeLineage(db, q, (*sel)->overrides);
+    auto lin = ComputeLineage(snap, q, (*sel)->overrides);
     if (lin.ok()) out.max_lineage = MaxLineageSize(*lin);
   });
 
   // Exact WMC (SampleSearch substitute) and MC(1k) reuse one lineage.
   auto sel = MakeTpchSelections(db, dollar1, dollar2);
-  auto lin = ComputeLineage(db, q, (*sel)->overrides);
+  auto lin = ComputeLineage(snap, q, (*sel)->overrides);
   if (lin.ok()) {
     {
       Timer t;

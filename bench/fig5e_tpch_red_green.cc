@@ -17,7 +17,8 @@ int main() {
   opts.scale = 0.1 * BenchScale();
   Database db = MakeTpchDatabase(opts);
   ConjunctiveQuery q = TpchQuery();
-  int64_t suppliers = static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows());
+  int64_t suppliers = static_cast<int64_t>(
+      (*db.snapshot().GetTable("Supplier"))->NumRows());
   std::printf("scale %.3f: %lld suppliers\n\n", opts.scale,
               static_cast<long long>(suppliers));
   PrintHeader({"$1", "maxlin", "Diss", "Diss+Opt3", "Exact", "MC(1k)",

@@ -19,7 +19,8 @@ int main() {
   opts.scale = 0.1 * BenchScale();
   Database db = MakeTpchDatabase(opts);
   ConjunctiveQuery q = TpchQuery();
-  int64_t suppliers = static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows());
+  int64_t suppliers = static_cast<int64_t>(
+      (*db.snapshot().GetTable("Supplier"))->NumRows());
 
   std::vector<TpchRun> runs;
   for (const char* pat : {"%red%green%", "%red%", "%"}) {

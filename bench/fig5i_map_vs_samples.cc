@@ -31,9 +31,9 @@ int main() {
     o.pi_max = 0.5;
     Database db = MakeTpchDatabase(o);
     int64_t suppliers =
-        static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows());
+        static_cast<int64_t>((*db.snapshot().GetTable("Supplier"))->NumRows());
     auto sel = MakeTpchSelections(db, suppliers * 4 / 5, "%red%green%");
-    auto lineage = ComputeLineage(db, q, (*sel)->overrides);
+    auto lineage = ComputeLineage(db.snapshot(), q, (*sel)->overrides);
     if (!lineage.ok()) continue;
     auto exact = ExactFromLineage(*lineage);
     if (!exact.ok()) continue;

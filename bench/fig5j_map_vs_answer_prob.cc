@@ -38,10 +38,10 @@ int main() {
       o.seed = seed;
       o.pi_max = pi_max;
       Database db = MakeTpchDatabase(o);
-      int64_t suppliers =
-          static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows());
+      int64_t suppliers = static_cast<int64_t>(
+          (*db.snapshot().GetTable("Supplier"))->NumRows());
       auto sel = MakeTpchSelections(db, suppliers, "%red%");
-      auto lineage = ComputeLineage(db, q, (*sel)->overrides);
+      auto lineage = ComputeLineage(db.snapshot(), q, (*sel)->overrides);
       if (!lineage.ok()) continue;
       auto exact = ExactFromLineage(*lineage);
       if (!exact.ok()) continue;

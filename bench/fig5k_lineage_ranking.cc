@@ -19,7 +19,7 @@ int main() {
   o.scale = 0.04 * BenchScale();
   Database base = MakeTpchDatabase(o);
   int64_t suppliers =
-      static_cast<int64_t>((*base.GetTable("Supplier"))->NumRows());
+      static_cast<int64_t>((*base.snapshot().GetTable("Supplier"))->NumRows());
 
   struct Config {
     const char* label;
@@ -49,7 +49,7 @@ int main() {
         }
         auto sel = MakeTpchSelections(
             db, static_cast<int64_t>(suppliers * frac), "%red%");
-        auto lineage = ComputeLineage(db, q, (*sel)->overrides);
+        auto lineage = ComputeLineage(db.snapshot(), q, (*sel)->overrides);
         if (!lineage.ok()) continue;
         auto exact = ExactFromLineage(*lineage);
         if (!exact.ok()) continue;

@@ -34,7 +34,7 @@ int main() {
         spec.pi_max = 2 * avg_pi;  // uniform [0, 2*avg] has mean avg
         spec.seed = seed;
         Database db = MakeFanoutDatabase(spec);
-        auto lineage = ComputeLineage(db, q);
+        auto lineage = ComputeLineage(db.snapshot(), q);
         if (!lineage.ok()) continue;
         if (!have_d) {
           // avg[d] of the A-dissociating plan: copies of each A-tuple =

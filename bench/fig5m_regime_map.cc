@@ -32,7 +32,7 @@ int main() {
           spec.pi_max = 2 * avg_pi;
           spec.seed = seed;
           Database db = MakeFanoutDatabase(spec);
-          auto lineage = ComputeLineage(db, q);
+          auto lineage = ComputeLineage(db.snapshot(), q);
           if (!lineage.ok()) continue;
           auto exact = ExactFromLineage(*lineage);
           if (!exact.ok()) continue;

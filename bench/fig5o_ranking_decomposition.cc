@@ -25,7 +25,7 @@ int main() {
     spec.pi_max = 1.0;  // avg[pi] = 0.5
     spec.seed = seed;
     Database db = MakeFanoutDatabase(spec);
-    auto lineage = ComputeLineage(db, q);
+    auto lineage = ComputeLineage(db.snapshot(), q);
     if (!lineage.ok()) continue;
     auto gt = ExactFromLineage(*lineage);
     if (!gt.ok()) continue;

@@ -29,7 +29,7 @@ int main() {
       if (!gt.ok()) continue;
       Database scaled = db.Clone();
       scaled.ScaleProbabilities(f);
-      auto lineage = ComputeLineage(scaled, q);
+      auto lineage = ComputeLineage(scaled.snapshot(), q);
       if (!lineage.ok()) continue;
       auto sgt = ExactFromLineage(*lineage);
       if (!sgt.ok()) continue;

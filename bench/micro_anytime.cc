@@ -77,7 +77,8 @@ int main() {
     Database db = MakeFanoutDatabase(fspec);
     ConjunctiveQuery q = Q3Chain();
     size_t rows = 0;
-    for (int t = 0; t < db.NumTables(); ++t) rows += db.table(t).NumRows();
+    const Snapshot snap = db.snapshot();
+    for (int t = 0; t < snap.NumTables(); ++t) rows += snap.table(t).NumRows();
 
     QueryEngine engine = QueryEngine::Borrow(db);
     auto prepared = engine.Prepare(q);

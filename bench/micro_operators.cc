@@ -29,9 +29,10 @@ Database* ChainDb(int k, size_t n) {
 void BM_ScanAtom(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
   for (auto _ : state) {
-    auto rel = ScanAtom(*db, q, 0);
+    auto rel = ScanAtom(snap, q, 0);
     benchmark::DoNotOptimize(rel->NumRows());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -41,9 +42,10 @@ BENCHMARK(BM_ScanAtom)->Arg(1000)->Arg(100000)->Arg(1000000);
 void BM_HashJoin(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto left = ScanAtom(*db, q, 0);
-  auto right = ScanAtom(*db, q, 1);
+  auto left = ScanAtom(snap, q, 0);
+  auto right = ScanAtom(snap, q, 1);
   for (auto _ : state) {
     Rel out = HashJoin(*left, *right);
     benchmark::DoNotOptimize(out.NumRows());
@@ -55,8 +57,9 @@ BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(100000)->Arg(1000000);
 void BM_ProjectIndependent(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  auto rel = ScanAtom(snap, q, 0);
   VarMask keep = MaskOf(q.FindVar("x0"));
   for (auto _ : state) {
     Rel out = ProjectIndependent(*rel, keep);
@@ -151,18 +154,20 @@ BENCHMARK(BM_EngineCachedQuery)->Arg(1000)->Arg(10000);
 /// JSON capture cases below.
 double MeasureScanMs(size_t n) {
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
   return TimeMs([&] {
-    auto rel = ScanAtom(*db, q, 0);
+    auto rel = ScanAtom(snap, q, 0);
     benchmark::DoNotOptimize(rel->NumRows());
   });
 }
 
 double MeasureJoinMs(size_t n) {
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto left = ScanAtom(*db, q, 0);
-  auto right = ScanAtom(*db, q, 1);
+  auto left = ScanAtom(snap, q, 0);
+  auto right = ScanAtom(snap, q, 1);
   return TimeMs([&] {
     Rel out = HashJoin(*left, *right);
     benchmark::DoNotOptimize(out.NumRows());
@@ -171,8 +176,9 @@ double MeasureJoinMs(size_t n) {
 
 double MeasureProjectMs(size_t n) {
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  auto rel = ScanAtom(snap, q, 0);
   VarMask keep = MaskOf(q.FindVar("x0"));
   return TimeMs([&] {
     Rel out = ProjectIndependent(*rel, keep);
@@ -184,9 +190,10 @@ double MeasureSemiJoinMs(size_t n) {
   // A 3-chain reduces every table against its neighbors; at this size the
   // build sides clear the Bloom threshold, so this times the filtered path.
   Database* db = ChainDb(3, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(3);
   return TimeMs([&] {
-    auto reduced = SemiJoinReduce(*db, q);
+    auto reduced = SemiJoinReduce(snap, q);
     benchmark::DoNotOptimize(reduced->size());
   });
 }
@@ -195,8 +202,9 @@ double MeasureProjectBooleanMs(size_t n) {
   // Empty keep-mask: every row folds into one group — the fused
   // complement-product accumulator's fast path.
   Database* db = ChainDb(2, n);
+  const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
-  auto rel = ScanAtom(*db, q, 0);
+  auto rel = ScanAtom(snap, q, 0);
   return TimeMs([&] {
     Rel out = ProjectIndependent(*rel, 0);
     benchmark::DoNotOptimize(out.NumRows());
@@ -244,13 +252,14 @@ void CaptureJson() {
     TpchOptions topts;
     topts.scale = 0.1;
     Database db = MakeTpchDatabase(topts);
+    const Snapshot snap = db.snapshot();
     const int64_t half =
-        static_cast<int64_t>((*db.GetTable("Supplier"))->NumRows() / 2);
+        static_cast<int64_t>((*snap.GetTable("Supplier"))->NumRows() / 2);
     auto sel = MakeTpchSelections(db, half, "%red%");
-    const size_t n = (*db.GetTable("Partsupp"))->NumRows();
+    const size_t n = (*snap.GetTable("Partsupp"))->NumRows();
     ConjunctiveQuery q = TpchQuery();
     double ms = TimeMs([&] {
-      auto reduced = SemiJoinReduce(db, q, (*sel)->overrides);
+      auto reduced = SemiJoinReduce(snap, q, (*sel)->overrides);
       benchmark::DoNotOptimize(reduced->size());
     });
     BenchJsonRecord("semijoin_reduce_selective", n,

@@ -232,7 +232,7 @@ int main() {
             },
             20.0, 2000, 3) *
         1e6;
-    auto sk = SchemaKnowledge::FromDatabase(*q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(*q, db.snapshot());
     if (!sk.ok()) std::abort();
     const double compile_ns =
         TimeMs(

@@ -86,6 +86,7 @@ int main() {
   double min_prune_rate = 1.0;
   for (size_t n : sizes) {
     Database db = MakeScanDatabase(n, 12345);
+    const Snapshot snap = db.snapshot();
 
     struct Case {
       const char* name;
@@ -97,26 +98,26 @@ int main() {
                           {"scan_zonemap", &*q_zonemap, true}};
     for (const Case& c : cases) {
       ChunkedScanStats seq_stats;
-      auto seq = ScanAtom(db, *c.q, 0, nullptr, nullptr, &seq_stats);
+      auto seq = ScanAtom(snap, *c.q, 0, nullptr, nullptr, &seq_stats);
       if (!seq.ok()) {
         std::printf("scan failed: %s\n", seq.status().ToString().c_str());
         return 1;
       }
       const double seq_ms = TimeMs([&] {
-        auto r = ScanAtom(db, *c.q, 0, nullptr, nullptr, nullptr);
+        auto r = ScanAtom(snap, *c.q, 0, nullptr, nullptr, nullptr);
         if (!r.ok()) std::abort();
       });
       double par_ms = seq_ms;
       if (c.parallel_path) {
         ChunkedScanStats par_stats;
-        auto par = ScanAtom(db, *c.q, 0, nullptr, &pool, &par_stats);
+        auto par = ScanAtom(snap, *c.q, 0, nullptr, &pool, &par_stats);
         if (!par.ok() || !BitIdentical(*seq, *par)) {
           std::printf("FAIL: %s parallel result differs from sequential\n",
                       c.name);
           return 1;
         }
         par_ms = TimeMs([&] {
-          auto r = ScanAtom(db, *c.q, 0, nullptr, &pool, nullptr);
+          auto r = ScanAtom(snap, *c.q, 0, nullptr, &pool, nullptr);
           if (!r.ok()) std::abort();
         });
       }

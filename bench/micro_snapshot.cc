@@ -8,8 +8,8 @@
 //
 // Measurements (BENCH_micro_snapshot.json):
 //   - snapshot_acquire      ns per Database::snapshot() on the quiescent
-//                           database (O(#tables) handle copies; asserted
-//                           payload-copy-free via chunk-handle identity)
+//                           database (one shared-handle copy; asserted
+//                           table-copy-free via table-handle identity)
 //   - commit_append         ns/row to stage + commit a 256-row append
 //   - commit_append_chunked ns/row for 1K- and 100K-row append commits
 //                           into the full-size table (chunked weight
@@ -24,7 +24,8 @@
 //                           by compare_bench)
 //
 // Unconditional acceptance gates:
-//   - snapshot() shares every chunk handle with the live table (copy-free),
+//   - two snapshot() calls at one version share every table object
+//     (acquisition copies no Table),
 //   - a 1K-row append commit into the full-size table costs at most 8x
 //     the same append into a 100x smaller table (O(delta), not O(table);
 //     the pre-chunking flat weight column re-copied every weight on
@@ -91,16 +92,14 @@ int main() {
 
   Database db = MakeServeDatabase(rows, 42);
 
-  // -- Snapshot acquisition: O(#tables) handle copies, no payloads --------
+  // -- Snapshot acquisition: one shared handle, no table copies ----------
   {
-    Snapshot snap = db.snapshot();
-    for (int c = 0; c < 2; ++c) {
-      const Column& live = *db.table(0).col(c);
-      for (size_t ci = 0; ci < live.num_chunks(); ++ci) {
-        if (snap.table(0).col(c)->chunk(ci) != live.chunk(ci)) {
-          std::printf("FAIL: snapshot copied a chunk payload\n");
-          return 1;
-        }
+    const Snapshot a = db.snapshot();
+    const Snapshot b = db.snapshot();
+    for (int t = 0; t < a.NumTables(); ++t) {
+      if (a.table_handle(t).get() != b.table_handle(t).get()) {
+        std::printf("FAIL: snapshot() copied table %d\n", t);
+        return 1;
       }
     }
   }
@@ -294,7 +293,7 @@ int main() {
   PrintRow({"serve_with_writer_ns_q", Fmt(busy_ns_q)});
   PrintRow({"writer_commits", Fmt(static_cast<double>(commits.load()))});
 
-  BenchJsonRecord("snapshot_acquire", db.NumTables(), acquire_ns);
+  BenchJsonRecord("snapshot_acquire", db.snapshot().NumTables(), acquire_ns);
   BenchJsonRecord("commit_append", kAppend, commit_ns_row);
   BenchJsonRecord("commit_append_chunked", 1000, big_1k_ns_row);
   BenchJsonRecord("commit_append_chunked", 100000, big_100k_ns_row);

@@ -85,11 +85,11 @@ int main() {
     return 1;
   }
   std::printf("cities ranked by propagation score (upper bound):\n%s\n",
-              RankingToString(diss->answers, db).c_str());
+              RankingToString(diss->answers, db.snapshot()).c_str());
 
   auto exact = ExactProbabilities(db, *q);
   std::printf("cities ranked by exact probability (ground truth):\n%s\n",
-              RankingToString(*exact, db).c_str());
+              RankingToString(*exact, db.snapshot()).c_str());
 
   auto gt = AlignScores(*exact, *exact);
   auto ds = AlignScores(*exact, diss->answers);

@@ -112,8 +112,5 @@ int main() {
   std::printf("Prometheus exposition: engine.metrics().PrometheusText() "
               "(%zu bytes) — scrape-ready counters + le-bucket histograms\n",
               engine.metrics().PrometheusText().size());
-  std::printf("migration note: Database::mutable_table() is deprecated — "
-              "stage mutations in a Database::Writer and Commit() instead "
-              "(see README \"Snapshots & concurrent serving\").\n");
   return 0;
 }

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     std::printf("\nsample evaluation on a random instance "
                 "(%zu answers, %zu plan nodes evaluated):\n%s",
                 res->answers.size(), res->nodes_evaluated,
-                RankingToString(res->answers, db, 5).c_str());
+                RankingToString(res->answers, db.snapshot(), 5).c_str());
   }
 
   // Anytime verdict: the same query through the guarantee-aware entry

@@ -78,7 +78,7 @@ int main() {
               100.0 * (*rho - p_exact) / p_exact);
 
   // 6. The generated SQL, as it would be pushed into an external DBMS.
-  auto sk = SchemaKnowledge::FromDatabase(*q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(*q, db.snapshot());
   auto single = lift::CompileSafePlan(*q, *sk);
   std::printf("\nsingle combined plan (Opt. 1+2):\n%s\n",
               PlanToTreeString(single->plan, *q).c_str());

@@ -66,20 +66,21 @@ int main() {
 
   {
     Database db = build(false, false);
-    auto sk = SchemaKnowledge::FromDatabase(*q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(*q, db.snapshot());
     Report("1) No schema knowledge:", *q, *sk, db);
   }
   {
     Database db = build(true, false);
-    auto sk = SchemaKnowledge::FromDatabase(*q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(*q, db.snapshot());
     Report("2) Category is deterministic (Section 3.3.1):", *q, *sk, db);
   }
   {
     Database db = build(false, true);
-    auto st = (*db.GetTable("InCategory"))->ValidateFDs();
+    const Snapshot snap = db.snapshot();
+    auto st = (*snap.GetTable("InCategory"))->ValidateFDs();
     std::printf("   (FD prod -> cat validated on data: %s)\n",
                 st.ok() ? "holds" : st.ToString().c_str());
-    auto sk = SchemaKnowledge::FromDatabase(*q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(*q, snap);
     Report("3) InCategory satisfies FD prod -> cat (Section 3.3.2):", *q,
            *sk, db);
   }

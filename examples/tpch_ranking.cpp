@@ -26,10 +26,11 @@ int main(int argc, char** argv) {
   opts.pi_max = 0.4;
   std::printf("generating TPC-H-like database at scale %.3f ...\n", scale);
   Database db = MakeTpchDatabase(opts);
+  const Snapshot snap = db.snapshot();
   std::printf("  Supplier: %zu rows, Partsupp: %zu rows, Part: %zu rows\n",
-              (*db.GetTable("Supplier"))->NumRows(),
-              (*db.GetTable("Partsupp"))->NumRows(),
-              (*db.GetTable("Part"))->NumRows());
+              (*snap.GetTable("Supplier"))->NumRows(),
+              (*snap.GetTable("Partsupp"))->NumRows(),
+              (*snap.GetTable("Part"))->NumRows());
 
   ConjunctiveQuery q = TpchQuery();
   std::printf("query: %s  with s_suppkey <= %lld and p_name like '%s'\n\n",
@@ -56,17 +57,17 @@ int main(int argc, char** argv) {
   (void)warm;
   // The engine compiles one min-plan (Opt. 1); Algorithm 1 counts the
   // minimal plans it stands for.
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, snap);
   auto plans = EnumerateMinimalPlans(q, *sk);
   std::printf("dissociation (%zu minimal plans): %.1f ms cold, %.1f ms with "
               "cached plan\n",
               plans.ok() ? plans->size() : size_t{0}, t_diss, t_warm);
   std::printf("top nations by propagation score:\n%s\n",
-              RankingToString(diss->answers, db, 5).c_str());
+              RankingToString(diss->answers, snap, 5).c_str());
 
   // Lineage, exact ground truth and MC.
   timer.Reset();
-  auto lineage = ComputeLineage(db, q, overrides);
+  auto lineage = ComputeLineage(snap, q, overrides);
   double t_lin = timer.ElapsedMillis();
   std::printf("lineage query: %.1f ms, max lineage size = %zu\n", t_lin,
               MaxLineageSize(*lineage));

@@ -249,21 +249,10 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
       in.trace->Annotate(refine_span.id(), "anytime", std::string("refine"));
     }
 
-    // Lineage, grounded once against the pinned snapshot: every atom is
-    // overridden (input override or snapshot table), so the Database
-    // argument only satisfies the signature.
+    // Lineage, grounded once against the pinned snapshot.
     std::unordered_map<int, const Table*> lineage_ov;
-    for (int i = 0; i < q.num_atoms(); ++i) {
-      auto it = in.overrides.find(i);
-      if (it != in.overrides.end()) {
-        lineage_ov[i] = it->second.table;
-      } else {
-        int t = in.snap.FindTable(q.atom(i).relation);
-        if (t < 0) return Status::NotFound("no table named " + q.atom(i).relation);
-        lineage_ov[i] = &in.snap.table(t);
-      }
-    }
-    auto lineage = ComputeLineage(*in.db, q, lineage_ov);
+    for (const auto& [idx, ov] : in.overrides) lineage_ov[idx] = ov.table;
+    auto lineage = ComputeLineage(in.snap, q, lineage_ov);
     if (!lineage.ok()) return lineage.status();
 
     // Lineage answers are keyed in ascending canonical head-var order;

@@ -8,14 +8,14 @@
 //      over obliviously rescaled weights give lower bounds
 //      (src/anytime/lower_bound.h). Every answer now carries [lower, upper].
 //   3. Guarantees requested and not yet met?  Ground the lineage once
-//      (snapshot-consistent: every atom overridden with its pinned table),
-//      then refine in rounds: interval ranking picks only the answers whose
-//      intervals still contest a rank boundary or exceed the width budget
-//      (src/anytime/interval_rank.h); each gets exact WMC when its lineage
-//      fits the budget, else an incremental MC batch. Rounds run as
-//      cancellable Scheduler tasks — an expired deadline skips queued tasks
-//      and discards in-flight batches whole, and the round barrier always
-//      joins before returning (no leaked workers).
+//      against the pinned snapshot, then refine in rounds: interval
+//      ranking picks only the answers whose intervals still contest a rank
+//      boundary or exceed the width budget (src/anytime/interval_rank.h);
+//      each gets exact WMC when its lineage fits the budget, else an
+//      incremental MC batch. Rounds run as cancellable Scheduler tasks —
+//      an expired deadline skips queued tasks and discards in-flight
+//      batches whole, and the round barrier always joins before returning
+//      (no leaked workers).
 //   4. Terminate as soon as the top-k order is certified / every width is
 //      within epsilon (kCertified), the refinement budget dries up
 //      (kBoundsOnly), or the deadline fires (kBoundsOnly, deadline_hit).
@@ -37,7 +37,6 @@
 #include "src/obs/trace.h"
 #include "src/query/cq.h"
 #include "src/serve/scheduler.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -48,9 +47,6 @@ namespace dissodb {
 /// outlive the call.
 struct AnytimeInput {
   Snapshot snap;
-  /// Grounding shim for ComputeLineage's signature only — every atom is
-  /// overridden with its snapshot table, so the live head is never read.
-  const Database* db = nullptr;
   const ConjunctiveQuery* query = nullptr;
   const CompiledPlans* compiled = nullptr;
   AtomOverrides overrides;

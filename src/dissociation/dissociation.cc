@@ -86,6 +86,12 @@ Result<MaterializedDissociation> MaterializeDissociation(
     size_t max_rows) {
   DISSODB_RETURN_NOT_OK(ValidateDissociation(q, delta));
 
+  MaterializedDissociation out;
+  out.db = db.Clone();  // keeps original tables and the string pool
+  // Read the clone, not `db`: the domains and copies below then match the
+  // original tables `out.db` holds, whatever `db` commits meanwhile.
+  const Snapshot snap = out.db.snapshot();
+
   // Active domain per variable: values occurring in any column bound to it,
   // plus the column type (taken from the first occurrence).
   std::vector<std::set<Value>> adom(q.num_vars());
@@ -93,7 +99,7 @@ Result<MaterializedDissociation> MaterializeDissociation(
   std::vector<bool> has_type(q.num_vars(), false);
   for (int i = 0; i < q.num_atoms(); ++i) {
     const Atom& a = q.atom(i);
-    auto tr = db.GetTable(a.relation);
+    auto tr = snap.GetTable(a.relation);
     if (!tr.ok()) return tr.status();
     const Table& t = **tr;
     if (t.arity() != a.arity()) {
@@ -110,9 +116,6 @@ Result<MaterializedDissociation> MaterializeDissociation(
     }
   }
 
-  MaterializedDissociation out;
-  out.db = db.Clone();  // keeps original tables and the string pool
-
   ConjunctiveQuery dq;
   for (int v = 0; v < q.num_vars(); ++v) dq.AddVar(q.var_name(v));
   dq.SetName(q.name());
@@ -122,7 +125,7 @@ Result<MaterializedDissociation> MaterializeDissociation(
 
   for (int i = 0; i < q.num_atoms(); ++i) {
     const Atom& a = q.atom(i);
-    const Table& t = **db.GetTable(a.relation);
+    const Table& t = **snap.GetTable(a.relation);
     std::vector<VarId> extras = MaskToVars(delta.extra[i]);
 
     RelationSchema schema = t.schema();

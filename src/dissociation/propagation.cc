@@ -39,7 +39,7 @@ Result<double> PropagationScoreBoolean(const Database& db,
 Result<std::vector<RankedAnswer>> PlanScore(
     const Database& db, const ConjunctiveQuery& q, const PlanPtr& plan,
     const std::unordered_map<int, const Table*>& overrides) {
-  PlanEvaluator ev(db, q);
+  PlanEvaluator ev(db.snapshot(), q);
   for (const auto& [idx, table] : overrides) ev.SetAtomTable(idx, table);
   auto rel = ev.Evaluate(plan);
   if (!rel.ok()) return rel.status();

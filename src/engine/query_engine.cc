@@ -603,7 +603,6 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
 
   AnytimeInput input;
   input.snap = db_->snapshot();
-  input.db = db_.get();
   input.query = exec_q;
   input.compiled = impl.compiled.get();
   input.overrides = std::move(effective);

@@ -4,18 +4,15 @@
 
 namespace dissodb {
 
-namespace {
-
-template <typename Catalog>
-Result<Rel> EvaluateDeterministicImpl(
-    const Catalog& catalog, const ConjunctiveQuery& q,
+Result<Rel> EvaluateDeterministic(
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides) {
   std::vector<Rel> inputs;
   for (int i = 0; i < q.num_atoms(); ++i) {
     const Table* override_table = nullptr;
     auto it = overrides.find(i);
     if (it != overrides.end()) override_table = it->second;
-    auto rel = ScanAtom(catalog, q, i, override_table);
+    auto rel = ScanAtom(snap, q, i, override_table);
     if (!rel.ok()) return rel.status();
     // Early projection: deterministic evaluation only needs head variables
     // and join variables; dropping the rest keeps intermediates small.
@@ -45,20 +42,6 @@ Result<Rel> EvaluateDeterministicImpl(
     current = HashJoin(current, inputs[best]);
   }
   return ProjectDistinct(current, q.HeadMask() & current.var_mask());
-}
-
-}  // namespace
-
-Result<Rel> EvaluateDeterministic(
-    const Snapshot& snap, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides) {
-  return EvaluateDeterministicImpl(snap, q, overrides);
-}
-
-Result<Rel> EvaluateDeterministic(
-    const Database& db, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides) {
-  return EvaluateDeterministicImpl(db, q, overrides);
 }
 
 }  // namespace dissodb

@@ -8,7 +8,6 @@
 #include "src/common/status.h"
 #include "src/exec/rel.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -18,11 +17,6 @@ namespace dissodb {
 /// snapshot.
 Result<Rel> EvaluateDeterministic(
     const Snapshot& snap, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides = {});
-
-/// Legacy shim over the live head of `db`.
-Result<Rel> EvaluateDeterministic(
-    const Database& db, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {});
 
 }  // namespace dissodb

@@ -149,11 +149,10 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
   ++nodes_evaluated_;
 
   // Attach a maintenance recipe when this evaluation will publish a cache
-  // entry (we lead), runs against a pinned snapshot, touches no overridden
-  // atoms, and the root has a maintainable shape. Decided up front so the
-  // projection branch can capture its raw accumulators.
+  // entry (we lead), touches no overridden atoms, and the root has a
+  // maintainable shape. Decided up front so the projection branch can
+  // capture its raw accumulators.
   const bool want_recipe = delta_recipes_ && !lead.resolved &&
-                           live_db_ == nullptr &&
                            (PlanAtomSet(plan) & override_atoms_) == 0 &&
                            DeltaMaintainableShape(plan);
   std::vector<double> recipe_acc;
@@ -165,11 +164,8 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
       auto oit = overrides_.find(plan->atom_idx);
       if (oit != overrides_.end()) override_table = oit->second.table;
       const ChunkedScanStats before = scan_stats_;
-      auto rel = live_db_ != nullptr
-                     ? ScanAtom(*live_db_, q_, plan->atom_idx, override_table,
-                                scheduler_, &scan_stats_)
-                     : ScanAtom(snap_, q_, plan->atom_idx, override_table,
-                                scheduler_, &scan_stats_);
+      auto rel = ScanAtom(snap_, q_, plan->atom_idx, override_table,
+                          scheduler_, &scan_stats_);
       if (!rel.ok()) return rel.status();
       if (trace_ != nullptr) {
         if (override_table != nullptr) {
@@ -325,19 +321,16 @@ std::shared_ptr<const DeltaRecipe> PlanEvaluator::BuildDeltaRecipe(
   return recipe;
 }
 
-namespace {
-
-template <typename MakeEvaluator>
-Result<Rel> EvaluateSeparatelyImpl(const MakeEvaluator& make_evaluator,
-                                   const std::vector<PlanPtr>& plans,
-                                   const AtomOverrides& overrides,
-                                   ChunkedScanStats* scan_stats,
-                                   obs::TraceContext* trace,
-                                   uint32_t trace_parent) {
+Result<Rel> EvaluatePlansSeparately(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const std::vector<PlanPtr>& plans,
+    const AtomOverrides& overrides,
+    ChunkedScanStats* scan_stats,
+    obs::TraceContext* trace, uint32_t trace_parent) {
   std::vector<Rel> results;
   size_t plan_idx = 0;
   for (const auto& p : plans) {
-    PlanEvaluator ev = make_evaluator();  // fresh: no cross-plan sharing
+    PlanEvaluator ev(snap, q);  // fresh: no cross-plan sharing
     for (const auto& [idx, ov] : overrides) ev.SetAtomTable(idx, ov.table, ov.tag);
     obs::ScopedSpan plan_span(trace, "plan " + std::to_string(plan_idx++),
                               trace_parent);
@@ -349,28 +342,6 @@ Result<Rel> EvaluateSeparatelyImpl(const MakeEvaluator& make_evaluator,
   }
   obs::ScopedSpan merge_span(trace, "min-merge", trace_parent);
   return MinMerge(results);
-}
-
-}  // namespace
-
-Result<Rel> EvaluatePlansSeparately(
-    const Snapshot& snap, const ConjunctiveQuery& q,
-    const std::vector<PlanPtr>& plans,
-    const AtomOverrides& overrides,
-    ChunkedScanStats* scan_stats,
-    obs::TraceContext* trace, uint32_t trace_parent) {
-  return EvaluateSeparatelyImpl([&] { return PlanEvaluator(snap, q); }, plans,
-                                overrides, scan_stats, trace, trace_parent);
-}
-
-Result<Rel> EvaluatePlansSeparately(
-    const Database& db, const ConjunctiveQuery& q,
-    const std::vector<PlanPtr>& plans,
-    const AtomOverrides& overrides,
-    ChunkedScanStats* scan_stats,
-    obs::TraceContext* trace, uint32_t trace_parent) {
-  return EvaluateSeparatelyImpl([&] { return PlanEvaluator(db, q); }, plans,
-                                overrides, scan_stats, trace, trace_parent);
 }
 
 }  // namespace dissodb

@@ -22,7 +22,6 @@
 #include "src/obs/trace.h"
 #include "src/plan/plan.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -46,8 +45,7 @@ struct AtomOverride {
 /// Per-atom overrides in deterministic (ascending atom index) order.
 using AtomOverrides = std::map<int, AtomOverride>;
 
-/// \brief Evaluates plans for one query over one pinned snapshot (or, for
-/// legacy single-threaded callers, the live head of a database).
+/// \brief Evaluates plans for one query over one pinned snapshot.
 class PlanEvaluator {
  public:
   /// Evaluates against the pinned snapshot: every scan of every plan node
@@ -56,12 +54,6 @@ class PlanEvaluator {
   /// (cheap) Snapshot handle, so the caller's copy may go away.
   PlanEvaluator(Snapshot snap, const ConjunctiveQuery& q)
       : snap_(std::move(snap)), q_(q) {}
-
-  /// Legacy shim: reads the live head of `db` (no snapshot-isolation
-  /// guarantees under concurrent writers). `db` must outlive the
-  /// evaluator.
-  PlanEvaluator(const Database& db, const ConjunctiveQuery& q)
-      : live_db_(&db), q_(q) {}
 
   /// Overrides the table bound to `atom_idx` (per-query selections or
   /// semi-join-reduced inputs). The pointer must outlive the evaluator.
@@ -96,10 +88,10 @@ class PlanEvaluator {
 
   /// When enabled (and a result cache is attached), entries this evaluator
   /// publishes for maintainable root shapes — project(scan),
-  /// project(join(scan, scan)), join(scan, scan), snapshot-bound, no
-  /// overridden atoms, non-boolean projections — carry a DeltaRecipe so
-  /// the serving layer can roll them forward across append-only commits
-  /// (see src/serve/delta_maintenance.h).
+  /// project(join(scan, scan)), join(scan, scan), no overridden atoms,
+  /// non-boolean projections — carry a DeltaRecipe so the serving layer
+  /// can roll them forward across append-only commits (see
+  /// src/serve/delta_maintenance.h).
   void EnableDeltaRecipes(bool on) { delta_recipes_ = on; }
 
   /// Attaches a trace context: every Evaluate call opens one span (named
@@ -152,10 +144,7 @@ class PlanEvaluator {
       const PlanPtr& plan, const std::shared_ptr<const Rel>& rel,
       std::vector<double>&& acc);
 
-  /// Exactly one of these identifies the catalog: a pinned snapshot
-  /// (serving path) or a live database (legacy shim).
   Snapshot snap_;
-  const Database* live_db_ = nullptr;
   const ConjunctiveQuery& q_;
   AtomOverrides overrides_;
   uint64_t override_atoms_ = 0;
@@ -181,15 +170,6 @@ class PlanEvaluator {
 /// own "plan k" span (parent `trace_parent`) followed by a "min-merge"
 /// span.
 Result<Rel> EvaluatePlansSeparately(const Snapshot& snap,
-                                    const ConjunctiveQuery& q,
-                                    const std::vector<PlanPtr>& plans,
-                                    const AtomOverrides& overrides = {},
-                                    ChunkedScanStats* scan_stats = nullptr,
-                                    obs::TraceContext* trace = nullptr,
-                                    uint32_t trace_parent = 0);
-
-/// Legacy shim over the live head of `db`.
-Result<Rel> EvaluatePlansSeparately(const Database& db,
                                     const ConjunctiveQuery& q,
                                     const std::vector<PlanPtr>& plans,
                                     const AtomOverrides& overrides = {},

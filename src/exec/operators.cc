@@ -160,13 +160,14 @@ void FilterChunk(const Table& t, std::span<const AtomEqCheck> checks,
 
 }  // namespace
 
-namespace {
-
-/// Shared scan body over an already-resolved table (see the public
-/// Snapshot / Database overloads below).
-Result<Rel> ScanAtomResolved(const Table* table, const ConjunctiveQuery& q,
-                             int atom_idx, Scheduler* scheduler,
-                             ChunkedScanStats* stats) {
+Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
+                     int atom_idx, const Table* table, Scheduler* scheduler,
+                     ChunkedScanStats* stats) {
+  if (table == nullptr) {
+    auto t = snap.GetTable(q.atom(atom_idx).relation);
+    if (!t.ok()) return t.status();
+    table = *t;
+  }
   const Atom& atom = q.atom(atom_idx);
   if (table->arity() != atom.arity()) {
     return Status::InvalidArgument("atom " + atom.relation +
@@ -277,30 +278,6 @@ Result<Rel> ScanAtomResolved(const Table* table, const ConjunctiveQuery& q,
       WeightColumn::Gathered(*table->weights(), sel, scheduler));
   return Rel::FromColumns(std::move(vars), std::move(cols), std::move(scores),
                           sel.size());
-}
-
-}  // namespace
-
-Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
-                     int atom_idx, const Table* table, Scheduler* scheduler,
-                     ChunkedScanStats* stats) {
-  if (table == nullptr) {
-    auto t = snap.GetTable(q.atom(atom_idx).relation);
-    if (!t.ok()) return t.status();
-    table = *t;
-  }
-  return ScanAtomResolved(table, q, atom_idx, scheduler, stats);
-}
-
-Result<Rel> ScanAtom(const Database& db, const ConjunctiveQuery& q,
-                     int atom_idx, const Table* table, Scheduler* scheduler,
-                     ChunkedScanStats* stats) {
-  if (table == nullptr) {
-    auto t = db.GetTable(q.atom(atom_idx).relation);
-    if (!t.ok()) return t.status();
-    table = *t;
-  }
-  return ScanAtomResolved(table, q, atom_idx, scheduler, stats);
 }
 
 Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,

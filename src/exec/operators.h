@@ -9,7 +9,6 @@
 #include "src/common/status.h"
 #include "src/exec/rel.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -74,14 +73,6 @@ struct ChunkedScanStats {
 /// order included) with or without a scheduler. `stats`, if given,
 /// accumulates the chunk counters.
 Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
-                     int atom_idx, const Table* table = nullptr,
-                     Scheduler* scheduler = nullptr,
-                     ChunkedScanStats* stats = nullptr);
-
-/// Legacy shim: identical semantics, resolving the catalog binding against
-/// the live head of `db` (single-threaded callers, tests, benches — no
-/// snapshot-isolation guarantees under concurrent writers).
-Result<Rel> ScanAtom(const Database& db, const ConjunctiveQuery& q,
                      int atom_idx, const Table* table = nullptr,
                      Scheduler* scheduler = nullptr,
                      ChunkedScanStats* stats = nullptr);

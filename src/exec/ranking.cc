@@ -40,15 +40,16 @@ std::vector<double> AlignScores(const std::vector<RankedAnswer>& reference,
 }
 
 std::string RankingToString(const std::vector<RankedAnswer>& ranking,
-                            const Database& db, size_t max_rows) {
+                            const Snapshot& snap, size_t max_rows) {
   std::string out;
   for (size_t i = 0; i < ranking.size() && i < max_rows; ++i) {
     out += StrFormat("%3zu. (", i + 1);
     for (size_t c = 0; c < ranking[i].tuple.size(); ++c) {
       if (c > 0) out += ", ";
       const Value& v = ranking[i].tuple[c];
-      out += v.type() == ValueType::kString ? db.strings().Get(v.AsStringCode())
-                                            : v.ToString();
+      out += v.type() == ValueType::kString
+                 ? snap.strings().Get(v.AsStringCode())
+                 : v.ToString();
     }
     out += StrFormat(")  %.6f\n", ranking[i].score);
   }

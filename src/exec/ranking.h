@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/exec/rel.h"
-#include "src/storage/database.h"
+#include "src/storage/snapshot.h"
 
 namespace dissodb {
 
@@ -28,9 +28,9 @@ std::vector<double> AlignScores(const std::vector<RankedAnswer>& reference,
                                 const std::vector<RankedAnswer>& scores,
                                 double missing_value = 0.0);
 
-/// Pretty-prints a ranking (string values resolved through `db`).
+/// Pretty-prints a ranking (string values resolved through `snap`).
 std::string RankingToString(const std::vector<RankedAnswer>& ranking,
-                            const Database& db, size_t max_rows = 10);
+                            const Snapshot& snap, size_t max_rows = 10);
 
 }  // namespace dissodb
 

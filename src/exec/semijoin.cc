@@ -76,18 +76,17 @@ struct AtomInput {
   size_t catalog_rows;
 };
 
-/// Resolves each atom's source table (override first, then `get_table`) and
-/// applies the atom-local filters; shared by both public overloads.
-template <typename GetTable>
+/// Resolves each atom's source table (override first, then `snap`) and
+/// applies the atom-local filters.
 Result<std::vector<AtomInput>> ResolveAndFilter(
-    const GetTable& get_table, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     SemiJoinStats* stats) {
   const int m = q.num_atoms();
   std::vector<AtomInput> inputs;
   inputs.reserve(m);
   for (int i = 0; i < m; ++i) {
-    auto catalog = get_table(q.atom(i).relation);
+    auto catalog = snap.GetTable(q.atom(i).relation);
     const Table* src = nullptr;
     auto it = overrides.find(i);
     if (it != overrides.end()) {
@@ -268,20 +267,7 @@ Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     SemiJoinStats* stats) {
-  auto inputs = ResolveAndFilter(
-      [&](const std::string& name) { return snap.GetTable(name); }, q,
-      overrides, stats);
-  if (!inputs.ok()) return inputs.status();
-  return ReduceResolved(std::move(*inputs), q, stats);
-}
-
-Result<std::vector<Table>> SemiJoinReduce(
-    const Database& db, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides,
-    SemiJoinStats* stats) {
-  auto inputs = ResolveAndFilter(
-      [&](const std::string& name) { return db.GetTable(name); }, q,
-      overrides, stats);
+  auto inputs = ResolveAndFilter(snap, q, overrides, stats);
   if (!inputs.ok()) return inputs.status();
   return ReduceResolved(std::move(*inputs), q, stats);
 }

@@ -13,7 +13,6 @@
 
 #include "src/common/status.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -47,13 +46,6 @@ struct SemiJoinStats {
 /// concurrently.
 Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides = {},
-    SemiJoinStats* stats = nullptr);
-
-/// Legacy shim resolving against the live head of `db` (single-threaded
-/// callers; no snapshot-isolation guarantees under concurrent writers).
-Result<std::vector<Table>> SemiJoinReduce(
-    const Database& db, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
     SemiJoinStats* stats = nullptr);
 

@@ -10,8 +10,6 @@ namespace dissodb {
 
 namespace {
 
-WmcStats g_stats;
-
 using Terms = std::vector<std::vector<int>>;
 
 /// Memoization is keyed by an exact serialization of the (sorted) term list;
@@ -25,9 +23,11 @@ class Wmc {
 
   Result<double> Run(Terms terms) { return Probability(std::move(terms)); }
 
+  const WmcStats& stats() const { return stats_; }
+
  private:
   Result<double> Probability(Terms terms) {
-    if (++g_stats.calls > opts_.max_calls) {
+    if (++stats_.calls > opts_.max_calls) {
       return Status::OutOfRange("WMC exceeded max_calls budget");
     }
     if (terms.empty()) return 0.0;
@@ -91,7 +91,7 @@ class Wmc {
         groups[find(static_cast<int>(i))].push_back(std::move(terms[i]));
       }
       if (groups.size() > 1) {
-        ++g_stats.components_split;
+        ++stats_.components_split;
         double none_true = 1.0;
         for (auto& [root, comp] : groups) {
           auto p = Probability(std::move(comp));
@@ -117,7 +117,7 @@ class Wmc {
       }
       auto it = memo_.find(key);
       if (it != memo_.end()) {
-        ++g_stats.memo_hits;
+        ++stats_.memo_hits;
         return it->second;
       }
     }
@@ -161,12 +161,13 @@ class Wmc {
   const std::vector<double>& probs_;
   const WmcOptions& opts_;
   std::unordered_map<std::string, double> memo_;
+  WmcStats stats_;
 };
 
 }  // namespace
 
-Result<double> ExactDnfProbability(const Dnf& f, const WmcOptions& opts) {
-  g_stats = WmcStats{};
+Result<double> ExactDnfProbability(const Dnf& f, const WmcOptions& opts,
+                                   WmcStats* stats) {
   // Pre-simplify: drop p=0 variables' terms; strip p=1 variables.
   Terms terms;
   terms.reserve(f.terms.size());
@@ -186,9 +187,9 @@ Result<double> ExactDnfProbability(const Dnf& f, const WmcOptions& opts) {
     terms.push_back(std::move(keep));
   }
   Wmc wmc(f.probs, opts);
-  return wmc.Run(std::move(terms));
+  Result<double> p = wmc.Run(std::move(terms));
+  if (stats != nullptr) *stats = wmc.stats();
+  return p;
 }
-
-const WmcStats& LastWmcStats() { return g_stats; }
 
 }  // namespace dissodb

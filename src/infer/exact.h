@@ -18,16 +18,19 @@ struct WmcOptions {
   size_t max_calls = 20'000'000;
 };
 
-/// Exact P(F) for a monotone DNF with independent variables.
-Result<double> ExactDnfProbability(const Dnf& f, const WmcOptions& opts = {});
-
-/// Statistics of the last global call (informational, not thread-safe).
+/// Counters of one ExactDnfProbability call.
 struct WmcStats {
   size_t calls = 0;
   size_t memo_hits = 0;
   size_t components_split = 0;
 };
-const WmcStats& LastWmcStats();
+
+/// Exact P(F) for a monotone DNF with independent variables. The
+/// `max_calls` budget is this call's own, so concurrent calls never spend
+/// each other's. `stats`, if given, receives the call's counters (also
+/// when the budget runs out).
+Result<double> ExactDnfProbability(const Dnf& f, const WmcOptions& opts = {},
+                                   WmcStats* stats = nullptr);
 
 }  // namespace dissodb
 

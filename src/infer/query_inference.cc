@@ -49,7 +49,7 @@ Result<std::vector<RankedAnswer>> ExactProbabilities(
     const Database& db, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     const WmcOptions& wmc) {
-  auto lineage = ComputeLineage(db, q, overrides);
+  auto lineage = ComputeLineage(db.snapshot(), q, overrides);
   if (!lineage.ok()) return lineage.status();
   return ExactFromLineage(*lineage, wmc);
 }
@@ -57,7 +57,7 @@ Result<std::vector<RankedAnswer>> ExactProbabilities(
 Result<std::vector<RankedAnswer>> McProbabilities(
     const Database& db, const ConjunctiveQuery& q, size_t samples, Rng* rng,
     const std::unordered_map<int, const Table*>& overrides) {
-  auto lineage = ComputeLineage(db, q, overrides);
+  auto lineage = ComputeLineage(db.snapshot(), q, overrides);
   if (!lineage.ok()) return lineage.status();
   return McFromLineage(*lineage, samples, rng);
 }

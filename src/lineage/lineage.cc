@@ -54,7 +54,7 @@ struct AtomData {
 }  // namespace
 
 Result<LineageResult> ComputeLineage(
-    const Database& db, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     const LineageOptions& opts) {
   const int m = q.num_atoms();
@@ -69,7 +69,7 @@ Result<LineageResult> ComputeLineage(
     if (oit != overrides.end()) {
       table = oit->second;
     } else {
-      auto t = db.GetTable(a.relation);
+      auto t = snap.GetTable(a.relation);
       if (!t.ok()) return t.status();
       table = *t;
     }

@@ -9,7 +9,7 @@
 #include "src/common/status.h"
 #include "src/lineage/formula.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
+#include "src/storage/snapshot.h"
 
 namespace dissodb {
 
@@ -49,11 +49,12 @@ struct LineageOptions {
   size_t max_total_terms = 50'000'000;
 };
 
-/// Grounds q on db: the full lineage of every answer. `overrides` rebinds
-/// atoms to filtered tables (pointers must outlive the result's row ids'
-/// use).
+/// Grounds q on the pinned snapshot `snap`: the full lineage of every
+/// answer. Atoms without an override resolve against `snap`; `overrides`
+/// rebinds atoms to filtered tables (pointers must outlive the result's
+/// row ids' use).
 Result<LineageResult> ComputeLineage(
-    const Database& db, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
     const LineageOptions& opts = {});
 

@@ -10,7 +10,7 @@ namespace {
 
 struct SqlGenerator {
   const ConjunctiveQuery& q;
-  const Database& db;
+  const Snapshot snap;
   const SqlGenOptions& opts;
 
   std::vector<std::string> ctes;
@@ -36,9 +36,9 @@ struct SqlGenerator {
     switch (p->kind) {
       case PlanNode::Kind::kScan: {
         const Atom& a = q.atom(p->atom_idx);
-        int tidx = db.FindTable(a.relation);
+        int tidx = snap.FindTable(a.relation);
         const RelationSchema* schema =
-            tidx >= 0 ? &db.table(tidx).schema() : nullptr;
+            tidx >= 0 ? &snap.table(tidx).schema() : nullptr;
         std::vector<std::string> sel;
         std::vector<std::string> where;
         std::unordered_map<VarId, std::string> first_col;
@@ -180,7 +180,7 @@ struct SqlGenerator {
       case ValueType::kDouble:
         return StrFormat("%g", v.AsDouble());
       case ValueType::kString:
-        return "'" + db.strings().Get(v.AsStringCode()) + "'";
+        return "'" + snap.strings().Get(v.AsStringCode()) + "'";
     }
     return "NULL";
   }
@@ -190,7 +190,7 @@ struct SqlGenerator {
 
 std::string PlanToSql(const PlanPtr& plan, const ConjunctiveQuery& q,
                       const Database& db, const SqlGenOptions& opts) {
-  SqlGenerator gen{q, db, opts, {}, {}, {}, 0};
+  SqlGenerator gen{q, db.snapshot(), opts, {}, {}, {}, 0};
   std::string root = gen.Emit(plan);
   std::string out = "WITH\n" + Join(gen.ctes, ",\n") + "\nSELECT * FROM " +
                     root + " ORDER BY " + opts.prob_column + " DESC;";

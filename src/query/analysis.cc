@@ -12,18 +12,13 @@ SchemaKnowledge SchemaKnowledge::None(const ConjunctiveQuery& q) {
   return sk;
 }
 
-namespace {
-
-/// Shared body of FromDatabase / FromSnapshot: `catalog` is anything with
-/// GetTable(name) -> Result<const Table*>.
-template <typename Catalog>
-Result<SchemaKnowledge> FromCatalog(const ConjunctiveQuery& q,
-                                    const Catalog& catalog) {
+Result<SchemaKnowledge> SchemaKnowledge::FromSnapshot(
+    const ConjunctiveQuery& q, const Snapshot& snap) {
   SchemaKnowledge sk;
   sk.deterministic.assign(q.num_atoms(), false);
   for (int i = 0; i < q.num_atoms(); ++i) {
     const Atom& a = q.atom(i);
-    auto t = catalog.GetTable(a.relation);
+    auto t = snap.GetTable(a.relation);
     if (!t.ok()) return t.status();
     const RelationSchema& schema = (*t)->schema();
     if (schema.arity() != a.arity()) {
@@ -51,18 +46,6 @@ Result<SchemaKnowledge> FromCatalog(const ConjunctiveQuery& q,
     }
   }
   return sk;
-}
-
-}  // namespace
-
-Result<SchemaKnowledge> SchemaKnowledge::FromDatabase(
-    const ConjunctiveQuery& q, const Database& db) {
-  return FromCatalog(q, db);
-}
-
-Result<SchemaKnowledge> SchemaKnowledge::FromSnapshot(
-    const ConjunctiveQuery& q, const Snapshot& snap) {
-  return FromCatalog(q, snap);
 }
 
 std::vector<WorkAtom> MakeWorkAtoms(const ConjunctiveQuery& q,

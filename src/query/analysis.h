@@ -11,7 +11,7 @@
 
 #include "src/common/status.h"
 #include "src/query/cq.h"
-#include "src/storage/database.h"
+#include "src/storage/snapshot.h"
 
 namespace dissodb {
 
@@ -41,13 +41,9 @@ struct SchemaKnowledge {
   /// All-probabilistic, no FDs (the paper's default setting).
   static SchemaKnowledge None(const ConjunctiveQuery& q);
 
-  /// Reads deterministic flags and FDs from the database catalog. FD
-  /// positions bound to constants contribute nothing to the lhs (they are
-  /// fixed by the atom), making the FD strictly more useful.
-  static Result<SchemaKnowledge> FromDatabase(const ConjunctiveQuery& q,
-                                              const Database& db);
-
-  /// Same, reading a pinned snapshot's catalog (safe while writers commit).
+  /// Reads deterministic flags and FDs from a pinned snapshot's catalog.
+  /// FD positions bound to constants contribute nothing to the lhs (they
+  /// are fixed by the atom), making the FD strictly more useful.
   static Result<SchemaKnowledge> FromSnapshot(const ConjunctiveQuery& q,
                                               const Snapshot& snap);
 };

@@ -4,7 +4,7 @@
 // fingerprint (PlanFingerprint) *and* the snapshot version they were
 // computed against, so a mutation can never serve stale results — and
 // several versions may coexist: executions against a held (older) snapshot
-// keep hitting their own entries while executions against the live head
+// keep hitting their own entries while executions against fresh snapshots
 // populate the new version's. Versions no held snapshot pins anymore are
 // swept by EvictOlderThan (driven from the database's commit hook);
 // anything it misses falls to ordinary LRU pressure.

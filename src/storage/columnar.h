@@ -33,14 +33,14 @@
 // runs the engine/serve tests under -fsanitize=thread to keep this honest.
 //
 // Seal-on-publish: the snapshot/writer layer (src/storage/snapshot.h,
-// Database::Writer) extends the same contract to base tables. Publishing a
-// snapshot copies each Table shallowly under the database's state lock, so
-// every chunk a snapshot can reach is shared (use_count > 1) and therefore
-// *effectively sealed*: any later append — through a Writer's staged copy
-// or the live head — observes the sharing and detaches before writing.
-// Chunks reachable from a published snapshot are never mutated, which is
-// what makes held-snapshot reads bit-identical across concurrent commits
-// without any further locking.
+// Database::Writer) extends the same contract to base tables. A published
+// Table is immutable: nothing holds a mutable pointer to it. Writers stage
+// shallow copies, so every column and chunk a published table reaches is
+// shared (use_count > 1) with the staged copy and therefore *effectively
+// sealed*: the first append or overwrite through the copy observes the
+// sharing and detaches before writing. Chunks reachable from a published
+// snapshot are never mutated, which is what makes held-snapshot reads
+// bit-identical across concurrent commits without any further locking.
 #ifndef DISSODB_STORAGE_COLUMNAR_H_
 #define DISSODB_STORAGE_COLUMNAR_H_
 

@@ -6,31 +6,28 @@
 namespace dissodb {
 
 Database::Database()
-    : by_name_(std::make_shared<std::unordered_map<std::string, int>>()),
-      strings_(std::make_shared<StringPool>()),
-      registry_(std::make_shared<SnapshotRegistry>()) {}
+    : strings_(std::make_shared<StringPool>()),
+      registry_(std::make_shared<SnapshotRegistry>()) {
+  head_ = std::make_shared<const SnapshotState>(
+      std::vector<std::shared_ptr<const Table>>{},
+      std::make_shared<const std::unordered_map<std::string, int>>(), strings_,
+      /*version=*/0, registry_);
+}
 
 Database::Database(Database&& o) noexcept
-    : tables_(std::move(o.tables_)),
-      by_name_(std::move(o.by_name_)),
+    : head_(std::move(o.head_)),
       strings_(std::move(o.strings_)),
       registry_(std::move(o.registry_)),
       hooks_(std::move(o.hooks_)),
-      next_hook_token_(o.next_hook_token_) {
-  version_.store(o.version_.load(std::memory_order_acquire),
-                 std::memory_order_release);
-}
+      next_hook_token_(o.next_hook_token_) {}
 
 Database& Database::operator=(Database&& o) noexcept {
   if (this == &o) return *this;
-  tables_ = std::move(o.tables_);
-  by_name_ = std::move(o.by_name_);
+  head_ = std::move(o.head_);
   strings_ = std::move(o.strings_);
   registry_ = std::move(o.registry_);
   hooks_ = std::move(o.hooks_);
   next_hook_token_ = o.next_hook_token_;
-  version_.store(o.version_.load(std::memory_order_acquire),
-                 std::memory_order_release);
   return *this;
 }
 
@@ -40,22 +37,12 @@ Database& Database::operator=(Database&& o) noexcept {
 
 Snapshot Database::snapshot() const {
   std::lock_guard lock(state_mu_);
-  // O(#tables) shallow Table copies: each copy shares every column (and
-  // through it every sealed chunk) by shared_ptr — no payload is touched.
-  // The copy decouples the snapshot from the live head: later mutations
-  // copy-on-write-detach inside the live tables and never reach these.
-  // States are rebuilt per acquisition rather than cached so that rows
-  // loaded through a retained CreateTable()/mutable_table() pointer (the
-  // seed loading pattern, which bumps no version) stay visible to the
-  // next snapshot; the name index and string pool are shared, not copied.
-  std::vector<std::shared_ptr<const Table>> tables;
-  tables.reserve(tables_.size());
-  for (const auto& t : tables_) {
-    tables.push_back(std::make_shared<const Table>(*t));
-  }
-  return Snapshot(std::make_shared<const SnapshotState>(
-      std::move(tables), by_name_, strings_,
-      version_.load(std::memory_order_acquire), registry_));
+  return Snapshot(head_);
+}
+
+uint64_t Database::version() const {
+  std::lock_guard lock(state_mu_);
+  return head_->version;
 }
 
 uint64_t Database::OldestLiveSnapshotVersion() const {
@@ -162,9 +149,8 @@ uint64_t Database::Writer::Commit() {
   // appends alone — overwrite epoch untouched (no SetProb / rescale) and
   // row count non-decreasing. Newly added tables don't disqualify the
   // commit (no earlier-cached plan can reference them) but contribute no
-  // delta. An empty commit (legacy mutable_table shim) is conservatively
-  // NOT append-only: the caller is about to mutate the live head outside
-  // any transaction, so caches must invalidate.
+  // delta. An empty commit is conservatively NOT append-only: it still
+  // bumps the version, so caches invalidate.
   CommitInfo info;
   info.append_only = !staged_.empty() || !added_.empty();
   for (const auto& [idx, t] : staged_) {
@@ -216,24 +202,31 @@ Database::Writer Database::BeginWrite() { return Writer(this); }
 uint64_t Database::Publish(
     const std::unordered_map<int, std::shared_ptr<Table>>& staged,
     const std::vector<std::pair<std::string, std::shared_ptr<Table>>>& added) {
-  std::lock_guard lock(state_mu_);
-  for (const auto& [idx, t] : staged) {
-    // Shallow assignment: the live Table object keeps its address (legacy
-    // pointers stay valid) and adopts the staged columns; previously
-    // acquired snapshots hold their own copies and are unaffected.
-    *tables_[idx] = *t;
-  }
+  // Only the open writer ever replaces head_, so it reads head_ unlocked
+  // and builds the next state outside the lock; readers wait for the swap
+  // alone. The next state shares every untouched table handle, and the
+  // name index unless tables were added, with the current head. Staged and
+  // added tables are adopted as they are: the writer never touches them
+  // again.
+  std::vector<std::shared_ptr<const Table>> tables = head_->tables;
+  for (const auto& [idx, t] : staged) tables[idx] = t;
+  std::shared_ptr<const std::unordered_map<std::string, int>> by_name =
+      head_->by_name;
   if (!added.empty()) {
-    // Copy-on-write on the shared name index: snapshots keep their own.
     auto names = std::make_shared<std::unordered_map<std::string, int>>(
-        *by_name_);
+        *by_name);
     for (const auto& [name, t] : added) {
-      names->emplace(name, static_cast<int>(tables_.size()));
-      tables_.push_back(t);  // adopt the staged object as the live table
+      names->emplace(name, static_cast<int>(tables.size()));
+      tables.push_back(t);
     }
-    by_name_ = std::move(names);
+    by_name = std::move(names);
   }
-  return version_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  const uint64_t version = head_->version + 1;
+  auto next = std::make_shared<const SnapshotState>(
+      std::move(tables), std::move(by_name), strings_, version, registry_);
+  std::lock_guard lock(state_mu_);
+  head_ = std::move(next);
+  return version;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ void Database::RunCommitHooks(const CommitInfo& info) const {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy mutation shims
+// One-mutation conveniences
 // ---------------------------------------------------------------------------
 
 Result<int> Database::AddTable(Table table) {
@@ -278,49 +271,18 @@ Result<int> Database::AddTable(Table table) {
   return r;
 }
 
-Result<Table*> Database::CreateTable(RelationSchema schema) {
-  auto r = AddTable(Table(std::move(schema)));
-  if (!r.ok()) return r.status();
-  std::lock_guard lock(state_mu_);
-  return tables_[*r].get();
-}
-
-Table* Database::mutable_table(int idx) {
-  {
-    // Opens-and-commits an empty writer: bumps the version (conservatively
-    // invalidating version-stamped caches, as the seed behavior did) and
-    // fires commit hooks. The returned pointer itself is the unsynchronized
-    // legacy escape hatch — see the header.
-    Writer w = BeginWrite();
-    w.Commit();
-  }
-  return tables_[idx].get();
-}
-
 void Database::ScaleProbabilities(double f) {
   Writer w = BeginWrite();
   w.ScaleProbabilities(f);
   w.Commit();
 }
 
-// ---------------------------------------------------------------------------
-// Reads / misc
-// ---------------------------------------------------------------------------
-
-int Database::FindTable(const std::string& name) const {
-  auto it = by_name_->find(name);
-  return it == by_name_->end() ? -1 : it->second;
-}
-
-Result<const Table*> Database::GetTable(const std::string& name) const {
-  int idx = FindTable(name);
-  if (idx < 0) return Status::NotFound("no table named " + name);
-  return static_cast<const Table*>(tables_[idx].get());
-}
-
 Database Database::Clone() const {
   Database out;
   Snapshot snap = snapshot();
+  // Copy the pool before committing, so the clone's published state counts
+  // every string code its tables hold.
+  *out.strings_ = *strings_;
   {
     Writer w = out.BeginWrite();
     for (int i = 0; i < snap.NumTables(); ++i) {
@@ -329,13 +291,6 @@ Database Database::Clone() const {
     }
     w.Commit();
   }
-  *out.strings_ = *strings_;
-  return out;
-}
-
-std::string Database::ToString() const {
-  std::string out;
-  for (const auto& t : tables_) out += t->ToString();
   return out;
 }
 

@@ -7,32 +7,27 @@
 //   - Readers call snapshot() and execute against the returned Snapshot —
 //     an immutable, copy-free view (shared table handles pinning sealed
 //     column chunks, the catalog index, the string-pool high-water mark
-//     and a version stamp). Acquisition is O(#tables) handle copies.
+//     and a version stamp). The database holds its published state as one
+//     immutable SnapshotState, so acquisition copies one shared handle.
 //   - Writers call BeginWrite() and stage every mutation (row appends,
 //     probability scaling, new tables) into private copy-on-write table
 //     copies; sealed chunks stay shared with every live snapshot, only
 //     the tail chunk being written is detached. Commit() publishes all
-//     staged changes atomically and bumps the data version; Abort() (or
-//     destruction without commit) discards them. Writers serialize among
-//     themselves; they never block readers and readers never block them
-//     beyond the O(#tables) publish critical section.
+//     staged changes atomically as the next state and bumps the data
+//     version; Abort() (or destruction without commit) discards them.
+//     Writers serialize among themselves; they never block readers and
+//     readers never block them beyond the pointer swap that publishes.
 //
 //   Any number of reader threads may hold snapshots and execute while a
 //   writer stages and commits: a held snapshot returns bit-identical
 //   results across commits (the CI tsan job asserts this).
 //
-// Legacy surface: the const read accessors (table(), GetTable(), ...)
-// read the live head and remain valid for single-threaded use; each
-// structured mutation entry point (AddTable, CreateTable,
-// ScaleProbabilities) is a shim that opens a writer, applies the one
-// mutation, and commits. mutable_table() is deprecated: it hands out a
-// raw pointer into the live head, which cannot be reconciled with
-// concurrent readers — migrate to BeginWrite() (see README "Snapshots &
-// concurrent serving").
+// Snapshot is the only read handle and Writer the only write handle: the
+// database itself exposes no table. AddTable and ScaleProbabilities are
+// one-mutation conveniences that open a writer, apply it, and commit.
 #ifndef DISSODB_STORAGE_DATABASE_H_
 #define DISSODB_STORAGE_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -93,11 +88,16 @@ class Database {
   // Snapshots (read surface)
   // -------------------------------------------------------------------------
 
-  /// Acquires an immutable snapshot of the current state: O(#tables)
-  /// shared-handle copies, no payload copies (chunk lists are pinned by
-  /// reference). The snapshot is immune to every later mutation and may
-  /// outlive this Database. Thread-safe against concurrent Commit()s.
+  /// Acquires an immutable snapshot of the current state: one shared-handle
+  /// copy of the published SnapshotState, no table or payload copies. The
+  /// snapshot is immune to every later mutation and may outlive this
+  /// Database. Thread-safe against concurrent Commit()s.
   Snapshot snapshot() const;
+
+  /// Monotonic data version: bumped by every commit. Snapshots carry the
+  /// version they pinned; the serving layer's ResultCache stamps cached
+  /// relations with it.
+  uint64_t version() const;
 
   /// The oldest version any still-held snapshot pins, or the current
   /// version when none is held. The serving layer sweeps result-cache
@@ -163,8 +163,8 @@ class Database {
     const Table& table(int idx) const;
     int FindTable(const std::string& name) const;
 
-    /// Publishes every staged change atomically: the live head and the
-    /// next snapshot see all of them, previously acquired snapshots none.
+    /// Publishes every staged change atomically: the next snapshot sees all
+    /// of them, previously acquired snapshots none.
     /// Bumps and returns the new data version, then runs commit hooks.
     /// The writer is finished afterwards (only Abort()/destruction legal).
     uint64_t Commit();
@@ -195,12 +195,12 @@ class Database {
   /// Opens a writer transaction; blocks while another writer is open.
   Writer BeginWrite();
 
-  /// Commit hooks run after every successful Commit() (and after each
-  /// legacy mutation shim), outside the publish lock, with the committed
-  /// version and its append-only delta description (see CommitInfo). The
-  /// serving layer uses them to delta-maintain or sweep version-stale
-  /// cache entries. Returns a token for UnregisterCommitHook, which is
-  /// synchronizing: once it returns, no invocation of the hook is in
+  /// Commit hooks run after every successful Commit() (including the ones
+  /// AddTable and ScaleProbabilities open), outside the publish lock, with
+  /// the committed version and its append-only delta description (see
+  /// CommitInfo). The serving layer uses them to delta-maintain or sweep
+  /// version-stale cache entries. Returns a token for UnregisterCommitHook,
+  /// which is synchronizing: once it returns, no invocation of the hook is in
   /// flight (hooks run under the hook lock — they must not (un)register
   /// hooks or open writers on this database). Const because observing
   /// commits does not mutate data.
@@ -209,54 +209,14 @@ class Database {
   void UnregisterCommitHook(int token) const;
 
   // -------------------------------------------------------------------------
-  // Legacy mutation shims (single-writer convenience; each opens and
-  // commits a Writer internally)
+  // One-mutation conveniences (each opens and commits a Writer)
   // -------------------------------------------------------------------------
 
   /// Adds a table; fails if the name already exists. Returns its index.
   Result<int> AddTable(Table table);
 
-  /// Creates an empty table with `schema` and returns a pointer to the
-  /// live table. NOTE: rows added through the returned pointer do not bump
-  /// the version; take snapshots (or run queries) only after loading
-  /// finishes, exactly like the seed behavior.
-  Result<Table*> CreateTable(RelationSchema schema);
-
-  /// DEPRECATED: raw mutable access to the live table. Opens-and-commits
-  /// an empty writer (bumping the version so caches invalidate
-  /// conservatively, and firing commit hooks) before handing out the
-  /// pointer. Mutations through the pointer race concurrent snapshot
-  /// acquisition — not safe for concurrent serving; use BeginWrite().
-  Table* mutable_table(int idx);
-
   /// Scales all probabilistic tables by `f` (Figure 5n-5p experiments).
   void ScaleProbabilities(double f);
-
-  // -------------------------------------------------------------------------
-  // Live-head read accessors (single-threaded / quiescent use; concurrent
-  // readers should hold a Snapshot instead)
-  // -------------------------------------------------------------------------
-
-  int NumTables() const { return static_cast<int>(tables_.size()); }
-  const Table& table(int idx) const { return *tables_[idx]; }
-
-  /// Monotonic data version: bumped by every commit (including the legacy
-  /// mutation shims). Snapshots carry the version they pinned; the serving
-  /// layer's ResultCache stamps cached relations with it.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  /// Index of table `name`, or -1.
-  int FindTable(const std::string& name) const;
-  Result<const Table*> GetTable(const std::string& name) const;
-
-  double TupleProb(TupleId id) const {
-    return tables_[id.table]->Prob(id.row);
-  }
-  bool TupleDeterministic(TupleId id) const {
-    return tables_[id.table]->schema().deterministic;
-  }
 
   StringPool* strings() { return strings_.get(); }
   const StringPool& strings() const { return *strings_; }
@@ -267,29 +227,26 @@ class Database {
   /// Deep copy (tables are copied; the string pool is shared content-wise).
   Database Clone() const;
 
-  std::string ToString() const;
-
  private:
-  /// Publishes `staged`/`added` under state_mu_: applies them to the live
-  /// head and returns the new version. Called by Writer::Commit.
+  /// Publishes `staged`/`added`: builds the next state from the head plus
+  /// them, swaps it in as the head under state_mu_ and returns the new
+  /// version. Called by Writer::Commit, with writer_mu_ held.
   uint64_t Publish(
       const std::unordered_map<int, std::shared_ptr<Table>>& staged,
       const std::vector<std::pair<std::string, std::shared_ptr<Table>>>& added);
 
   void RunCommitHooks(const CommitInfo& info) const;
 
-  /// Guards the live head (tables_, by_name_) and snapshot construction:
-  /// every mutation of the live head happens under it, so snapshot() always
-  /// observes fully-published states.
+  /// Guards head_: Publish swaps it and snapshot() copies it under this
+  /// lock, so a snapshot always observes one fully-published state.
   mutable std::mutex state_mu_;
   /// Serializes writers (held for a Writer's whole lifetime).
   std::mutex writer_mu_;
 
-  std::vector<std::shared_ptr<Table>> tables_;
-  /// Shared into snapshots; replaced (copy-on-write) when tables are added.
-  std::shared_ptr<const std::unordered_map<std::string, int>> by_name_;
+  /// The published state. Immutable: a commit replaces the pointer, never
+  /// the state or a table it holds.
+  std::shared_ptr<const SnapshotState> head_;
   std::shared_ptr<StringPool> strings_;
-  std::atomic<uint64_t> version_{0};
   std::shared_ptr<SnapshotRegistry> registry_;
 
   mutable std::mutex hooks_mu_;

@@ -3,18 +3,22 @@
 // A Snapshot is a cheap, copyable handle over a SnapshotState — the set of
 // table handles (and through them the sealed column-chunk lists), the
 // catalog name index, the string-pool high-water mark, and the version
-// stamp that were current when the snapshot was acquired. Acquisition is
-// O(#tables): only shared_ptr table handles are copied, never payloads
-// (PR 3's chunked columns make the pinned data copy-free). Once acquired,
-// a snapshot is completely immune to later mutation: writers stage into
-// copy-on-write table copies and publish new states, so every chunk a
-// snapshot pins stays sealed and bit-identical for the snapshot's
-// lifetime. Query results computed against a held snapshot are therefore
-// bit-identical no matter how many commits happen concurrently.
+// stamp of one published database state. The database builds each state
+// once, at commit, and hands the same state to every reader until the next
+// commit, so acquisition copies one shared_ptr and never a table or a
+// payload. Once acquired, a snapshot is completely immune to later
+// mutation: writers stage into copy-on-write table copies and publish new
+// states, so every chunk a snapshot pins stays sealed and bit-identical
+// for the snapshot's lifetime. Query results computed against a held
+// snapshot are therefore bit-identical no matter how many commits happen
+// concurrently.
 //
-// All engine read paths (ScanAtom, PlanEvaluator, SemiJoinReduce,
-// QueryEngine::Execute/Submit) run against `const Snapshot&`; the
-// `const Database&` overloads are thin shims that acquire one internally.
+// Snapshot is the only read handle: every read path (ScanAtom,
+// PlanEvaluator, SemiJoinReduce, ComputeLineage, QueryEngine::Execute /
+// Submit) runs against one, and the Database exposes no table of its own.
+// The few entry points outside the engine that take `const Database&`
+// (QueryEngine, PropagationScore, PlanScore, ExactProbabilities, ...)
+// acquire exactly one snapshot per call.
 //
 // Lifetime: a Snapshot owns everything it exposes (tables, string pool),
 // so it may outlive the Database it came from. The live-version registry
@@ -55,9 +59,10 @@ struct TupleIdHash {
 };
 
 /// Shared registry of live snapshot versions for one Database. Snapshot
-/// states register on construction and deregister on destruction, so the
-/// database (and the serving layer's stale-entry sweep) can ask for the
-/// oldest version any still-held snapshot could read at.
+/// states (the database's published head among them) register on
+/// construction and deregister on destruction, so the database (and the
+/// serving layer's stale-entry sweep) can ask for the oldest version any
+/// still-held snapshot could read at.
 class SnapshotRegistry {
  public:
   void Add(uint64_t version) {
@@ -103,7 +108,7 @@ struct SnapshotState {
   SnapshotState& operator=(const SnapshotState&) = delete;
 
   const std::vector<std::shared_ptr<const Table>> tables;
-  /// Shared with the database (copy-on-write on AddTable), not copied.
+  /// Shared with the next published state unless that state adds tables.
   const std::shared_ptr<const std::unordered_map<std::string, int>> by_name;
   const std::shared_ptr<const StringPool> strings;
   /// Pool size at publish: every string code in `tables` is below this.

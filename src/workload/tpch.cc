@@ -137,15 +137,16 @@ ConjunctiveQuery TpchQuery() {
 
 Result<std::unique_ptr<TpchSelections>> MakeTpchSelections(
     const Database& db, int64_t dollar1, const std::string& dollar2) {
-  auto supplier = db.GetTable("Supplier");
+  const Snapshot snap = db.snapshot();
+  auto supplier = snap.GetTable("Supplier");
   if (!supplier.ok()) return supplier.status();
-  auto part = db.GetTable("Part");
+  auto part = snap.GetTable("Part");
   if (!part.ok()) return part.status();
 
   Table s = (*supplier)->Filter([&](std::span<const Value> row) {
     return row[0].AsInt64() <= dollar1;
   });
-  const StringPool& pool = db.strings();
+  const StringPool& pool = snap.strings();
   Table p = (*part)->Filter([&](std::span<const Value> row) {
     return LikeMatch(pool.Get(row[1].AsStringCode()), dollar2);
   });

@@ -123,7 +123,7 @@ TEST(SchemaKnowledgeTest, FromDatabaseReadsDeterministicFlags) {
     auto r = db.AddTable(std::move(t));
     ASSERT_TRUE(r.ok());
   }
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
   EXPECT_FALSE(sk->IsDeterministic(0));
   EXPECT_TRUE(sk->IsDeterministic(1));
@@ -136,7 +136,7 @@ TEST(SchemaKnowledgeTest, FromDatabaseLiftsFDsToVariables) {
   s.fds.push_back(FunctionalDependency{{0}, {1}});
   auto r = db.AddTable(Table(s));
   ASSERT_TRUE(r.ok());
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
   ASSERT_EQ(sk->fds.size(), 1u);
   EXPECT_EQ(sk->fds[0].lhs, Vars(*&const_cast<ConjunctiveQuery&>(q), {"x"}));
@@ -157,7 +157,7 @@ TEST(SchemaKnowledgeTest, ConstantLhsPositionMakesFdStronger) {
   auto add = db.AddTable(Table(r));
   ASSERT_TRUE(add.ok());
   AddTable(&db, "S", 1, {});
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
   ASSERT_EQ(sk->fds.size(), 1u);
   EXPECT_EQ(sk->fds[0].lhs, 0u);
@@ -168,7 +168,7 @@ TEST(SchemaKnowledgeTest, ArityMismatchRejected) {
   auto q = Q("q() :- R(x,y)");
   Database db;
   AddTable(&db, "R", 1, {});
-  EXPECT_FALSE(SchemaKnowledge::FromDatabase(q, db).ok());
+  EXPECT_FALSE(SchemaKnowledge::FromSnapshot(q, db.snapshot()).ok());
 }
 
 }  // namespace

@@ -155,7 +155,11 @@ TEST(BatchEngineTest, MutationBumpsVersionAndInvalidatesCachedResults) {
 
   // Mutate a base probability: the version counter moves and every cached
   // subplan becomes stale.
-  db.mutable_table(0)->SetProb(0, 0.1);
+  {
+    Database::Writer w = db.BeginWrite();
+    w.mutable_table(0)->SetProb(0, 0.1);
+    w.Commit();
+  }
   EXPECT_GT(db.version(), v0);
 
   auto after = engine.RunBatch(std::vector<ConjunctiveQuery>{q});

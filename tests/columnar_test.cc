@@ -59,9 +59,10 @@ TEST(ColumnarTest, ScanSharesTableColumnsZeroCopy) {
   Database db;
   AddTable(&db, "R", 2, {{{1, 2}, 0.5}, {{3, 4}, 0.25}});
   ConjunctiveQuery q = Q("q(x,y) :- R(x,y)");
-  auto rel = ScanAtom(db, q, 0);
+  const Snapshot snap = db.snapshot();
+  auto rel = ScanAtom(snap, q, 0);
   ASSERT_TRUE(rel.ok());
-  const Table* t = *db.GetTable("R");
+  const Table* t = *snap.GetTable("R");
   // Unfiltered scan: the Rel references the very same column objects.
   EXPECT_EQ(rel->col(0).get(), t->col(0).get());
   EXPECT_EQ(rel->col(1).get(), t->col(1).get());
@@ -72,14 +73,14 @@ TEST(ColumnarTest, CopyOnWriteLeavesSharedColumnsIntact) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.25}});
   ConjunctiveQuery q = Q("q(x) :- R(x)");
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   Rel copy = *rel;  // shallow
   EXPECT_EQ(copy.col(0).get(), rel->col(0).get());
   copy.SetScore(0, 0.99);  // triggers copy-on-write of the score column
   EXPECT_DOUBLE_EQ(copy.Score(0), 0.99);
   EXPECT_DOUBLE_EQ(rel->Score(0), 0.5);
-  EXPECT_DOUBLE_EQ((*db.GetTable("R"))->Prob(0), 0.5);
+  EXPECT_DOUBLE_EQ((*db.snapshot().GetTable("R"))->Prob(0), 0.5);
 }
 
 TEST(ColumnarTest, TableShallowCopyThenMutateIsIsolated) {
@@ -260,9 +261,10 @@ TEST(ChunkedColumnTest, ReserveIsANoOpOnSharedColumnsWithoutGrowth) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.25}});
   ConjunctiveQuery q = Q("q(x) :- R(x)");
-  auto rel = ScanAtom(db, q, 0);
+  const Snapshot snap = db.snapshot();
+  auto rel = ScanAtom(snap, q, 0);
   ASSERT_TRUE(rel.ok());
-  const Table* t = *db.GetTable("R");
+  const Table* t = *snap.GetTable("R");
   ASSERT_EQ(rel->col(0).get(), t->col(0).get());
   // A no-growth reservation must not silently deep-copy the shared scan
   // output (columns nor weights).

@@ -220,7 +220,7 @@ TEST(ChunkBoundaryDifferentialTest, MultiChunkGatherSpansChunkSeams) {
 /// the partner's surviving keys. Returns the kept row indices per atom, into
 /// the atom's source table (its override, else its catalog table).
 std::vector<std::vector<size_t>> RefSemiJoinRows(
-    const Database& db, const ConjunctiveQuery& q,
+    const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {}) {
   const int m = q.num_atoms();
   // Kept row indices per atom (into the source table), after the
@@ -230,7 +230,7 @@ std::vector<std::vector<size_t>> RefSemiJoinRows(
   for (int i = 0; i < m; ++i) {
     auto ov = overrides.find(i);
     tables[i] = ov != overrides.end() ? ov->second
-                                      : *db.GetTable(q.atom(i).relation);
+                                      : *snap.GetTable(q.atom(i).relation);
     const Atom& a = q.atom(i);
     for (size_t r = 0; r < tables[i]->NumRows(); ++r) {
       bool pass = true;
@@ -296,17 +296,17 @@ std::vector<std::vector<size_t>> RefSemiJoinRows(
 /// Asserts that `reduced` holds exactly the reference rows, in order, with
 /// the source rows' values and probabilities.
 void ExpectReductionMatchesReference(
-    const std::vector<Table>& reduced, const Database& db,
+    const std::vector<Table>& reduced, const Snapshot& snap,
     const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     const std::string& context) {
-  auto ref = RefSemiJoinRows(db, q, overrides);
+  auto ref = RefSemiJoinRows(snap, q, overrides);
   ASSERT_EQ(reduced.size(), ref.size()) << context;
   for (int i = 0; i < q.num_atoms(); ++i) {
     auto ov = overrides.find(i);
     const Table* orig = ov != overrides.end()
                             ? ov->second
-                            : *db.GetTable(q.atom(i).relation);
+                            : *snap.GetTable(q.atom(i).relation);
     ASSERT_EQ(reduced[i].NumRows(), ref[i].size())
         << "atom " << i << " " << context;
     for (size_t k = 0; k < ref[i].size(); ++k) {
@@ -332,10 +332,11 @@ TEST(DifferentialTest, SemiJoinReduceMatchesReference) {
     is.max_rows = 8;
     is.domain = 3;
     Database db = RandomDatabaseFor(q, &rng, is);
+    const Snapshot snap = db.snapshot();
 
-    auto reduced = SemiJoinReduce(db, q);
+    auto reduced = SemiJoinReduce(snap, q);
     ASSERT_TRUE(reduced.ok()) << seed;
-    ExpectReductionMatchesReference(*reduced, db, q, {},
+    ExpectReductionMatchesReference(*reduced, snap, q, {},
                                     "seed " + std::to_string(seed) + " " +
                                         q.ToString());
   }
@@ -350,17 +351,18 @@ TEST(DifferentialTest, TpchSelectionsReduceToReferenceWithoutIndexingPartsupp) {
   TpchOptions opts;
   opts.scale = 0.05;
   Database db = MakeTpchDatabase(opts);
-  const size_t partsupp_rows = (*db.GetTable("Partsupp"))->NumRows();
+  const Snapshot snap = db.snapshot();
+  const size_t partsupp_rows = (*snap.GetTable("Partsupp"))->NumRows();
   const int64_t half = static_cast<int64_t>(
-      (*db.GetTable("Supplier"))->NumRows() / 2);
+      (*snap.GetTable("Supplier"))->NumRows() / 2);
   auto sel = MakeTpchSelections(db, half, "%red%");
   ASSERT_TRUE(sel.ok());
   const ConjunctiveQuery q = TpchQuery();
 
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, (*sel)->overrides, &stats);
+  auto reduced = SemiJoinReduce(snap, q, (*sel)->overrides, &stats);
   ASSERT_TRUE(reduced.ok());
-  ExpectReductionMatchesReference(*reduced, db, q, (*sel)->overrides,
+  ExpectReductionMatchesReference(*reduced, snap, q, (*sel)->overrides,
                                   "tpch");
   EXPECT_GT((*reduced)[1].NumRows(), 0u);
   EXPECT_LT((*reduced)[1].NumRows(), partsupp_rows / 10);

@@ -112,7 +112,8 @@ TEST(MaterializeTest, Example11) {
   d.extra[0] = Vars(q, {"y"});
   auto mat = MaterializeDissociation(db, q, d);
   ASSERT_TRUE(mat.ok()) << mat.status().ToString();
-  auto rd = mat->db.GetTable("R__d0");
+  const Snapshot snap = mat->db.snapshot();
+  auto rd = snap.GetTable("R__d0");
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ((*rd)->NumRows(), 4u);  // {1,2} x ADom(y)={4,5}
   EXPECT_EQ((*rd)->arity(), 2);
@@ -134,7 +135,8 @@ TEST(MaterializeTest, EmptyDissociationCopiesTables) {
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   auto mat = MaterializeDissociation(db, q, Dissociation::Empty(q));
   ASSERT_TRUE(mat.ok());
-  auto rd = mat->db.GetTable("R__d0");
+  const Snapshot snap = mat->db.snapshot();
+  auto rd = snap.GetTable("R__d0");
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ((*rd)->NumRows(), 1u);
   EXPECT_EQ((*rd)->arity(), 1);

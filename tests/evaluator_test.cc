@@ -50,7 +50,7 @@ TEST(Example17Test, MinimalDissociationScores) {
   d3.extra[3] = Vars(q, {"x"});
   auto p3 = SafePlanForDissociation(q, d3);
   ASSERT_TRUE(p3.ok());
-  PlanEvaluator ev3(db, q);
+  PlanEvaluator ev3(db.snapshot(), q);
   auto r3 = ev3.Evaluate(*p3);
   ASSERT_TRUE(r3.ok());
   ASSERT_EQ((*r3)->NumRows(), 1u);
@@ -61,7 +61,7 @@ TEST(Example17Test, MinimalDissociationScores) {
   d4.extra[1] = Vars(q, {"y"});
   auto p4 = SafePlanForDissociation(q, d4);
   ASSERT_TRUE(p4.ok());
-  PlanEvaluator ev4(db, q);
+  PlanEvaluator ev4(db.snapshot(), q);
   auto r4 = ev4.Evaluate(*p4);
   ASSERT_TRUE(r4.ok());
   ASSERT_EQ((*r4)->NumRows(), 1u);
@@ -93,7 +93,7 @@ TEST(Example17Test, Theorem18ScoreEqualsDissociatedProbability) {
     }
     auto plan = SafePlanForDissociation(q, d);
     ASSERT_TRUE(plan.ok());
-    PlanEvaluator ev(db, q);
+    PlanEvaluator ev(db.snapshot(), q);
     auto score = ev.Evaluate(*plan);
     ASSERT_TRUE(score.ok());
 
@@ -116,7 +116,7 @@ TEST(EvaluatorTest, SafePlanComputesExactProbability) {
   auto plans = EnumerateMinimalPlans(q);
   ASSERT_TRUE(plans.ok());
   ASSERT_EQ(plans->size(), 1u);
-  PlanEvaluator ev(db, q);
+  PlanEvaluator ev(db.snapshot(), q);
   auto rel = ev.Evaluate((*plans)[0]);
   ASSERT_TRUE(rel.ok());
   auto exact = ExactProbabilities(db, q);
@@ -136,7 +136,7 @@ TEST(EvaluatorTest, CacheSharesDagNodes) {
   auto sk = SchemaKnowledge::None(q);
   auto lifted = lift::CompileSafePlan(q, sk, opts);
   ASSERT_TRUE(lifted.ok());
-  PlanEvaluator ev(db, q);
+  PlanEvaluator ev(db.snapshot(), q);
   auto rel = ev.Evaluate(lifted->plan);
   ASSERT_TRUE(rel.ok());
   PlanSize sz = MeasurePlan(lifted->plan);
@@ -171,7 +171,7 @@ TEST(DeterministicEvalTest, DistinctAnswers) {
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 3}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{2, 4}, 0.5}});
   AddTable(&db, "T", 1, {{{4}, 0.9}});
-  auto rel = EvaluateDeterministic(db, q);
+  auto rel = EvaluateDeterministic(db.snapshot(), q);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 1u);  // only z=10 joins all the way
   EXPECT_EQ(rel->At(0, 0), Value::Int64(10));
@@ -182,7 +182,7 @@ TEST(DeterministicEvalTest, BooleanEmptyWhenNoMatch) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 1, {{{2}, 0.5}});
-  auto rel = EvaluateDeterministic(db, q);
+  auto rel = EvaluateDeterministic(db.snapshot(), q);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 0u);
 }

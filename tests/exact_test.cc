@@ -2,7 +2,10 @@
 // brute-force reference on random formulas.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/infer/exact.h"
@@ -50,10 +53,11 @@ TEST(ExactTest, IndependentTermsDecompose) {
   Dnf f;
   f.probs = {0.5, 0.5, 0.5, 0.5};
   f.terms = {{0, 1}, {2, 3}};
-  auto p = ExactDnfProbability(f);
+  WmcStats stats;
+  auto p = ExactDnfProbability(f, {}, &stats);
   ASSERT_TRUE(p.ok());
   EXPECT_NEAR(*p, 1.0 - (1.0 - 0.25) * (1.0 - 0.25), 1e-12);
-  EXPECT_GE(LastWmcStats().components_split, 1u);
+  EXPECT_GE(stats.components_split, 1u);
 }
 
 TEST(ExactTest, EmptyFormulaAndEmptyTerm) {
@@ -136,6 +140,51 @@ TEST(ExactTest, BudgetGuardTriggers) {
   auto p = ExactDnfProbability(f, opts);
   EXPECT_FALSE(p.ok());
   EXPECT_EQ(p.status().code(), Status::Code::kOutOfRange);
+}
+
+TEST(ExactTest, ConcurrentCallsSpendOnlyTheirOwnBudget) {
+  // A 28-link ladder x0x1x2 | x1x2x3 | ... | x27x28x29. One sequential
+  // call tells how many recursive calls it needs (about a thousand); every
+  // concurrent call then gets exactly that budget, which a budget shared
+  // between calls would exhaust.
+  Dnf f;
+  const int links = 28;
+  for (int i = 0; i < links + 2; ++i) f.probs.push_back(0.3 + 0.01 * i);
+  for (int i = 0; i < links; ++i) f.terms.push_back({i, i + 1, i + 2});
+  WmcStats seq_stats;
+  auto seq = ExactDnfProbability(f, {}, &seq_stats);
+  ASSERT_TRUE(seq.ok());
+  ASSERT_GT(seq_stats.calls, 500u);
+  WmcOptions tight;
+  tight.max_calls = seq_stats.calls;
+
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 50;
+  std::atomic<int> ready{0};
+  std::vector<int> failed(kThreads, 0);
+  std::vector<int> differed(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        WmcStats stats;
+        auto p = ExactDnfProbability(f, tight, &stats);
+        if (!p.ok()) {
+          ++failed[t];
+        } else if (*p != *seq || stats.calls != seq_stats.calls) {
+          ++differed[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failed[t], 0) << "thread " << t;
+    EXPECT_EQ(differed[t], 0) << "thread " << t;
+  }
 }
 
 TEST(ExactTest, MemoizationHitsOnRepeatedSubformulas) {

@@ -42,7 +42,7 @@ TEST(TpchIntegrationTest, DissociationRanksAlmostExactly) {
   popts.opt3_semijoin_reduction = true;
   auto diss = PropagationScore(db, q, popts, overrides);
   ASSERT_TRUE(diss.ok());
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
   auto plans = EnumerateMinimalPlans(q, *sk, popts.enum_opts);
   ASSERT_TRUE(plans.ok());
@@ -70,7 +70,7 @@ TEST(TpchIntegrationTest, DissociationBeatsLineageRanking) {
   ASSERT_TRUE(sel.ok());
   const auto& overrides = (*sel)->overrides;
 
-  auto lineage = ComputeLineage(db, q, overrides);
+  auto lineage = ComputeLineage(db.snapshot(), q, overrides);
   ASSERT_TRUE(lineage.ok());
   auto exact = ExactFromLineage(*lineage);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
@@ -93,7 +93,7 @@ TEST(TpchIntegrationTest, DeterministicAnswersMatchProbabilisticSupport) {
   ConjunctiveQuery q = TpchQuery();
   auto sel = MakeTpchSelections(db, 50, "%red%");
   ASSERT_TRUE(sel.ok());
-  auto det = EvaluateDeterministic(db, q, (*sel)->overrides);
+  auto det = EvaluateDeterministic(db.snapshot(), q, (*sel)->overrides);
   ASSERT_TRUE(det.ok());
   auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
   ASSERT_TRUE(diss.ok());
@@ -108,7 +108,7 @@ TEST(TpchIntegrationTest, McRanksWorseOrEqualWithFewSamples) {
   ConjunctiveQuery q = TpchQuery();
   auto sel = MakeTpchSelections(db, 100, "%red%green%");
   ASSERT_TRUE(sel.ok());
-  auto lineage = ComputeLineage(db, q, (*sel)->overrides);
+  auto lineage = ComputeLineage(db.snapshot(), q, (*sel)->overrides);
   ASSERT_TRUE(lineage.ok());
   auto exact = ExactFromLineage(*lineage);
   ASSERT_TRUE(exact.ok());
@@ -131,7 +131,7 @@ TEST(TpchIntegrationTest, McRanksWorseOrEqualWithFewSamples) {
 TEST(FacadeTest, SqlGenerationForMinimalPlans) {
   Database db = MakeTpchDatabase({.scale = 0.005});
   ConjunctiveQuery q = TpchQuery();
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
   auto plans = EnumerateMinimalPlans(q, *sk);
   ASSERT_TRUE(plans.ok());

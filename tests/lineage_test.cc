@@ -19,7 +19,7 @@ TEST(LineageTest, Example7Lineage) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.6}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.4}, {{1, 5}, 0.3}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok()) << lin.status().ToString();
   ASSERT_EQ(lin->answers.size(), 1u);
   const AnswerLineage& al = lin->answers[0];
@@ -37,7 +37,7 @@ TEST(LineageTest, PerAnswerGrouping) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 2u);
   // Ordered by answer tuple: z=10 first with 2 terms, then z=20 with 1.
@@ -52,7 +52,7 @@ TEST(LineageTest, DeterministicTuplesDroppedFromDnf) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "T", 1, {{{1}, 1.0}}, /*deterministic=*/true);
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   Dnf f = lin->ToDnf(lin->answers[0]);
@@ -67,7 +67,7 @@ TEST(LineageTest, ConstantsRestrictGrounding) {
   auto q = Q("q() :- R(x, 5)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 5}, 0.5}, {{2, 6}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_EQ(lin->answers[0].terms.size(), 1u);
@@ -78,7 +78,7 @@ TEST(LineageTest, NoAnswersWhenJoinEmpty) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 1, {{{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   EXPECT_TRUE(lin->answers.empty());
 }
@@ -89,7 +89,7 @@ TEST(LineageTest, OverridesRebindTables) {
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   Table filtered(RelationSchema::AllInt64("R", 1));
   filtered.AddRow({Value::Int64(2)}, 0.5);
-  auto lin = ComputeLineage(db, q, {{0, &filtered}});
+  auto lin = ComputeLineage(db.snapshot(), q, {{0, &filtered}});
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_EQ(lin->answers[0].terms.size(), 1u);
@@ -104,7 +104,7 @@ TEST(LineageTest, GuardOnBlowup) {
   AddTable(&db, "S", 1, rows);
   LineageOptions opts;
   opts.max_total_terms = 1000;  // 200*200 exceeds this
-  auto lin = ComputeLineage(db, q, {}, opts);
+  auto lin = ComputeLineage(db.snapshot(), q, {}, opts);
   EXPECT_FALSE(lin.ok());
   EXPECT_EQ(lin.status().code(), Status::Code::kOutOfRange);
 }
@@ -114,7 +114,7 @@ TEST(LineageTest, MaxLineageSize) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   EXPECT_EQ(MaxLineageSize(*lin), 2u);
 }
@@ -124,7 +124,7 @@ TEST(LineageTest, LineageSizeRankingOrdersBySize) {
   Database db;
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{10, 2}, 0.5}, {{20, 1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   auto ranking = LineageSizeRanking(*lin);
   ASSERT_EQ(ranking.size(), 2u);
@@ -138,7 +138,7 @@ TEST(LineageTest, MeanDistinctTuplesOfAtom) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{1, 5}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   // Atom 0 (R): one distinct tuple in 2 terms -> mean 2.0 copies.
@@ -151,7 +151,7 @@ TEST(LineageTest, BooleanQuerySingleAnswer) {
   auto q = Q("q() :- R(x)");
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto lin = ComputeLineage(db, q);
+  auto lin = ComputeLineage(db.snapshot(), q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->answers.size(), 1u);
   EXPECT_TRUE(lin->answers[0].answer.empty());

@@ -21,7 +21,7 @@ TEST(ScanTest, EmitsVariablesInAscendingOrder) {
   auto q = Q("q() :- R(y,x)");  // y gets id 0, x gets id 1
   Database db;
   AddTable(&db, "R", 2, {{{7, 8}, 0.5}});
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->NumRows(), 1u);
   ASSERT_EQ(rel->arity(), 2);
@@ -35,7 +35,7 @@ TEST(ScanTest, ConstantSelection) {
   auto q = Q("q() :- R(x, 5)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 5}, 0.3}, {{2, 6}, 0.4}, {{3, 5}, 0.5}});
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 2u);
 }
@@ -44,7 +44,7 @@ TEST(ScanTest, RepeatedVariableSelection) {
   auto q = Q("q() :- R(x, x)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 1}, 0.3}, {{1, 2}, 0.4}, {{2, 2}, 0.5}});
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 2u);
   EXPECT_EQ(rel->arity(), 1);
@@ -56,7 +56,7 @@ TEST(ScanTest, OverrideTableUsed) {
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   Table small(RelationSchema::AllInt64("R", 1));
   small.AddRow({Value::Int64(9)}, 0.9);
-  auto rel = ScanAtom(db, q, 0, &small);
+  auto rel = ScanAtom(db.snapshot(), q, 0, &small);
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->NumRows(), 1u);
   EXPECT_EQ(rel->At(0, 0), Value::Int64(9));
@@ -65,7 +65,7 @@ TEST(ScanTest, OverrideTableUsed) {
 TEST(ScanTest, MissingTableFails) {
   auto q = Q("q() :- Nope(x)");
   Database db;
-  EXPECT_FALSE(ScanAtom(db, q, 0).ok());
+  EXPECT_FALSE(ScanAtom(db.snapshot(), q, 0).ok());
 }
 
 TEST(HashJoinTest, ScoresMultiply) {
@@ -73,8 +73,8 @@ TEST(HashJoinTest, ScoresMultiply) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.25}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.4}, {{1, 5}, 0.8}, {{3, 6}, 0.9}});
-  auto r = ScanAtom(db, q, 0);
-  auto s = ScanAtom(db, q, 1);
+  auto r = ScanAtom(db.snapshot(), q, 0);
+  auto s = ScanAtom(db.snapshot(), q, 1);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(s.ok());
   Rel joined = HashJoin(*r, *s);
@@ -93,8 +93,8 @@ TEST(HashJoinTest, CartesianWhenNoSharedVars) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   AddTable(&db, "S", 1, {{{7}, 0.5}, {{8}, 0.5}, {{9}, 0.5}});
-  auto r = ScanAtom(db, q, 0);
-  auto s = ScanAtom(db, q, 1);
+  auto r = ScanAtom(db.snapshot(), q, 0);
+  auto s = ScanAtom(db.snapshot(), q, 1);
   Rel joined = HashJoin(*r, *s);
   EXPECT_EQ(joined.NumRows(), 6u);
 }
@@ -104,8 +104,8 @@ TEST(HashJoinTest, MultiColumnKeys) {
   Database db;
   AddTable(&db, "R", 2, {{{1, 1}, 0.5}, {{1, 2}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 1}, 0.5}, {{2, 2}, 0.5}});
-  auto r = ScanAtom(db, q, 0);
-  auto s = ScanAtom(db, q, 1);
+  auto r = ScanAtom(db.snapshot(), q, 0);
+  auto s = ScanAtom(db.snapshot(), q, 1);
   Rel joined = HashJoin(*r, *s);
   ASSERT_EQ(joined.NumRows(), 1u);
   EXPECT_EQ(joined.At(0, 0), Value::Int64(1));
@@ -116,7 +116,7 @@ TEST(ProjectIndependentTest, CombinesGroupScores) {
   auto q = Q("q() :- S(x,y)");
   Database db;
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{1, 5}, 0.5}, {{2, 6}, 0.25}});
-  auto s = ScanAtom(db, q, 0);
+  auto s = ScanAtom(db.snapshot(), q, 0);
   Rel projected = ProjectIndependent(*s, Vars(q, {"x"}));
   ASSERT_EQ(projected.NumRows(), 2u);
   for (size_t i = 0; i < projected.NumRows(); ++i) {
@@ -132,7 +132,7 @@ TEST(ProjectIndependentTest, BooleanProjection) {
   auto q = Q("q() :- R(x)");
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto r = ScanAtom(db, q, 0);
+  auto r = ScanAtom(db.snapshot(), q, 0);
   Rel b = ProjectIndependent(*r, 0);
   ASSERT_EQ(b.NumRows(), 1u);
   EXPECT_EQ(b.arity(), 0);
@@ -143,7 +143,7 @@ TEST(ProjectDistinctTest, DropsScores) {
   auto q = Q("q() :- S(x,y)");
   Database db;
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{1, 5}, 0.5}});
-  auto s = ScanAtom(db, q, 0);
+  auto s = ScanAtom(db.snapshot(), q, 0);
   Rel d = ProjectDistinct(*s, Vars(q, {"x"}));
   ASSERT_EQ(d.NumRows(), 1u);
   EXPECT_DOUBLE_EQ(d.Score(0), 1.0);
@@ -293,7 +293,7 @@ TEST(ChunkedScanTest, ParallelFilteredScanIsBitIdenticalToSequential) {
   auto q = Q("q(x) :- R(x, 5)");
 
   ChunkedScanStats seq_stats;
-  auto sequential = ScanAtom(db, q, 0, nullptr, nullptr, &seq_stats);
+  auto sequential = ScanAtom(db.snapshot(), q, 0, nullptr, nullptr, &seq_stats);
   ASSERT_TRUE(sequential.ok());
   EXPECT_GT(sequential->NumRows(), 0u);
   EXPECT_EQ(seq_stats.parallel_scans, 0u);
@@ -301,7 +301,7 @@ TEST(ChunkedScanTest, ParallelFilteredScanIsBitIdenticalToSequential) {
 
   Scheduler pool(4);
   ChunkedScanStats par_stats;
-  auto parallel = ScanAtom(db, q, 0, nullptr, &pool, &par_stats);
+  auto parallel = ScanAtom(db.snapshot(), q, 0, nullptr, &pool, &par_stats);
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*sequential, *parallel);
   EXPECT_EQ(par_stats.parallel_scans, 1u);
@@ -318,7 +318,7 @@ TEST(ChunkedScanTest, ZoneMapsPruneChunksOnClusteredConstants) {
   auto q = Q("q(x) :- R(17, x)");
 
   ChunkedScanStats stats;
-  auto rel = ScanAtom(db, q, 0, nullptr, nullptr, &stats);
+  auto rel = ScanAtom(db.snapshot(), q, 0, nullptr, nullptr, &stats);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 1000u);
   const size_t total = stats.chunks_scanned + stats.chunks_pruned;
@@ -329,7 +329,7 @@ TEST(ChunkedScanTest, ZoneMapsPruneChunksOnClusteredConstants) {
   // over an unclustered copy of the data where nothing can be pruned.
   Scheduler pool(4);
   ChunkedScanStats par_stats;
-  auto par = ScanAtom(db, q, 0, nullptr, &pool, &par_stats);
+  auto par = ScanAtom(db.snapshot(), q, 0, nullptr, &pool, &par_stats);
   ASSERT_TRUE(par.ok());
   ExpectBitIdentical(*rel, *par);
   EXPECT_EQ(par_stats.chunks_pruned, stats.chunks_pruned);
@@ -343,7 +343,7 @@ TEST(ChunkedScanTest, ZoneMapTypeMismatchPrunesEverything) {
   // must produce an empty relation with every chunk pruned.
   auto q = Q("q(x) :- R('nope', x)", &pool);
   ChunkedScanStats stats;
-  auto rel = ScanAtom(db, q, 0, nullptr, nullptr, &stats);
+  auto rel = ScanAtom(db.snapshot(), q, 0, nullptr, nullptr, &stats);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 0u);
   EXPECT_EQ(stats.chunks_scanned, 0u);
@@ -514,7 +514,7 @@ TEST(PrunedInputTest, FullyPrunedScanSpawnsNoTasks) {
   auto q = Q("q(x) :- R('nope', x)", &sp);  // type mismatch prunes all chunks
   Scheduler pool(4);
   ChunkedScanStats stats;
-  auto rel = ScanAtom(db, q, 0, nullptr, &pool, &stats);
+  auto rel = ScanAtom(db.snapshot(), q, 0, nullptr, &pool, &stats);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel->NumRows(), 0u);
   EXPECT_EQ(stats.chunks_scanned, 0u);
@@ -546,7 +546,7 @@ TEST(ChunkedScanTest, RepeatedVariableSelectionAcrossChunkSeams) {
     t.AddRow({Value::Int64(i), Value::Int64(i % 3 == 0 ? i : -1)}, 0.5);
   }
   ASSERT_TRUE(db.AddTable(std::move(t)).ok());
-  auto rel = ScanAtom(db, q, 0);
+  auto rel = ScanAtom(db.snapshot(), q, 0);
   ASSERT_TRUE(rel.ok());
   ASSERT_EQ(rel->NumRows(), 7u);  // i = 0, 3, 6, 9, 12, 15, 18
   for (size_t r = 0; r < rel->NumRows(); ++r) {

@@ -240,7 +240,7 @@ TEST(OptEquivalenceTest, DrKnowledgeKeepsScoresForSafePart) {
   AddTable(&db, "S", 2, {{{1, 4}, 0.6}, {{2, 4}, 0.5}, {{2, 5}, 0.3}});
   AddTable(&db, "T", 1, {{{4}, 1.0}, {{5}, 1.0}}, /*deterministic=*/true);
 
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
 
   PropagationOptions with_dr;

@@ -136,7 +136,7 @@ TEST(PreparedQueryTest, RenamingInvarianceOfPlanFingerprints) {
 /// (no canonicalization): the reference the prepared path must reproduce.
 Result<std::vector<RankedAnswer>> CallerSpaceScores(
     const Database& db, const ConjunctiveQuery& q) {
-  auto sk = SchemaKnowledge::FromDatabase(q, db);
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   if (!sk.ok()) return sk.status();
   auto lifted = lift::CompileSafePlan(q, *sk);
   if (!lifted.ok()) return lifted.status();
@@ -426,7 +426,8 @@ TEST(PreparedQueryTest, TaggedAtomBindingsKeepResultSharing) {
   spec.seed = 13;
   Database db = MakeChainDatabase(spec);
   ConjunctiveQuery q = MakeChainQuery(3);
-  auto table = db.GetTable("R1");
+  const Snapshot snap = db.snapshot();
+  auto table = snap.GetTable("R1");
   ASSERT_TRUE(table.ok());
 
   {

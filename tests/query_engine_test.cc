@@ -46,7 +46,7 @@ TEST(QueryEngineTest, MatchesPropagationScoreOnRandomInstances) {
       EXPECT_EQ(got->answers[i].tuple, expected->answers[i].tuple);
       EXPECT_DOUBLE_EQ(got->answers[i].score, expected->answers[i].score);
     }
-    auto sk = SchemaKnowledge::FromDatabase(q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
     ASSERT_TRUE(sk.ok());
     auto is_safe = IsSafeQuery(q, *sk);
     ASSERT_TRUE(is_safe.ok());

@@ -60,7 +60,7 @@ TEST(AlignScoresTest, MissingAnswersGetDefault) {
 TEST(RankingToStringTest, ResolvesStringsThroughPool) {
   Database db;
   std::vector<RankedAnswer> ranking = {{{db.Str("paris")}, 0.75}};
-  std::string s = RankingToString(ranking, db);
+  std::string s = RankingToString(ranking, db.snapshot());
   EXPECT_NE(s.find("paris"), std::string::npos);
   EXPECT_NE(s.find("0.75"), std::string::npos);
 }

@@ -424,7 +424,7 @@ TEST(SafePlanTest, EngineMatchesReferencePlanOnRandomQueries) {
     QueryEngine engine = QueryEngine::Borrow(db);
     auto a = engine.Run(q);
     ASSERT_TRUE(a.ok()) << q.ToString();
-    auto sk = SchemaKnowledge::FromDatabase(q, db);
+    auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
     ASSERT_TRUE(sk.ok()) << q.ToString();
     auto is_safe = IsSafeQuery(q, *sk);
     ASSERT_TRUE(is_safe.ok()) << q.ToString();

@@ -24,7 +24,7 @@ TEST(SemiJoinTest, RemovesDanglingTuples) {
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{2, 5}, 0.5}, {{3, 6}, 0.5}});
   AddTable(&db, "T", 1, {{{4}, 0.5}, {{7}, 0.5}});
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
   ASSERT_TRUE(reduced.ok());
   // Only the path 1 -> 4 survives everywhere.
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);  // R: {1}
@@ -40,7 +40,7 @@ TEST(SemiJoinTest, FullyJoinableInputUnchanged) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 2u);
   EXPECT_EQ((*reduced)[1].NumRows(), 2u);
@@ -50,7 +50,7 @@ TEST(SemiJoinTest, AppliesConstantSelections) {
   auto q = Q("q() :- R(x, 7)");
   Database db;
   AddTable(&db, "R", 2, {{{1, 7}, 0.5}, {{2, 8}, 0.5}});
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);
 }
@@ -62,7 +62,7 @@ TEST(SemiJoinTest, CascadingReductionNeedsMultiplePasses) {
   AddTable(&db, "R1", 2, {{{1, 2}, 0.5}});
   AddTable(&db, "R2", 2, {{{2, 3}, 0.5}, {{9, 9}, 0.5}});
   AddTable(&db, "R3", 2, {{{4, 5}, 0.5}});  // z=3 has no match!
-  auto reduced = SemiJoinReduce(db, q);
+  auto reduced = SemiJoinReduce(db.snapshot(), q);
   ASSERT_TRUE(reduced.ok());
   // Everything dies: R3 kills R2's (2,3), which kills R1's (1,2).
   EXPECT_EQ((*reduced)[0].NumRows(), 0u);
@@ -85,7 +85,7 @@ TEST(SemiJoinTest, LongChainCascadeReachesEveryAtom) {
   }
   AddTable(&db, "R8", 2, {{{1, 1}, 0.5}});
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
   ASSERT_TRUE(reduced.ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_EQ((*reduced)[i].NumRows(), 1u) << "R" << i + 1;
@@ -115,7 +115,7 @@ TEST(SemiJoinTest, SelectiveBuildSideRunsFirst) {
   selection.AddRow({Value::Int64(7)}, 0.5);
 
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {{0, &selection}}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {{0, &selection}}, &stats);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);
   EXPECT_EQ((*reduced)[1].NumRows(), 1u);
@@ -156,7 +156,7 @@ TEST(SemiJoinTest, RespectsOverrides) {
   AddTable(&db, "S", 1, {{{1}, 0.5}, {{2}, 0.5}});
   Table small(RelationSchema::AllInt64("R", 1));
   small.AddRow({Value::Int64(2)}, 0.5);
-  auto reduced = SemiJoinReduce(db, q, {{0, &small}});
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {{0, &small}});
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ((*reduced)[0].NumRows(), 1u);
   EXPECT_EQ((*reduced)[1].NumRows(), 1u);  // S reduced against override
@@ -213,10 +213,10 @@ TEST(SemiJoinTest, BloomFilterDoesNotChangeReduction) {
 
     SetSemiJoinBloomMinRowsForTesting(SIZE_MAX);
     SemiJoinStats off_stats;
-    auto off = SemiJoinReduce(db, q, {}, &off_stats);
+    auto off = SemiJoinReduce(db.snapshot(), q, {}, &off_stats);
     SetSemiJoinBloomMinRowsForTesting(1);
     SemiJoinStats on_stats;
-    auto on = SemiJoinReduce(db, q, {}, &on_stats);
+    auto on = SemiJoinReduce(db.snapshot(), q, {}, &on_stats);
     SetSemiJoinBloomMinRowsForTesting(4096);  // restore the default
 
     ASSERT_TRUE(off.ok());
@@ -246,7 +246,7 @@ TEST(SemiJoinTest, ForcedBloomFiltersReportStats) {
   AddTable(&db, "T", 1, {{{4}, 0.5}, {{7}, 0.5}});
   SetSemiJoinBloomMinRowsForTesting(1);
   SemiJoinStats stats;
-  auto reduced = SemiJoinReduce(db, q, {}, &stats);
+  auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
   SetSemiJoinBloomMinRowsForTesting(4096);
   ASSERT_TRUE(reduced.ok());
   // Same reduction as RemovesDanglingTuples, now through the filters.

@@ -107,8 +107,8 @@ TEST(SnapshotConcurrencyTest, PinnedSnapshotIsBitIdenticalUnderCommits) {
 
   // The pinned snapshot still reads its original state...
   EXPECT_EQ(pinned.table(0).NumRows(), 8u);
-  // ...while the live head took every commit.
-  EXPECT_EQ(db.table(0).NumRows(), 8u + kCommits);
+  // ...while a fresh snapshot sees every commit.
+  EXPECT_EQ(db.snapshot().table(0).NumRows(), 8u + kCommits);
 
   // Sweep semantics end-to-end: the Submit readers populated the result
   // cache under the pinned version; while the snapshot is held, commits
@@ -224,7 +224,7 @@ TEST(SnapshotConcurrencyTest, ConcurrentWritersSerializeCleanly) {
     });
   }
   for (auto& th : writers) th.join();
-  EXPECT_EQ(db.table(0).NumRows(), 8u + kWriters * kCommitsEach);
+  EXPECT_EQ(db.snapshot().table(0).NumRows(), 8u + kWriters * kCommitsEach);
   // Every commit bumped the version exactly once.
   EXPECT_EQ(db.version(), 2u + kWriters * kCommitsEach);
 }

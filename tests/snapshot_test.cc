@@ -1,6 +1,7 @@
 // Snapshot-isolated Database API: immutable snapshots, writer
 // transactions, copy-free chunk pinning, the live-version registry, the
-// legacy shims, and the engine's commit-time stale-result sweep.
+// one-mutation conveniences, and the engine's commit-time stale-result
+// sweep.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,12 +39,43 @@ TEST(SnapshotTest, SnapshotPinsStateAcrossWriterCommit) {
     EXPECT_GT(v_after, v_before);
   }
 
-  // The held snapshot is immune; the live head and new snapshots see it.
+  // The held snapshot is immune; new snapshots see the commit.
   EXPECT_EQ(snap.table(0).NumRows(), 2u);
-  EXPECT_EQ(db.table(0).NumRows(), 3u);
   Snapshot fresh = db.snapshot();
   EXPECT_EQ(fresh.table(0).NumRows(), 3u);
   EXPECT_GT(fresh.version(), snap.version());
+}
+
+TEST(SnapshotTest, AcquisitionSharesTablesUntilACommitReplacesThem) {
+  Database db;
+  AddTable(&db, "R", 1, {{{1}, 0.5}});
+  AddTable(&db, "S", 1, {{{2}, 0.6}});
+
+  // Two acquisitions at one version hand out the very same table objects:
+  // acquiring a snapshot copies no Table.
+  const Snapshot a = db.snapshot();
+  const Snapshot b = db.snapshot();
+  ASSERT_EQ(a.version(), b.version());
+  for (int i = 0; i < a.NumTables(); ++i) {
+    EXPECT_EQ(a.table_handle(i).get(), b.table_handle(i).get()) << i;
+  }
+  const Table* r_before = a.table_handle(0).get();
+  const Table* s_before = a.table_handle(1).get();
+
+  {
+    Database::Writer w = db.BeginWrite();
+    w.AppendRow(0, std::vector<Value>{I(3)}, 0.7);
+    w.Commit();
+  }
+
+  // The held snapshot keeps its table 0 object and row count...
+  EXPECT_EQ(a.table_handle(0).get(), r_before);
+  EXPECT_EQ(a.table(0).NumRows(), 1u);
+  // ...while the commit published a new table 0 and left table 1 shared.
+  const Snapshot c = db.snapshot();
+  EXPECT_NE(c.table_handle(0).get(), r_before);
+  EXPECT_EQ(c.table(0).NumRows(), 2u);
+  EXPECT_EQ(c.table_handle(1).get(), s_before);
 }
 
 TEST(SnapshotTest, SnapshotIsCopyFreeAndSealedChunksStayShared) {
@@ -54,12 +86,13 @@ TEST(SnapshotTest, SnapshotIsCopyFreeAndSealedChunksStayShared) {
   ASSERT_TRUE(db.AddTable(std::move(t)).ok());
 
   Snapshot snap = db.snapshot();
-  const Column& live = *db.table(0).col(0);
+  const Snapshot head = db.snapshot();
+  const Column& live = *head.table(0).col(0);
   const Column& pinned = *snap.table(0).col(0);
   ASSERT_EQ(pinned.num_chunks(), 3u);
   // Acquisition copied no payloads: every chunk handle is shared.
   for (size_t ci = 0; ci < live.num_chunks(); ++ci) {
-    EXPECT_EQ(snap.table(0).col(0)->chunk(ci), db.table(0).col(0)->chunk(ci));
+    EXPECT_EQ(snap.table(0).col(0)->chunk(ci), head.table(0).col(0)->chunk(ci));
   }
 
   {
@@ -68,15 +101,16 @@ TEST(SnapshotTest, SnapshotIsCopyFreeAndSealedChunksStayShared) {
     w.Commit();
   }
 
-  // Sealed chunks are still shared with the post-commit live column; only
-  // the tail the writer appended into was detached (seal-on-publish).
-  const Column& after = *db.table(0).col(0);
+  // Sealed chunks are still shared with the post-commit column; only the
+  // tail the writer appended into was detached (seal-on-publish).
+  const Snapshot now = db.snapshot();
+  const Column& after = *now.table(0).col(0);
   ASSERT_EQ(after.num_chunks(), 3u);
   EXPECT_EQ(snap.table(0).col(0)->chunk(0), after.chunk(0));
   EXPECT_EQ(snap.table(0).col(0)->chunk(1), after.chunk(1));
   EXPECT_NE(snap.table(0).col(0)->chunk(2), after.chunk(2));
   EXPECT_EQ(snap.table(0).NumRows(), 10u);
-  EXPECT_EQ(db.table(0).NumRows(), 11u);
+  EXPECT_EQ(now.table(0).NumRows(), 11u);
 }
 
 TEST(SnapshotTest, WeightColumnSharesSealedChunksAndDetachesOnlyTheTail) {
@@ -91,9 +125,10 @@ TEST(SnapshotTest, WeightColumnSharesSealedChunksAndDetachesOnlyTheTail) {
   Snapshot snap = db.snapshot();
   ASSERT_EQ(snap.table(0).weights()->num_chunks(), 3u);
   // Acquisition copied no weights: every chunk handle is shared.
+  const Snapshot head = db.snapshot();
   for (size_t ci = 0; ci < 3; ++ci) {
     EXPECT_EQ(snap.table(0).weights()->chunk(ci),
-              db.table(0).weights()->chunk(ci));
+              head.table(0).weights()->chunk(ci));
   }
 
   {
@@ -105,7 +140,8 @@ TEST(SnapshotTest, WeightColumnSharesSealedChunksAndDetachesOnlyTheTail) {
   // The append detached only the tail weight chunk; sealed chunks stay
   // shared with the pinned snapshot — commit cost tracks the delta, not
   // the weight column.
-  const WeightColumn& after = *db.table(0).weights();
+  const Snapshot appended = db.snapshot();
+  const WeightColumn& after = *appended.table(0).weights();
   ASSERT_EQ(after.num_chunks(), 3u);
   EXPECT_EQ(snap.table(0).weights()->chunk(0), after.chunk(0));
   EXPECT_EQ(snap.table(0).weights()->chunk(1), after.chunk(1));
@@ -120,7 +156,8 @@ TEST(SnapshotTest, WeightColumnSharesSealedChunksAndDetachesOnlyTheTail) {
     w.mutable_table(0)->SetProb(0, 0.25);
     w.Commit();
   }
-  const WeightColumn& scaled = *db.table(0).weights();
+  const Snapshot overwritten = db.snapshot();
+  const WeightColumn& scaled = *overwritten.table(0).weights();
   EXPECT_NE(snap.table(0).weights()->chunk(0), scaled.chunk(0));
   EXPECT_EQ(snap.table(0).weights()->chunk(1), scaled.chunk(1));
   EXPECT_EQ((*snap.table(0).weights())[0], 0.0);
@@ -140,15 +177,14 @@ TEST(SnapshotTest, WriterStagingIsInvisibleUntilCommit) {
   EXPECT_EQ(w.table(0).NumRows(), 2u);
   EXPECT_EQ(w.NumTables(), 2);
   EXPECT_GE(w.FindTable("S"), 0);
-  // ...but not to the live head, new snapshots, or the version counter.
-  EXPECT_EQ(db.table(0).NumRows(), 1u);
-  EXPECT_EQ(db.FindTable("S"), -1);
+  // ...but not to new snapshots or the version counter.
+  EXPECT_EQ(db.snapshot().FindTable("S"), -1);
   EXPECT_EQ(db.snapshot().table(0).NumRows(), 1u);
   EXPECT_EQ(db.version(), v0);
 
   w.Commit();
-  EXPECT_EQ(db.table(0).NumRows(), 2u);
-  EXPECT_GE(db.FindTable("S"), 0);
+  EXPECT_EQ(db.snapshot().table(0).NumRows(), 2u);
+  EXPECT_GE(db.snapshot().FindTable("S"), 0);
   EXPECT_GT(db.version(), v0);
 }
 
@@ -164,9 +200,10 @@ TEST(SnapshotTest, WriterAbortDiscardsEverything) {
     // No commit: destructor aborts.
   }
   EXPECT_EQ(db.version(), v0);
-  EXPECT_EQ(db.table(0).NumRows(), 1u);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
-  EXPECT_EQ(db.FindTable("S"), -1);
+  const Snapshot snap = db.snapshot();
+  EXPECT_EQ(snap.table(0).NumRows(), 1u);
+  EXPECT_DOUBLE_EQ(snap.table(0).Prob(0), 0.5);
+  EXPECT_EQ(snap.FindTable("S"), -1);
 }
 
 TEST(SnapshotTest, WriterScaleProbabilitiesLeavesSnapshotUntouched) {
@@ -181,8 +218,9 @@ TEST(SnapshotTest, WriterScaleProbabilitiesLeavesSnapshotUntouched) {
     w.Commit();
   }
   EXPECT_DOUBLE_EQ(snap.table(0).Prob(0), 0.8);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.4);
-  EXPECT_DOUBLE_EQ(db.table(1).Prob(0), 1.0);  // deterministic pinned at 1
+  const Snapshot now = db.snapshot();
+  EXPECT_DOUBLE_EQ(now.table(0).Prob(0), 0.4);
+  EXPECT_DOUBLE_EQ(now.table(1).Prob(0), 1.0);  // deterministic pinned at 1
 }
 
 TEST(SnapshotTest, WriterAddTableRejectsDuplicates) {
@@ -193,7 +231,7 @@ TEST(SnapshotTest, WriterAddTableRejectsDuplicates) {
   ASSERT_TRUE(w.AddTable(Table(RelationSchema::AllInt64("S", 1))).ok());
   EXPECT_FALSE(w.AddTable(Table(RelationSchema::AllInt64("S", 1))).ok());
   w.Commit();
-  EXPECT_EQ(db.NumTables(), 2);
+  EXPECT_EQ(db.snapshot().NumTables(), 2);
 }
 
 TEST(SnapshotTest, SnapshotOutlivesDatabase) {
@@ -255,7 +293,7 @@ TEST(SnapshotTest, CommitHooksFireOnEveryCommitIncludingLegacyShims) {
     ++fired;
     last = info;
   });
-  AddTable(&db, "R", 1, {{{1}, 0.5}});  // legacy shim commits
+  AddTable(&db, "R", 1, {{{1}, 0.5}});  // Database::AddTable commits
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(last.version, db.version());
   // Adding a table is append-only (no pre-existing row changed) but
@@ -274,10 +312,10 @@ TEST(SnapshotTest, CommitHooksFireOnEveryCommitIncludingLegacyShims) {
   EXPECT_EQ(last.deltas[0].first_new_row, 1u);
   EXPECT_EQ(last.deltas[0].new_rows, 1u);
   EXPECT_EQ(last.appended_rows, 1u);
-  (void)db.mutable_table(0);  // deprecated shim opens-commits a writer
+  db.BeginWrite().Commit();
   EXPECT_EQ(fired, 3);
-  // The empty commit guards the raw-pointer escape hatch: the caller is
-  // about to mutate the live head untracked, so caches must invalidate.
+  // An empty commit still bumps the version, so it conservatively counts
+  // as not append-only: caches invalidate.
   EXPECT_FALSE(last.append_only);
   // Overwrites (SetProb via ScaleProbabilities) are not append-only.
   db.ScaleProbabilities(0.5);
@@ -313,7 +351,7 @@ TEST(SnapshotTest, PinnedSnapshotQueryResultsAreBitIdenticalAcrossCommits) {
       EXPECT_EQ(again->answers[i].tuple, baseline->answers[i].tuple);
       EXPECT_EQ(again->answers[i].score, baseline->answers[i].score);
     }
-    // The live head meanwhile diverged (probabilities were rescaled).
+    // A fresh snapshot meanwhile diverged (probabilities were rescaled).
     auto live = engine.Execute(*prepared);
     ASSERT_TRUE(live.ok());
     ASSERT_FALSE(live->answers.empty());
@@ -368,23 +406,17 @@ TEST(SnapshotTest, ForeignSnapshotsAreRejected) {
   EXPECT_TRUE(engine.Execute(*prepared, {}, db_a.snapshot()).ok());
 }
 
-TEST(SnapshotTest, LegacyMutableTableStillWorksSingleThreaded) {
-  Database db;
-  AddTable(&db, "R", 1, {{{1}, 0.5}});
-  const uint64_t v0 = db.version();
-  Table* t = db.mutable_table(0);
-  EXPECT_GT(db.version(), v0);  // conservative invalidation bump
-  t->SetProb(0, 0.25);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.25);
-}
-
 TEST(SnapshotTest, CloneIsIsolatedFromTheOriginal) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   Database copy = db.Clone();
-  copy.mutable_table(0)->SetProb(0, 0.9);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
-  EXPECT_DOUBLE_EQ(copy.table(0).Prob(0), 0.9);
+  {
+    Database::Writer w = copy.BeginWrite();
+    w.mutable_table(0)->SetProb(0, 0.9);
+    w.Commit();
+  }
+  EXPECT_DOUBLE_EQ(db.snapshot().table(0).Prob(0), 0.5);
+  EXPECT_DOUBLE_EQ(copy.snapshot().table(0).Prob(0), 0.9);
 }
 
 }  // namespace

@@ -110,14 +110,15 @@ TEST(DatabaseTest, AddAndLookupTables) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 2, {{{1, 2}, 0.25}});
-  EXPECT_EQ(db.NumTables(), 2);
-  EXPECT_EQ(db.FindTable("R"), 0);
-  EXPECT_EQ(db.FindTable("S"), 1);
-  EXPECT_EQ(db.FindTable("T"), -1);
-  auto t = db.GetTable("S");
+  const Snapshot snap = db.snapshot();
+  EXPECT_EQ(snap.NumTables(), 2);
+  EXPECT_EQ(snap.FindTable("R"), 0);
+  EXPECT_EQ(snap.FindTable("S"), 1);
+  EXPECT_EQ(snap.FindTable("T"), -1);
+  auto t = snap.GetTable("S");
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->NumRows(), 1u);
-  EXPECT_FALSE(db.GetTable("T").ok());
+  EXPECT_FALSE(snap.GetTable("T").ok());
 }
 
 TEST(DatabaseTest, DuplicateTableNameRejected) {
@@ -131,17 +132,22 @@ TEST(DatabaseTest, DuplicateTableNameRejected) {
 TEST(DatabaseTest, TupleProbLookup) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.75}});
-  EXPECT_DOUBLE_EQ(db.TupleProb(TupleId{0, 1}), 0.75);
-  EXPECT_FALSE(db.TupleDeterministic(TupleId{0, 0}));
+  const Snapshot snap = db.snapshot();
+  EXPECT_DOUBLE_EQ(snap.TupleProb(TupleId{0, 1}), 0.75);
+  EXPECT_FALSE(snap.TupleDeterministic(TupleId{0, 0}));
 }
 
 TEST(DatabaseTest, CloneIsDeep) {
   Database db;
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   Database copy = db.Clone();
-  copy.mutable_table(0)->SetProb(0, 0.9);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.5);
-  EXPECT_DOUBLE_EQ(copy.table(0).Prob(0), 0.9);
+  {
+    Database::Writer w = copy.BeginWrite();
+    w.mutable_table(0)->SetProb(0, 0.9);
+    w.Commit();
+  }
+  EXPECT_DOUBLE_EQ(db.snapshot().table(0).Prob(0), 0.5);
+  EXPECT_DOUBLE_EQ(copy.snapshot().table(0).Prob(0), 0.9);
 }
 
 TEST(DatabaseTest, ScaleProbabilitiesAppliesToAllTables) {
@@ -149,8 +155,9 @@ TEST(DatabaseTest, ScaleProbabilitiesAppliesToAllTables) {
   AddTable(&db, "R", 1, {{{1}, 0.5}});
   AddTable(&db, "S", 1, {{{1}, 0.8}});
   db.ScaleProbabilities(0.5);
-  EXPECT_DOUBLE_EQ(db.table(0).Prob(0), 0.25);
-  EXPECT_DOUBLE_EQ(db.table(1).Prob(0), 0.4);
+  const Snapshot snap = db.snapshot();
+  EXPECT_DOUBLE_EQ(snap.table(0).Prob(0), 0.25);
+  EXPECT_DOUBLE_EQ(snap.table(1).Prob(0), 0.4);
 }
 
 TEST(DatabaseTest, StrInternsIntoPool) {

@@ -17,9 +17,10 @@ TEST(TpchTest, CardinalityRatios) {
   TpchOptions opts;
   opts.scale = 0.01;  // 100 suppliers, 2000 parts, 8000 partsupps
   Database db = MakeTpchDatabase(opts);
-  auto s = db.GetTable("Supplier");
-  auto p = db.GetTable("Part");
-  auto ps = db.GetTable("Partsupp");
+  const Snapshot snap = db.snapshot();
+  auto s = snap.GetTable("Supplier");
+  auto p = snap.GetTable("Part");
+  auto ps = snap.GetTable("Partsupp");
   ASSERT_TRUE(s.ok());
   ASSERT_TRUE(p.ok());
   ASSERT_TRUE(ps.ok());
@@ -30,9 +31,10 @@ TEST(TpchTest, CardinalityRatios) {
 
 // Fingerprint: samples probabilities across all tables.
 double DbProbe(const Database& db) {
+  const Snapshot snap = db.snapshot();
   double acc = 0;
-  for (int i = 0; i < db.NumTables(); ++i) {
-    const Table& t = db.table(i);
+  for (int i = 0; i < snap.NumTables(); ++i) {
+    const Table& t = snap.table(i);
     for (size_t r = 0; r < t.NumRows(); r += 7) acc += t.Prob(r);
   }
   return acc;
@@ -50,7 +52,8 @@ TEST(TpchTest, NationKeysInRange) {
   TpchOptions opts;
   opts.scale = 0.01;
   Database db = MakeTpchDatabase(opts);
-  const Table& s = **db.GetTable("Supplier");
+  const Snapshot snap = db.snapshot();
+  const Table& s = **snap.GetTable("Supplier");
   std::set<int64_t> nations;
   for (size_t r = 0; r < s.NumRows(); ++r) {
     int64_t n = s.At(r, 1).AsInt64();
@@ -67,7 +70,8 @@ TEST(TpchTest, PartNamesAreFiveColorWords) {
   TpchOptions opts;
   opts.scale = 0.005;
   Database db = MakeTpchDatabase(opts);
-  const Table& p = **db.GetTable("Part");
+  const Snapshot snap = db.snapshot();
+  const Table& p = **snap.GetTable("Part");
   for (size_t r = 0; r < std::min<size_t>(p.NumRows(), 50); ++r) {
     std::string name =
         std::as_const(db).strings().Get(p.At(r, 1).AsStringCode());
@@ -124,10 +128,11 @@ TEST(ChainTest, DatabaseShape) {
   spec.k = 3;
   spec.n = 100;
   Database db = MakeChainDatabase(spec);
-  EXPECT_EQ(db.NumTables(), 3);
+  const Snapshot snap = db.snapshot();
+  EXPECT_EQ(snap.NumTables(), 3);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(db.table(i).NumRows(), 100u);
-    EXPECT_EQ(db.table(i).arity(), 2);
+    EXPECT_EQ(snap.table(i).NumRows(), 100u);
+    EXPECT_EQ(snap.table(i).arity(), 2);
   }
 }
 
@@ -145,7 +150,7 @@ TEST(ChainTest, AnswerCountNearTarget) {
   spec.target_answers = 30;
   spec.seed = 99;
   Database db = MakeChainDatabase(spec);
-  auto answers = EvaluateDeterministic(db, MakeChainQuery(3));
+  auto answers = EvaluateDeterministic(db.snapshot(), MakeChainQuery(3));
   ASSERT_TRUE(answers.ok());
   // Expect the tuned domain to land within a loose factor of the target.
   EXPECT_GT(answers->NumRows(), 2u);
@@ -157,8 +162,9 @@ TEST(StarTest, DatabaseShape) {
   spec.k = 3;
   spec.n = 50;
   Database db = MakeStarDatabase(spec);
-  EXPECT_EQ(db.NumTables(), 4);
-  EXPECT_EQ(db.table(3).arity(), 3);  // hub R0
+  const Snapshot snap = db.snapshot();
+  EXPECT_EQ(snap.NumTables(), 4);
+  EXPECT_EQ(snap.table(3).arity(), 3);  // hub R0
 }
 
 TEST(StarTest, QueryShape) {
@@ -173,10 +179,11 @@ TEST(ProbabilityAssignmentTest, UniformRespectsPiMax) {
   spec.n = 500;
   Database db = MakeChainDatabase(spec);
   AssignUniformProbabilities(&db, 0.2, 7);
+  const Snapshot snap = db.snapshot();
   double max_p = 0;
-  for (int i = 0; i < db.NumTables(); ++i) {
-    for (size_t r = 0; r < db.table(i).NumRows(); ++r) {
-      max_p = std::max(max_p, db.table(i).Prob(r));
+  for (int i = 0; i < snap.NumTables(); ++i) {
+    for (size_t r = 0; r < snap.table(i).NumRows(); ++r) {
+      max_p = std::max(max_p, snap.table(i).Prob(r));
     }
   }
   EXPECT_LE(max_p, 0.2);
@@ -189,9 +196,10 @@ TEST(ProbabilityAssignmentTest, ConstantAssignsEverywhere) {
   spec.n = 20;
   Database db = MakeChainDatabase(spec);
   AssignConstantProbabilities(&db, 0.1);
-  for (int i = 0; i < db.NumTables(); ++i) {
-    for (size_t r = 0; r < db.table(i).NumRows(); ++r) {
-      EXPECT_DOUBLE_EQ(db.table(i).Prob(r), 0.1);
+  const Snapshot snap = db.snapshot();
+  for (int i = 0; i < snap.NumTables(); ++i) {
+    for (size_t r = 0; r < snap.table(i).NumRows(); ++r) {
+      EXPECT_DOUBLE_EQ(snap.table(i).Prob(r), 0.1);
     }
   }
 }
@@ -218,9 +226,10 @@ TEST(RandomInstanceTest, DatabaseMatchesCatalog) {
   Rng rng(2);
   ConjunctiveQuery q = RandomQuery(&rng);
   Database db = RandomDatabaseFor(q, &rng);
-  EXPECT_EQ(db.NumTables(), q.num_atoms());
+  const Snapshot snap = db.snapshot();
+  EXPECT_EQ(snap.NumTables(), q.num_atoms());
   for (int i = 0; i < q.num_atoms(); ++i) {
-    auto t = db.GetTable(q.atom(i).relation);
+    auto t = snap.GetTable(q.atom(i).relation);
     ASSERT_TRUE(t.ok());
     EXPECT_EQ((*t)->arity(), q.atom(i).arity());
   }
