@@ -47,6 +47,24 @@ bool HasUnknownStringConstants(const ConjunctiveQuery& q) {
   return false;
 }
 
+/// Runs `work` as a "query" task on `scheduler` and returns its future.
+/// The future is made ready by the task's completion callback, which the
+/// scheduler invokes only after it has recorded the task's run time and
+/// counted it, so a caller that has waited on the future also sees the
+/// task in the scheduler's telemetry. An exception thrown by `work` is
+/// relayed to the future.
+template <class F>
+std::future<Result<QueryResult>> SubmitQuery(Scheduler* scheduler, F work) {
+  using Task = std::packaged_task<Result<QueryResult>()>;
+  auto run = std::make_shared<Task>(std::move(work));
+  auto relay = std::make_shared<Task>(
+      [ran = run->get_future()]() mutable { return ran.get(); });
+  std::future<Result<QueryResult>> future = relay->get_future();
+  scheduler->Submit([run] { (*run)(); }, "query", /*token=*/nullptr,
+                    [relay] { (*relay)(); });
+  return future;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
@@ -74,6 +92,8 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_semijoin_reductions_(metrics_.counter("semijoin.reductions")),
       m_semijoins_(metrics_.counter("semijoin.semijoins")),
       m_semijoin_build_rows_(metrics_.counter("semijoin.build_rows")),
+      m_dense_semijoins_(metrics_.counter("semijoin.dense_semijoins")),
+      m_semijoin_hashed_rows_(metrics_.counter("semijoin.hashed_rows")),
       m_delta_maintained_(
           metrics_.counter("engine.result_cache.delta_maintained")),
       m_swept_(metrics_.counter("engine.result_cache.swept")),
@@ -435,6 +455,8 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       m_semijoin_reductions_->Add(1);
       m_semijoins_->Add(sj_stats.semijoins);
       m_semijoin_build_rows_->Add(sj_stats.build_rows);
+      m_dense_semijoins_->Add(sj_stats.dense_semijoins);
+      m_semijoin_hashed_rows_->Add(sj_stats.hashed_rows);
       if (sj_stats.bloom_filters_built > 0) {
         m_bloom_built_->Add(sj_stats.bloom_filters_built);
       }
@@ -450,6 +472,10 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
                         static_cast<uint64_t>(sj_stats.semijoins));
         trace->Annotate(sj_span.id(), "build_rows",
                         static_cast<uint64_t>(sj_stats.build_rows));
+        trace->Annotate(sj_span.id(), "dense_semijoins",
+                        static_cast<uint64_t>(sj_stats.dense_semijoins));
+        trace->Annotate(sj_span.id(), "hashed_rows",
+                        static_cast<uint64_t>(sj_stats.hashed_rows));
         trace->Annotate(sj_span.id(), "bloom_filters_built",
                         static_cast<uint64_t>(sj_stats.bloom_filters_built));
         trace->Annotate(sj_span.id(), "bloom_probes_skipped",
@@ -736,25 +762,22 @@ Scheduler* QueryEngine::EnsureScheduler() {
 std::future<Result<QueryResult>> QueryEngine::Submit(PreparedQuery prepared,
                                                      Bindings bindings) {
   Scheduler* scheduler = EnsureScheduler();
-  auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
-      [this, scheduler, prepared = std::move(prepared),
-       bindings = std::move(bindings)]() {
+  return SubmitQuery(
+      scheduler, [this, scheduler, prepared = std::move(prepared),
+                  bindings = std::move(bindings)]() {
         m_batch_queries_->Add(1);
         return ExecuteInternal(prepared, bindings, scheduler,
                                /*use_result_cache=*/true);
       });
-  auto future = task->get_future();
-  scheduler->Submit([task] { (*task)(); }, "query");
-  return future;
 }
 
 std::future<Result<QueryResult>> QueryEngine::Submit(PreparedQuery prepared,
                                                      Bindings bindings,
                                                      Snapshot snap) {
   Scheduler* scheduler = EnsureScheduler();
-  auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
-      [this, scheduler, prepared = std::move(prepared),
-       bindings = std::move(bindings), snap = std::move(snap)]() {
+  return SubmitQuery(
+      scheduler, [this, scheduler, prepared = std::move(prepared),
+                  bindings = std::move(bindings), snap = std::move(snap)]() {
         m_batch_queries_->Add(1);
         if (!db_->OwnsSnapshot(snap)) {
           return Result<QueryResult>(Status::InvalidArgument(
@@ -763,9 +786,6 @@ std::future<Result<QueryResult>> QueryEngine::Submit(PreparedQuery prepared,
         return ExecuteInternal(prepared, bindings, scheduler,
                                /*use_result_cache=*/true, &snap);
       });
-  auto future = task->get_future();
-  scheduler->Submit([task] { (*task)(); }, "query");
-  return future;
 }
 
 std::vector<Result<QueryResult>> QueryEngine::ExecuteBatch(

@@ -439,6 +439,8 @@ class QueryEngine {
   obs::Counter* m_semijoin_reductions_;
   obs::Counter* m_semijoins_;
   obs::Counter* m_semijoin_build_rows_;
+  obs::Counter* m_dense_semijoins_;
+  obs::Counter* m_semijoin_hashed_rows_;
   obs::Counter* m_delta_maintained_;
   obs::Counter* m_swept_;
   obs::Counter* m_safe_routed_;

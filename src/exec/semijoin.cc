@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include "src/common/hash.h"
 #include "src/exec/bloom.h"
@@ -110,16 +112,100 @@ Result<std::vector<AtomInput>> ResolveAndFilter(
   return inputs;
 }
 
+/// Widest build-side payload range (hi - lo) the dense path covers: a
+/// bitmap of at most 2^22 bits is 512 KiB, which stays cache-resident
+/// while the probe side streams past it. Wider keys keep the hash path.
+constexpr uint64_t kDenseMaxRange = uint64_t{1} << 22;
+
+/// Bitmap words the dense path may clear per row of the pair (probe plus
+/// build). Clearing a word costs no more than reading a row, so at one
+/// word per row the clear never costs more than the pair's own rows; a
+/// wide range over a few rows keeps the hash path.
+constexpr uint64_t kDenseMaxWordsPerRow = 1;
+
+/// Payload range of a dense-path build column: offsets `v - lo` of its
+/// values run from 0 to `width` (unsigned arithmetic, so negative integers
+/// and dictionary codes need no special case).
+struct DenseRange {
+  uint64_t lo;
+  uint64_t width;
+};
+
+/// The bitmap range when the one-column pair `a ⋉ b` qualifies for the
+/// dense path, read from the columns alone: both type-uniform with one
+/// type (so equal raw bits mean equal keys, exactly as KeysEqual), `b`
+/// non-empty with a zone-map range below kDenseMaxRange, and at most
+/// kDenseMaxWordsPerRow bitmap words per row of the pair.
+std::optional<DenseRange> DenseRangeFor(const Column& a, const Column& b) {
+  if (!a.uniform() || !b.uniform() || a.type() != b.type() || b.size() == 0) {
+    return std::nullopt;
+  }
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  for (size_t ci = 0; ci < b.num_chunks(); ++ci) {
+    lo = std::min(lo, b.ChunkMinBits(ci));
+    hi = std::max(hi, b.ChunkMaxBits(ci));
+  }
+  const uint64_t width = hi - lo;
+  if (width >= kDenseMaxRange ||
+      width / 64 + 1 > kDenseMaxWordsPerRow * (a.size() + b.size())) {
+    return std::nullopt;
+  }
+  return DenseRange{lo, width};
+}
+
+/// Dense-path semi-join: one bit per build value over `range`, then one
+/// streaming pass over the probe column that keeps each row whose bit is
+/// set. Rows come out ascending, as from the hash path.
+std::vector<uint32_t> DenseSemiJoinSelect(const Column& a, const Column& b,
+                                          DenseRange range) {
+  std::vector<uint64_t> bitmap(range.width / 64 + 1);
+  for (size_t ci = 0; ci < b.num_chunks(); ++ci) {
+    for (uint64_t v : b.ChunkBits(ci)) {
+      const uint64_t off = v - range.lo;
+      assert(off <= range.width);  // zone maps are exact
+      bitmap[off >> 6] |= uint64_t{1} << (off & 63);
+    }
+  }
+  std::vector<uint32_t> sel;
+  sel.reserve(a.size());
+  for (size_t ci = 0; ci < a.num_chunks(); ++ci) {
+    uint32_t r = static_cast<uint32_t>(a.ChunkBegin(ci));
+    for (uint64_t v : a.ChunkBits(ci)) {
+      const uint64_t off = v - range.lo;
+      if (off <= range.width && (bitmap[off >> 6] >> (off & 63) & 1) != 0) {
+        sel.push_back(r);
+      }
+      ++r;
+    }
+  }
+  return sel;
+}
+
 /// Pairwise semi-join reduction of one ordered atom pair: the row indices
-/// of `ta` with a key match in `tb`, in ascending order.
+/// of `ta` with a key match in `tb`, in ascending order. One-column keys
+/// over a narrow build range take the dense bitmap path; every other pair
+/// is hashed.
 std::vector<uint32_t> SemiJoinSelect(const Table& ta,
                                      const std::vector<int>& pos_a,
                                      const Table& tb,
                                      const std::vector<int>& pos_b,
                                      SemiJoinStats* stats) {
+  const size_t bn = tb.NumRows();
+  if (stats) {
+    ++stats->semijoins;
+    stats->build_rows += bn;
+  }
+  if (pos_a.size() == 1) {
+    const Column& a = *ta.col(pos_a[0]);
+    const Column& b = *tb.col(pos_b[0]);
+    if (std::optional<DenseRange> range = DenseRangeFor(a, b)) {
+      if (stats) ++stats->dense_semijoins;
+      return DenseSemiJoinSelect(a, b, *range);
+    }
+  }
   // Index b's key values (batch hash + chain; real key comparison on
   // probe avoids hash-collision survivors).
-  const size_t bn = tb.NumRows();
   HashVector bh = HashKeyColumns(tb, pos_b);
   FlatHashIndex index(bn);
   std::vector<uint32_t> next(bn);
@@ -173,8 +259,7 @@ std::vector<uint32_t> SemiJoinSelect(const Table& ta,
     }
   }
   if (stats) {
-    ++stats->semijoins;
-    stats->build_rows += bn;
+    stats->hashed_rows += an + bn;
     stats->bloom_probes_skipped += bloom_skipped;
   }
   return sel;

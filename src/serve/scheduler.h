@@ -92,9 +92,11 @@ class Scheduler {
   /// Cancellable Submit: `fn` is skipped (never invoked) when `token` is
   /// already cancelled at the moment the task would start — counted in
   /// scheduler.tasks_cancelled instead of the run histogram. `done`, when
-  /// non-null, is invoked exactly once either way (after `fn` returns, or
-  /// at skip time), so a controller can join on a round of cancellable
-  /// tasks without futures that a skip would leave unresolved.
+  /// non-null, is invoked exactly once either way (after `fn` returns and
+  /// the task's run time and count are recorded, or at skip time), so a
+  /// controller can join on a round of cancellable tasks without futures
+  /// that a skip would leave unresolved, and a caller woken by `done` sees
+  /// the task in the telemetry.
   void Submit(std::function<void()> fn, const char* task_class,
               std::shared_ptr<const CancelToken> token,
               std::function<void()> done = nullptr);

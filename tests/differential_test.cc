@@ -4,6 +4,7 @@
 // MinMerge, semi-join reduction).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -22,6 +23,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::Canonical;
+using testing_util::Q;
 using testing_util::RefJoin;
 using testing_util::RefMinMerge;
 using testing_util::RefProject;
@@ -367,6 +369,193 @@ TEST(DifferentialTest, TpchSelectionsReduceToReferenceWithoutIndexingPartsupp) {
   EXPECT_GT((*reduced)[1].NumRows(), 0u);
   EXPECT_LT((*reduced)[1].NumRows(), partsupp_rows / 10);
   EXPECT_LT(stats.build_rows, partsupp_rows);
+  // Dense integer ids take the bitmap path, so Partsupp is never hashed
+  // in full.
+  EXPECT_GE(stats.dense_semijoins, 1u);
+  EXPECT_LT(stats.hashed_rows, partsupp_rows);
+}
+
+// --- Dense vs hashed semi-joins --------------------------------------------
+//
+// Each case builds R and S from key generators, checks SemiJoinReduce row
+// for row against the reference, and checks through the stats which path
+// its pairs took.
+
+/// Keys of row `row` of a generated table (one value per key column).
+using KeyGen = std::function<std::vector<Value>(Rng*, Database*, size_t row)>;
+
+/// Adds relation `name` with `rows` rows of `gen`'s keys and U[0,1]
+/// probabilities. Columns take the type of their first value.
+void AddKeyTable(Database* db, const std::string& name, int arity,
+                 size_t rows, const KeyGen& gen, Rng* rng) {
+  Table t(RelationSchema::AllInt64(name, arity));
+  for (size_t r = 0; r < rows; ++r) {
+    t.AddRow(gen(rng, db, r), rng->NextDouble());
+  }
+  ASSERT_TRUE(db->AddTable(std::move(t)).ok());
+}
+
+enum class SemiJoinPath { kDense, kHashed };
+enum class Matches { kSome, kNone };
+
+/// Reduces `query` over R (`r_rows` rows of `r_gen`) and S (`s_rows` rows
+/// of `s_gen`) for a few seeds. Each result must equal the reference, every
+/// pair must take `path`, and the reduction must keep some rows and drop
+/// others over the seeds (kSome) or empty every table (kNone).
+void ExpectReductionOnPath(const std::string& query, int arity, size_t r_rows,
+                           const KeyGen& r_gen, size_t s_rows,
+                           const KeyGen& s_gen, SemiJoinPath path,
+                           Matches matches, const std::string& context) {
+  const ConjunctiveQuery q = Q(query);
+  size_t kept = 0;
+  size_t dropped = 0;
+  for (int seed = 0; seed < 4; ++seed) {
+    Rng rng(9100 + seed);
+    Database db;
+    AddKeyTable(&db, "R", arity, r_rows, r_gen, &rng);
+    AddKeyTable(&db, "S", arity, s_rows, s_gen, &rng);
+    const Snapshot snap = db.snapshot();
+    SemiJoinStats stats;
+    auto reduced = SemiJoinReduce(snap, q, {}, &stats);
+    ASSERT_TRUE(reduced.ok()) << context;
+    const std::string where = context + " seed " + std::to_string(seed);
+    ExpectReductionMatchesReference(*reduced, snap, q, {}, where);
+    ASSERT_GE(stats.semijoins, 1u) << where;
+    if (path == SemiJoinPath::kDense) {
+      EXPECT_EQ(stats.dense_semijoins, stats.semijoins) << where;
+      EXPECT_EQ(stats.hashed_rows, 0u) << where;
+    } else {
+      EXPECT_EQ(stats.dense_semijoins, 0u) << where;
+      EXPECT_GT(stats.hashed_rows, 0u) << where;
+    }
+    for (size_t i = 0; i < stats.rows_after.size(); ++i) {
+      kept += stats.rows_after[i];
+      dropped += stats.rows_before[i] - stats.rows_after[i];
+    }
+  }
+  if (matches == Matches::kSome) {
+    EXPECT_GT(kept, 0u) << context;
+    EXPECT_GT(dropped, 0u) << context;
+  } else {
+    EXPECT_EQ(kept, 0u) << context;
+  }
+}
+
+/// One key per row, drawn by `draw`.
+KeyGen OneKey(std::function<Value(Rng*, Database*, size_t)> draw) {
+  return [draw](Rng* rng, Database* db, size_t row) {
+    return std::vector<Value>{draw(rng, db, row)};
+  };
+}
+
+/// Integer keys `(base + U[0, 64)) * stride`.
+KeyGen IntKeys(int64_t base, int64_t stride) {
+  return OneKey([base, stride](Rng* rng, Database*, size_t) {
+    return Value::Int64(
+        (base + static_cast<int64_t>(rng->NextBounded(64))) * stride);
+  });
+}
+
+/// String keys: dictionary codes of 64 interned names.
+KeyGen StringKeys() {
+  return OneKey([](Rng* rng, Database* db, size_t) {
+    return db->Str("name" + std::to_string(rng->NextBounded(64)));
+  });
+}
+
+const char kOneVarQuery[] = "q() :- R(x), S(x)";
+
+/// The dense cases: narrow, all-negative and string keys.
+void ExpectDenseCases(const std::string& context) {
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, IntKeys(1000, 1), 24,
+                        IntKeys(1000, 1), SemiJoinPath::kDense, Matches::kSome,
+                        context + " narrow ints");
+  // Negative integers sit at the top of the unsigned raw-bit order; their
+  // offsets from the minimum stay small.
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, IntKeys(-64, 1), 24,
+                        IntKeys(-64, 1), SemiJoinPath::kDense, Matches::kSome,
+                        context + " negative ints");
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, StringKeys(), 24, StringKeys(),
+                        SemiJoinPath::kDense, Matches::kSome,
+                        context + " strings");
+}
+
+TEST(DenseSemiJoinTest, DenseKeysMatchReference) { ExpectDenseCases(""); }
+
+TEST(DenseSemiJoinTest, DenseRangeSpansSeveralZoneMaps) {
+  // 8-row chunks: each build range is the union of several chunks' zone
+  // maps.
+  ChunkCapOverride cap(8);
+  ExpectDenseCases("8-row chunks");
+}
+
+TEST(DenseSemiJoinTest, HashedKeysMatchReference) {
+  // Integers spread wider than the 2^22 dense range.
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, IntKeys(0, int64_t{1} << 23), 24,
+                        IntKeys(0, int64_t{1} << 23), SemiJoinPath::kHashed,
+                        Matches::kSome, "wide ints");
+  // Keys on both sides of zero: the unsigned range covers almost 2^64.
+  const KeyGen straddle = OneKey([](Rng* rng, Database*, size_t row) {
+    const int64_t v = 1 + static_cast<int64_t>(rng->NextBounded(32));
+    return Value::Int64(row % 2 == 0 ? v : -v);
+  });
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, straddle, 24, straddle,
+                        SemiJoinPath::kHashed, Matches::kSome,
+                        "straddling zero");
+  const KeyGen doubles = OneKey([](Rng* rng, Database*, size_t) {
+    return Value::Double(0.5 * static_cast<double>(1 + rng->NextBounded(64)));
+  });
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, doubles, 24, doubles,
+                        SemiJoinPath::kHashed, Matches::kSome, "doubles");
+  // Two shared variables, each narrow: multi-column keys are hashed.
+  const KeyGen pairs = [](Rng* rng, Database*, size_t) {
+    return std::vector<Value>{
+        Value::Int64(static_cast<int64_t>(rng->NextBounded(8))),
+        Value::Int64(static_cast<int64_t>(rng->NextBounded(8)))};
+  };
+  ExpectReductionOnPath("q() :- R(x,y), S(x,y)", 2, 48, pairs, 24, pairs,
+                        SemiJoinPath::kHashed, Matches::kSome,
+                        "two shared variables");
+  // Both columns mix integers and strings, so neither is type-uniform.
+  // Strings come from four names, so both types keep matches and the
+  // reduced columns stay mixed.
+  const KeyGen mixed = OneKey([](Rng* rng, Database* db, size_t row) {
+    if (row % 3 == 2) {
+      return db->Str("name" + std::to_string(rng->NextBounded(4)));
+    }
+    return Value::Int64(static_cast<int64_t>(rng->NextBounded(64)));
+  });
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, mixed, 24, mixed,
+                        SemiJoinPath::kHashed, Matches::kSome,
+                        "mixed-type columns");
+  // A range below 2^22 whose bitmap (2^15 + 1 words) dwarfs the pair's
+  // ten rows: clearing it would cost more than hashing them.
+  const KeyGen sparse = OneKey([](Rng* rng, Database*, size_t row) {
+    return Value::Int64(row == 0 ? int64_t{1} << 21
+                                 : static_cast<int64_t>(rng->NextBounded(8)));
+  });
+  ExpectReductionOnPath(kOneVarQuery, 1, 6, sparse, 4, sparse,
+                        SemiJoinPath::kHashed, Matches::kSome,
+                        "wide range, few rows");
+}
+
+TEST(DenseSemiJoinTest, NoMatchCasesMatchReference) {
+  // The same raw bits on both sides, but an integer never equals a string
+  // code.
+  const KeyGen ints = OneKey([](Rng* rng, Database*, size_t) {
+    return Value::Int64(static_cast<int64_t>(rng->NextBounded(8)));
+  });
+  const KeyGen codes = OneKey([](Rng* rng, Database*, size_t) {
+    return Value::StringCode(static_cast<int64_t>(rng->NextBounded(8)));
+  });
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, ints, 24, codes,
+                        SemiJoinPath::kHashed, Matches::kNone,
+                        "int vs string");
+  // An empty build side has no range to set bits over; the pair is hashed
+  // and keeps no probe row.
+  ExpectReductionOnPath(kOneVarQuery, 1, 48, ints, 0, ints,
+                        SemiJoinPath::kHashed, Matches::kNone,
+                        "empty build side");
 }
 
 }  // namespace

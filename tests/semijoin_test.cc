@@ -239,11 +239,17 @@ TEST(SemiJoinTest, BloomFilterDoesNotChangeReduction) {
 }
 
 TEST(SemiJoinTest, ForcedBloomFiltersReportStats) {
+  // Keys spread wider than the dense path's 2^22 range, so every pair is
+  // hashed and gets the forced filter.
+  constexpr int64_t k = int64_t{1} << 23;
   auto q = Q("q() :- R(x), S(x,y), T(y)");
   Database db;
-  AddTable(&db, "R", 1, {{{1}, 0.5}, {{2}, 0.5}, {{9}, 0.5}});
-  AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{2, 5}, 0.5}, {{3, 6}, 0.5}});
-  AddTable(&db, "T", 1, {{{4}, 0.5}, {{7}, 0.5}});
+  AddTable(&db, "R", 1, {{{1 * k}, 0.5}, {{2 * k}, 0.5}, {{9 * k}, 0.5}});
+  AddTable(&db, "S", 2,
+           {{{1 * k, 4 * k}, 0.5},
+            {{2 * k, 5 * k}, 0.5},
+            {{3 * k, 6 * k}, 0.5}});
+  AddTable(&db, "T", 1, {{{4 * k}, 0.5}, {{7 * k}, 0.5}});
   SetSemiJoinBloomMinRowsForTesting(1);
   SemiJoinStats stats;
   auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);

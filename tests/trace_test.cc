@@ -396,11 +396,24 @@ TEST(EngineTraceTest, SampledTracingRecordsOneInN) {
   EXPECT_EQ(engine.stats().traces_recorded, 3u);
 }
 
+/// RstDatabase with every key times 2^23: wider than the dense semi-join
+/// range, so every reduction pair is hashed and can get a Bloom filter.
+Database WideKeyRstDatabase() {
+  constexpr int64_t k = int64_t{1} << 23;
+  Database db;
+  AddTable(&db, "R", 1, {{{1 * k}, 0.7}, {{2 * k}, 0.5}});
+  AddTable(&db, "S", 2,
+           {{{1 * k, 10 * k}, 0.9}, {{1 * k, 20 * k}, 0.4},
+            {{2 * k, 20 * k}, 0.8}});
+  AddTable(&db, "T", 1, {{{10 * k}, 0.6}, {{20 * k}, 0.3}});
+  return db;
+}
+
 TEST(EngineTraceTest, SemiJoinSpanAndBloomStatsFlowIntoEngineStats) {
   // Satellite: the reduction's Bloom counters used to be dropped per-call;
   // they must now land in EngineStats and on the semijoin-reduce span.
   SetSemiJoinBloomMinRowsForTesting(1);
-  Database db = RstDatabase();
+  Database db = WideKeyRstDatabase();
   EngineOptions opts;
   opts.propagation.opt3_semijoin_reduction = true;
   QueryEngine engine = QueryEngine::Borrow(db, opts);
@@ -432,6 +445,43 @@ TEST(EngineTraceTest, SemiJoinSpanAndBloomStatsFlowIntoEngineStats) {
   EXPECT_EQ(engine.metrics().counter("semijoin.build_rows")->Value(),
             std::stoull(*Arg(*sj, "build_rows")));
   EXPECT_GT(std::stoull(*Arg(*sj, "build_rows")), 0u);
+
+  // Which path each pair took: wide keys are all hashed.
+  ASSERT_NE(Arg(*sj, "dense_semijoins"), nullptr);
+  ASSERT_NE(Arg(*sj, "hashed_rows"), nullptr);
+  EXPECT_EQ(std::stoull(*Arg(*sj, "dense_semijoins")), 0u);
+  EXPECT_EQ(engine.metrics().counter("semijoin.dense_semijoins")->Value(),
+            std::stoull(*Arg(*sj, "dense_semijoins")));
+  EXPECT_GT(std::stoull(*Arg(*sj, "hashed_rows")), 0u);
+  EXPECT_EQ(engine.metrics().counter("semijoin.hashed_rows")->Value(),
+            std::stoull(*Arg(*sj, "hashed_rows")));
+}
+
+TEST(EngineTraceTest, SemiJoinSpanReportsDensePairs) {
+  // Small integer keys: every pair is answered by the dense bitmap path,
+  // which hashes nothing. Span args and registry counters agree.
+  Database db = RstDatabase();
+  EngineOptions opts;
+  opts.propagation.opt3_semijoin_reduction = true;
+  QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto prepared = engine.Prepare("q(x) :- R(x), S(x,y), T(y)");
+  ASSERT_TRUE(prepared.ok());
+  auto res = engine.Execute(*prepared, Bindings().EnableTrace());
+  ASSERT_TRUE(res.ok());
+  ASSERT_NE(res->trace, nullptr);
+  const obs::TraceSpan* sj = FindSpan(*res->trace, "semijoin-reduce");
+  ASSERT_NE(sj, nullptr);
+  ASSERT_NE(Arg(*sj, "semijoins"), nullptr);
+  ASSERT_NE(Arg(*sj, "dense_semijoins"), nullptr);
+  ASSERT_NE(Arg(*sj, "hashed_rows"), nullptr);
+  const uint64_t dense = std::stoull(*Arg(*sj, "dense_semijoins"));
+  EXPECT_GE(dense, 4u);
+  EXPECT_EQ(dense, std::stoull(*Arg(*sj, "semijoins")));
+  EXPECT_EQ(engine.metrics().counter("semijoin.dense_semijoins")->Value(),
+            dense);
+  EXPECT_EQ(std::stoull(*Arg(*sj, "hashed_rows")), 0u);
+  EXPECT_EQ(engine.metrics().counter("semijoin.hashed_rows")->Value(), 0u);
+  EXPECT_EQ(engine.stats().bloom_filters_built, 0u);
 }
 
 TEST(EngineTraceTest, PrometheusDumpCoversEngineSchedulerAndScans) {
