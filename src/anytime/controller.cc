@@ -13,7 +13,7 @@
 #include "src/anytime/lower_bound.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
-#include "src/exec/ranking.h"
+#include "src/common/string_util.h"
 #include "src/infer/exact.h"
 #include "src/infer/mc.h"
 #include "src/lineage/lineage.h"
@@ -86,16 +86,21 @@ uint64_t PlansHash(const CompiledPlans& compiled, const ConjunctiveQuery& q) {
   return Mix64(h);
 }
 
-/// Evaluates the compiled plans as-is (the upper-bound / safe-exact pass),
-/// mirroring ExecuteInternal's evaluation stage without result-cache
-/// participation.
-Result<Rel> EvaluateUpper(const AnytimeInput& in, uint32_t span) {
+/// Evaluates the compiled plans once, mirroring ExecuteInternal's
+/// evaluation stage without result-cache participation. Lane 1 scores the
+/// stored weights (upper bounds, or exact scores on the safe route); a
+/// non-empty `lane2` (ObliviousLowerWeights) rides through the same
+/// evaluation as score lane 2 (lower bounds).
+Result<Rel> EvaluateCompiled(const AnytimeInput& in,
+                             const std::vector<WeightsPtr>& lane2,
+                             uint32_t span) {
   const ConjunctiveQuery& q = *in.query;
   if (in.compiled->single_plan != nullptr) {
     PlanEvaluator ev(in.snap, q);
     for (const auto& [idx, ov] : in.overrides) {
       ev.SetAtomTable(idx, ov.table, ov.tag);
     }
+    ev.SetLane2Weights(lane2);
     if (in.scheduler != nullptr) ev.SetScheduler(in.scheduler);
     if (in.trace != nullptr) ev.SetTrace(in.trace, span);
     auto rel = ev.Evaluate(in.compiled->single_plan);
@@ -103,12 +108,24 @@ Result<Rel> EvaluateUpper(const AnytimeInput& in, uint32_t span) {
     return Rel(**rel);
   }
   return EvaluatePlansSeparately(in.snap, q, in.compiled->plans, in.overrides,
-                                 /*scan_stats=*/nullptr, in.trace, span);
+                                 /*scan_stats=*/nullptr, in.trace, span,
+                                 lane2);
+}
+
+/// "d0,d1,..." for the bounds span.
+std::string ExponentsLabel(const std::vector<double>& exponents) {
+  std::string out;
+  for (double d : exponents) {
+    if (!out.empty()) out += ',';
+    out += StrFormat("%.15g", d);
+  }
+  return out;
 }
 
 /// Permutation from the canonical answer-key order (ascending canonical
-/// head VarId — both RankAnswers pre-remap and lineage keys use it) to the
-/// caller order (ascending remapped VarId). Identity when var_map is null.
+/// head VarId — both the evaluated relation before its remap and lineage
+/// keys use it) to the caller order (ascending remapped VarId). Identity
+/// when var_map is null.
 std::vector<size_t> HeadPermutation(const ConjunctiveQuery& q,
                                     const std::vector<VarId>* var_map) {
   std::vector<VarId> head = MaskToVars(q.HeadMask());
@@ -183,58 +200,57 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
       in.trace->Annotate(bounds_span.id(), "anytime", std::string("bounds"));
     }
 
-    auto upper = EvaluateUpper(in, bounds_span.id());
-    if (!upper.ok()) return upper.status();
-    Rel upper_rel = std::move(*upper);
-    if (in.var_map != nullptr && upper_rel.arity() > 0) {
-      upper_rel = RemapRelVars(upper_rel, *in.var_map);
+    // Safe-plan route: scores are exact probabilities already, one lane.
+    // Otherwise lane 2 carries the oblivious lower bound.
+    const bool exact = in.compiled->exact;
+    std::vector<WeightsPtr> lane2;
+    if (!exact) {
+      out.exponents =
+          ObliviousExponents(in.snap, q, *in.compiled, in.overrides);
+      lane2 =
+          ObliviousLowerWeights(in.snap, q, in.overrides, out.exponents);
     }
-    std::vector<RankedAnswer> ranked = RankAnswers(upper_rel);
+    if (in.trace != nullptr) {
+      in.trace->Annotate(bounds_span.id(), "lanes",
+                         static_cast<uint64_t>(exact ? 1 : 2));
+      if (!exact) {
+        in.trace->Annotate(bounds_span.id(), "exponents",
+                           ExponentsLabel(out.exponents));
+      }
+    }
+    auto evaluated = EvaluateCompiled(in, lane2, bounds_span.id());
+    if (!evaluated.ok()) return evaluated.status();
+    Rel rel = std::move(*evaluated);
+    if (in.var_map != nullptr && rel.arity() > 0) {
+      rel = RemapRelVars(rel, *in.var_map);
+    }
 
-    if (in.compiled->exact) {
-      // Safe-plan route: scores are exact probabilities already.
-      out.answers.reserve(ranked.size());
-      for (RankedAnswer& ra : ranked) {
-        BoundedAnswer a;
-        a.tuple = std::move(ra.tuple);
-        a.lower = a.upper = a.point = Clamp01(ra.score);
+    // Lower bounds read lane 2 (lane 1 on the exact route, where the
+    // interval is a point).
+    const WeightColumn& lower = rel.Lane2OrScores();
+    out.answers.reserve(rel.NumRows());
+    for (size_t r = 0; r < rel.NumRows(); ++r) {
+      BoundedAnswer a;
+      a.tuple.resize(rel.arity());
+      for (int c = 0; c < rel.arity(); ++c) a.tuple[c] = rel.At(r, c);
+      a.upper = Clamp01(rel.Score(r));
+      a.point = a.upper;  // serving score = the dissociation score
+      a.lower = Clamp01(std::min(lower[r], a.upper));
+      if (exact) {
         a.certified = true;
         a.source = BoundSource::kSafeExact;
-        out.answers.push_back(std::move(a));
+      } else {
+        a.certified = a.width() <= kPointWidth;
       }
+      out.answers.push_back(std::move(a));
+    }
+    SortBoundedAnswers(&out.answers);
+    if (exact) {
       out.verdict = AnytimeVerdict::kExact;
       out.stats.certified_prefix =
           std::min(spec.top_k, out.answers.size());
       return out;
     }
-
-    out.exponents = ObliviousExponents(in.snap, q, *in.compiled, in.overrides);
-    auto lower = ObliviousLowerBounds(in.snap, q, *in.compiled, in.overrides,
-                                      out.exponents, in.scheduler, in.trace,
-                                      bounds_span.id());
-    if (!lower.ok()) return lower.status();
-    Rel lower_rel = std::move(*lower);
-    if (in.var_map != nullptr && lower_rel.arity() > 0) {
-      lower_rel = RemapRelVars(lower_rel, *in.var_map);
-    }
-    std::map<std::vector<Value>, double> lower_by_tuple;
-    for (RankedAnswer& ra : RankAnswers(lower_rel)) {
-      lower_by_tuple.emplace(std::move(ra.tuple), ra.score);
-    }
-
-    out.answers.reserve(ranked.size());
-    for (RankedAnswer& ra : ranked) {
-      BoundedAnswer a;
-      a.upper = Clamp01(ra.score);
-      a.point = a.upper;  // serving score = the dissociation score
-      auto it = lower_by_tuple.find(ra.tuple);
-      a.lower = Clamp01(std::min(it != lower_by_tuple.end() ? it->second : 0.0,
-                                 a.upper));
-      a.tuple = std::move(ra.tuple);
-      a.certified = a.width() <= kPointWidth;
-      out.answers.push_back(std::move(a));
-    }
-    SortBoundedAnswers(&out.answers);
   }
 
   CertifyResult cert = CertifyAnswers(out.answers, spec);

@@ -6,7 +6,9 @@
 //   2. Bounds (unconditional, even under an already-expired deadline):
 //      the dissociation plans give per-answer upper bounds; the same plans
 //      over obliviously rescaled weights give lower bounds
-//      (src/anytime/lower_bound.h). Every answer now carries [lower, upper].
+//      (src/anytime/lower_bound.h). One evaluation computes both: the
+//      rescaled weights ride as score lane 2 (src/exec/rel.h). Every
+//      answer now carries [lower, upper].
 //   3. Guarantees requested and not yet met?  Ground the lineage once
 //      against the pinned snapshot, then refine in rounds: interval
 //      ranking picks only the answers whose intervals still contest a rank

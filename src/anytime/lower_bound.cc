@@ -1,10 +1,11 @@
 #include "src/anytime/lower_bound.h"
 
 #include <algorithm>
-#include <unordered_set>
-#include <utility>
+#include <bit>
+#include <optional>
 
 #include "src/dissociation/dissociation.h"
+#include "src/exec/hash_table.h"
 
 namespace dissodb {
 
@@ -34,12 +35,52 @@ const Table* AtomTable(const Snapshot& snap, const ConjunctiveQuery& q,
   return t < 0 ? nullptr : &snap.table(t);
 }
 
+/// Exact number of distinct values in `col`, read over its chunk spans. A
+/// type-uniform column over a narrow zone-map range sets one bit per value
+/// in a bitmap over that range; any other column is hashed, with real
+/// comparisons of (type, payload), so equal payloads of different types
+/// count as different values.
+size_t CountDistinct(const Column& col) {
+  const size_t n = col.size();
+  if (n == 0) return 0;
+  if (std::optional<DenseRange> range = DenseRangeFor(col, n)) {
+    std::vector<uint64_t> bitmap(range->width / 64 + 1);
+    for (size_t ci = 0; ci < col.num_chunks(); ++ci) {
+      for (uint64_t v : col.ChunkBits(ci)) {
+        const uint64_t off = v - range->lo;
+        bitmap[off >> 6] |= uint64_t{1} << (off & 63);
+      }
+    }
+    size_t count = 0;
+    for (uint64_t word : bitmap) count += std::popcount(word);
+    return count;
+  }
+  HashVector h(n);
+  col.HashCombineInto(h, /*init=*/true);
+  FlatHashIndex index(n);
+  std::vector<uint32_t> reps;  // first row of each distinct value
+  std::vector<uint32_t> next;  // chain of values sharing a hash
+  for (size_t r = 0; r < n; ++r) {
+    uint32_t& head = index.HeadFor(h[r]);
+    uint32_t g = head;
+    while (g != FlatHashIndex::kNil && !col.ElemEquals(r, col, reps[g])) {
+      g = next[g];
+    }
+    if (g == FlatHashIndex::kNil) {
+      next.push_back(head);
+      head = static_cast<uint32_t>(reps.size());
+      reps.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return reps.size();
+}
+
 /// Exact count of distinct values variable `v` takes in the tables of the
 /// atoms natively containing it; minimum over those atoms (every atom's
-/// column bounds the join's active domain). Raw 64-bit payloads are exact
-/// within a typed column — a sketch could undercount and make the bound
-/// unsound. Returns 1 when no atom binds `v` (cannot happen for extra
-/// variables of a valid dissociation) or a table is missing.
+/// column bounds the join's active domain). Exact counts matter — a
+/// sketch could undercount and make the bound unsound. Returns 1 when no
+/// atom binds `v` (cannot happen for extra variables of a valid
+/// dissociation) or a table is missing.
 double ActiveDomainSize(const Snapshot& snap, const ConjunctiveQuery& q,
                         const AtomOverrides& overrides, VarId v) {
   double best = kMaxExponent;
@@ -57,11 +98,7 @@ double ActiveDomainSize(const Snapshot& snap, const ConjunctiveQuery& q,
     if (col < 0) continue;
     const Table* t = AtomTable(snap, q, overrides, i);
     if (t == nullptr) continue;
-    std::unordered_set<uint64_t> distinct;
-    const size_t n = t->NumRows();
-    distinct.reserve(n);
-    for (size_t r = 0; r < n; ++r) distinct.insert(t->col(col)->RawBits(r));
-    best = std::min(best, static_cast<double>(distinct.size()));
+    best = std::min(best, static_cast<double>(CountDistinct(*t->col(col))));
     found = true;
   }
   if (!found) return 1.0;
@@ -98,56 +135,24 @@ std::vector<double> ObliviousExponents(const Snapshot& snap,
   return d;
 }
 
-Result<Rel> ObliviousLowerBounds(const Snapshot& snap,
-                                 const ConjunctiveQuery& q,
-                                 const CompiledPlans& compiled,
-                                 const AtomOverrides& overrides,
-                                 const std::vector<double>& exponents,
-                                 Scheduler* scheduler,
-                                 obs::TraceContext* trace,
-                                 uint32_t trace_parent) {
-  std::vector<PlanPtr> single_storage;
-  const std::vector<PlanPtr>& plans = PlansOf(compiled, &single_storage);
-  if (plans.empty()) return Status::InvalidArgument("no compiled plans");
-
-  // Shallow table copies with rescaled weight columns. Reserve up front:
-  // SetAtomTable keeps raw pointers into this vector.
-  std::vector<Table> scaled;
-  scaled.reserve(q.num_atoms());
-  AtomOverrides lb_overrides;
+std::vector<WeightsPtr> ObliviousLowerWeights(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const AtomOverrides& overrides, const std::vector<double>& exponents) {
+  std::vector<WeightsPtr> lane2(q.num_atoms());
   for (int i = 0; i < q.num_atoms(); ++i) {
-    const Table* base = AtomTable(snap, q, overrides, i);
-    if (base == nullptr) {
-      return Status::NotFound("no table named " + q.atom(i).relation);
-    }
     const double d = i < static_cast<int>(exponents.size()) ? exponents[i]
                                                             : 1.0;
-    if (d > 1.0 && !base->schema().deterministic && base->NumRows() > 0) {
-      scaled.push_back(*base);
-      scaled.back().DissociateProbabilitiesObliviously(d);
-      // Untagged on purpose: rescaled contents must never be exchanged
-      // with the shared result cache under the base table's identity.
-      lb_overrides[i] = AtomOverride{&scaled.back(), {}};
-    } else if (overrides.count(i) != 0) {
-      lb_overrides[i] = AtomOverride{base, {}};
+    // A missing table is left to the evaluation, which reports it.
+    const Table* t = AtomTable(snap, q, overrides, i);
+    if (t == nullptr || d <= 1.0 || t->schema().deterministic ||
+        t->NumRows() == 0) {
+      continue;
     }
+    auto w = std::make_shared<WeightColumn>(*t->weights());
+    w->ComplementPow(1.0 / d);
+    lane2[i] = std::move(w);
   }
-
-  if (plans.size() == 1) {
-    PlanEvaluator ev(snap, q);
-    for (const auto& [idx, ov] : lb_overrides) {
-      ev.SetAtomTable(idx, ov.table);
-    }
-    if (scheduler != nullptr) ev.SetScheduler(scheduler);
-    if (trace != nullptr) ev.SetTrace(trace, trace_parent);
-    auto rel = ev.Evaluate(plans[0]);
-    if (!rel.ok()) return rel.status();
-    return Rel(**rel);
-  }
-  // Min over plans: each plan's score lower-bounds P(q), and the minimum
-  // of per-answer lower bounds is still a lower bound (only looser).
-  return EvaluatePlansSeparately(snap, q, plans, lb_overrides,
-                                 /*scan_stats=*/nullptr, trace, trace_parent);
+  return lane2;
 }
 
 }  // namespace dissodb

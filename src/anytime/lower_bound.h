@@ -11,7 +11,15 @@
 // oblivious-bounds framework (Gatterbauer & Suciu, "Oblivious bounds on
 // the probability of Boolean functions", TODS 2014; Section 6.3 of the
 // VLDB'15 paper points to it): it needs only a per-relation exponent, no
-// per-tuple bookkeeping, so it reuses the evaluator unchanged.
+// per-tuple bookkeeping.
+//
+// One evaluation, two lanes: the rescaled weights differ from the stored
+// ones only in value, never in which rows a plan reads, groups or joins.
+// So the anytime controller hands them to the evaluator as score lane 2
+// (src/exec/rel.h) and evaluates the plans once; every operator folds the
+// lower bound beside the upper bound with the same selection, grouping and
+// fold order, which makes lane 2 bit-identical to a second evaluation over
+// rescaled tables.
 //
 // Soundness needs d_i >= the number of dissociated copies any tuple of
 // atom i actually has, i.e. the product of active-domain sizes of the
@@ -19,23 +27,21 @@
 // shrinks monotonically in d, and plan scores are monotone in the input
 // probabilities), so we take, per atom, the union of extra variables over
 // *all* compiled plans (including every Min branch) and exact — not
-// hash-approximate — active-domain counts.
+// hash-approximate — active-domain counts. A column holding values of
+// several types counts (type, payload) pairs: the Int64 1 and the string
+// code 1 are two values.
 //
-// "No table copies": the transform touches only the weight column of a
-// shallow (copy-on-write) Table copy; payload columns stay shared with the
-// pinned snapshot.
+// "No table copies": the transform touches only a shallow (copy-on-write)
+// copy of an atom's weight column; payload columns are never copied.
 #ifndef DISSODB_ANYTIME_LOWER_BOUND_H_
 #define DISSODB_ANYTIME_LOWER_BOUND_H_
 
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/engine/prepared_query.h"
 #include "src/exec/evaluator.h"
-#include "src/exec/rel.h"
-#include "src/obs/trace.h"
 #include "src/query/cq.h"
-#include "src/serve/scheduler.h"
+#include "src/storage/columnar.h"
 #include "src/storage/snapshot.h"
 
 namespace dissodb {
@@ -44,27 +50,24 @@ namespace dissodb {
 /// the product of exact active-domain sizes of every extra variable any
 /// plan attaches to atom i (1.0 for undissociated atoms), clamped to
 /// [1, 1e15]. `overrides` (canonical atom index space) substitute the
-/// tables used both for counting and, later, for evaluation.
+/// tables used both for counting and, later, for evaluation. Each count
+/// reads the column's chunk spans: a bitmap over a narrow zone-map range
+/// (DenseRangeFor), else a hash of the values.
 std::vector<double> ObliviousExponents(const Snapshot& snap,
                                        const ConjunctiveQuery& q,
                                        const CompiledPlans& compiled,
                                        const AtomOverrides& overrides);
 
-/// Evaluates the compiled plans over obliviously rescaled weights
-/// (p -> 1 - (1-p)^(1/d_i) per atom) and min-merges, yielding per-answer
-/// lower bounds on P(q = a) in canonical variable space. Mirrors the
-/// upper-bound evaluation: same plans, same snapshot, same overrides —
-/// only the weight columns differ, bound to the evaluator untagged so the
-/// rescaled results never enter the shared result cache. `exponents` must
-/// come from ObliviousExponents (or be elementwise >= it).
-Result<Rel> ObliviousLowerBounds(const Snapshot& snap,
-                                 const ConjunctiveQuery& q,
-                                 const CompiledPlans& compiled,
-                                 const AtomOverrides& overrides,
-                                 const std::vector<double>& exponents,
-                                 Scheduler* scheduler = nullptr,
-                                 obs::TraceContext* trace = nullptr,
-                                 uint32_t trace_parent = 0);
+/// Lane-2 weights for the oblivious lower bound, one entry per atom: for
+/// an atom with d_i > 1 bound to a non-empty probabilistic table, a
+/// shallow copy of that table's weight column rescaled to
+/// p' = 1 - (1-p)^(1/d_i) (bit-identical to
+/// Table::DissociateProbabilitiesObliviously); null for every other atom,
+/// whose lane 2 is then its lane 1. `exponents` must come from
+/// ObliviousExponents (or be elementwise >= it).
+std::vector<WeightsPtr> ObliviousLowerWeights(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const AtomOverrides& overrides, const std::vector<double>& exponents);
 
 }  // namespace dissodb
 

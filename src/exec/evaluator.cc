@@ -67,6 +67,10 @@ std::string PlanEvaluator::NodeLabel(const PlanPtr& plan) const {
 
 Result<std::shared_ptr<const Rel>> PlanEvaluator::Evaluate(
     const PlanPtr& plan) {
+  if (!lane2_.empty() && result_cache_ != nullptr) {
+    return Status::InvalidArgument(
+        "a lane-2 evaluation must not use the shared result cache");
+  }
   auto it = cache_.find(plan.get());
   if (it != cache_.end()) {
     if (trace_ != nullptr) {
@@ -163,9 +167,14 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
       const Table* override_table = nullptr;
       auto oit = overrides_.find(plan->atom_idx);
       if (oit != overrides_.end()) override_table = oit->second.table;
+      WeightsPtr lane2;
+      if (plan->atom_idx >= 0 &&
+          static_cast<size_t>(plan->atom_idx) < lane2_.size()) {
+        lane2 = lane2_[plan->atom_idx];
+      }
       const ChunkedScanStats before = scan_stats_;
       auto rel = ScanAtom(snap_, q_, plan->atom_idx, override_table,
-                          scheduler_, &scan_stats_);
+                          scheduler_, &scan_stats_, std::move(lane2));
       if (!rel.ok()) return rel.status();
       if (trace_ != nullptr) {
         if (override_table != nullptr) {
@@ -236,6 +245,7 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
       }
       used[first] = true;
       std::shared_ptr<const Rel> current = inputs[first];
+      std::string probe_cols;  // traced: one entry per HashJoin step
       for (size_t step = 1; step < inputs.size(); ++step) {
         int best = -1;
         bool best_shares = false;
@@ -250,8 +260,16 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
           }
         }
         used[best] = true;
+        bool reused = false;
         current = std::make_shared<const Rel>(
-            HashJoin(*current, *inputs[best], scheduler_));
+            HashJoin(*current, *inputs[best], scheduler_, &reused));
+        if (trace_ != nullptr) {
+          if (!probe_cols.empty()) probe_cols += ',';
+          probe_cols += reused ? "reused" : "gathered";
+        }
+      }
+      if (!probe_cols.empty()) {
+        trace_->Annotate(span, "probe_cols", std::move(probe_cols));
       }
       result = current;
       break;
@@ -326,12 +344,14 @@ Result<Rel> EvaluatePlansSeparately(
     const std::vector<PlanPtr>& plans,
     const AtomOverrides& overrides,
     ChunkedScanStats* scan_stats,
-    obs::TraceContext* trace, uint32_t trace_parent) {
+    obs::TraceContext* trace, uint32_t trace_parent,
+    const std::vector<WeightsPtr>& lane2) {
   std::vector<Rel> results;
   size_t plan_idx = 0;
   for (const auto& p : plans) {
     PlanEvaluator ev(snap, q);  // fresh: no cross-plan sharing
     for (const auto& [idx, ov] : overrides) ev.SetAtomTable(idx, ov.table, ov.tag);
+    ev.SetLane2Weights(lane2);
     obs::ScopedSpan plan_span(trace, "plan " + std::to_string(plan_idx++),
                               trace_parent);
     if (trace != nullptr) ev.SetTrace(trace, plan_span.id());

@@ -86,6 +86,15 @@ class PlanEvaluator {
   /// out as morsels. Results are bit-identical with or without it.
   void SetScheduler(Scheduler* scheduler) { scheduler_ = scheduler; }
 
+  /// Turns on score lane 2 (see Rel): `lane2[i]` weighs the rows of the
+  /// table bound to atom i (a null entry, or an atom past the end, scores
+  /// lane 2 as lane 1), and every operator folds both lanes through the
+  /// one evaluation. Lane-2 scores are part of no fingerprint, so
+  /// Evaluate refuses to run with both lane 2 and a result cache.
+  void SetLane2Weights(std::vector<WeightsPtr> lane2) {
+    lane2_ = std::move(lane2);
+  }
+
   /// When enabled (and a result cache is attached), entries this evaluator
   /// publishes for maintainable root shapes — project(scan),
   /// project(join(scan, scan)), join(scan, scan), no overridden atoms,
@@ -105,7 +114,8 @@ class PlanEvaluator {
   }
 
   /// Evaluates `plan`; results of shared nodes are cached by node identity
-  /// for the lifetime of the evaluator.
+  /// for the lifetime of the evaluator. InvalidArgument when both lane 2
+  /// and a result cache are set.
   Result<std::shared_ptr<const Rel>> Evaluate(const PlanPtr& plan);
 
   /// Number of plan-node evaluations actually executed (cache misses).
@@ -158,6 +168,7 @@ class PlanEvaluator {
   uint64_t db_version_ = 0;
   bool delta_recipes_ = false;
   Scheduler* scheduler_ = nullptr;
+  std::vector<WeightsPtr> lane2_;  ///< empty: single-lane evaluation
   obs::TraceContext* trace_ = nullptr;
   uint32_t trace_parent_ = 0;  ///< parent for the next span Evaluate opens
 };
@@ -168,14 +179,17 @@ class PlanEvaluator {
 /// scan counters across all per-plan evaluators. All plans read the one
 /// pinned snapshot. When `trace` is given, each plan evaluates under its
 /// own "plan k" span (parent `trace_parent`) followed by a "min-merge"
-/// span.
+/// span. A non-empty `lane2` turns on score lane 2 in every per-plan
+/// evaluator (see PlanEvaluator::SetLane2Weights); the min-merge then takes
+/// the minimum per lane.
 Result<Rel> EvaluatePlansSeparately(const Snapshot& snap,
                                     const ConjunctiveQuery& q,
                                     const std::vector<PlanPtr>& plans,
                                     const AtomOverrides& overrides = {},
                                     ChunkedScanStats* scan_stats = nullptr,
                                     obs::TraceContext* trace = nullptr,
-                                    uint32_t trace_parent = 0);
+                                    uint32_t trace_parent = 0,
+                                    const std::vector<WeightsPtr>& lane2 = {});
 
 }  // namespace dissodb
 

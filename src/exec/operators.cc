@@ -162,7 +162,7 @@ void FilterChunk(const Table& t, std::span<const AtomEqCheck> checks,
 
 Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
                      int atom_idx, const Table* table, Scheduler* scheduler,
-                     ChunkedScanStats* stats) {
+                     ChunkedScanStats* stats, WeightsPtr lane2) {
   if (table == nullptr) {
     auto t = snap.GetTable(q.atom(atom_idx).relation);
     if (!t.ok()) return t.status();
@@ -172,6 +172,10 @@ Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
   if (table->arity() != atom.arity()) {
     return Status::InvalidArgument("atom " + atom.relation +
                                    " arity mismatch with table");
+  }
+  if (lane2 != nullptr && lane2->size() != table->NumRows()) {
+    return Status::InvalidArgument("lane-2 weights of atom " + atom.relation +
+                                   " do not match its table's rows");
   }
   // First column position of each distinct variable, plus equality checks
   // for repeated variables and constants.
@@ -193,7 +197,7 @@ Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
       cols.push_back(table->col(first_pos[i]));
     }
     return Rel::FromColumns(std::move(vars), std::move(cols),
-                            table->weights(), n);
+                            table->weights(), n, std::move(lane2));
   }
 
   // Filtered scan, chunk at a time. All columns of a table append in
@@ -276,8 +280,12 @@ Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
   }
   auto scores = std::make_shared<WeightColumn>(
       WeightColumn::Gathered(*table->weights(), sel, scheduler));
+  if (lane2 != nullptr) {
+    lane2 = std::make_shared<WeightColumn>(
+        WeightColumn::Gathered(*lane2, sel, scheduler));
+  }
   return Rel::FromColumns(std::move(vars), std::move(cols), std::move(scores),
-                          sel.size());
+                          sel.size(), std::move(lane2));
 }
 
 Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
@@ -449,14 +457,16 @@ JoinBuildIndex BuildJoinIndex(std::span<const uint64_t> bh,
 
 }  // namespace
 
-Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler) {
+Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler,
+             bool* probe_cols_reused) {
   const bool build_left = left.NumRows() <= right.NumRows();
   return HashJoinBuildProbe(build_left ? left : right,
-                            build_left ? right : left, scheduler);
+                            build_left ? right : left, scheduler,
+                            probe_cols_reused);
 }
 
 Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
-                       Scheduler* scheduler) {
+                       Scheduler* scheduler, bool* probe_cols_reused) {
   VarMask shared = build.var_mask() & probe.var_mask();
   std::vector<int> build_key, probe_key;
   for (VarId v : MaskToVars(shared)) {
@@ -575,77 +585,113 @@ Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
     probe_range(0, pn, &build_sel, &probe_sel);
   }
 
+  // Every probe row matched exactly once (probe_sel is 0..pn-1): the
+  // output rows are the probe rows in order, so every probe column is
+  // already an output column.
+  bool reuse = pn > 0 && probe_sel.size() == pn;
+  for (size_t i = 0; reuse && i < pn; ++i) reuse = probe_sel[i] == i;
+  if (probe_cols_reused != nullptr) *probe_cols_reused = reuse;
+
   // Assemble output columns by gathering from the source side (one
-  // independent task per column when a scheduler is available).
+  // independent task per gathered column and score lane when a scheduler
+  // is available).
   std::vector<VarId> out_vars = MaskToVars(build.var_mask() | probe.var_mask());
   std::vector<ColumnPtr> cols(out_vars.size());
-  auto fill_col = [&](size_t i) {
-    int bc = build.ColIndex(out_vars[i]);
-    const Column& src =
-        bc >= 0 ? *build.col(bc) : *probe.col(probe.ColIndex(out_vars[i]));
-    cols[i] = std::make_shared<Column>(
-        Column::Gathered(src, bc >= 0 ? build_sel : probe_sel, scheduler));
-  };
-  auto scores = std::make_shared<WeightColumn>();
-  auto fill_scores = [&] {
-    const size_t out_n = build_sel.size();
-    scores->Reserve(out_n);
-    const WeightColumn::View bw = build.weights()->view();
-    const WeightColumn::View pw = probe.weights()->view();
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < out_vars.size(); ++i) {
+    const int pc = probe.ColIndex(out_vars[i]);
+    if (reuse && pc >= 0) {
+      cols[i] = probe.col(pc);
+      continue;
+    }
+    const int bc = build.ColIndex(out_vars[i]);
+    tasks.push_back([&, i, bc, pc] {
+      const Column& src = bc >= 0 ? *build.col(bc) : *probe.col(pc);
+      cols[i] = std::make_shared<Column>(
+          Column::Gathered(src, bc >= 0 ? build_sel : probe_sel, scheduler));
+    });
+  }
+  const size_t out_n = build_sel.size();
+  auto fill_lane = [&](const WeightColumn& bsrc, const WeightColumn& psrc,
+                       WeightColumn* out) {
+    out->Reserve(out_n);
+    const WeightColumn::View bw = bsrc.view();
+    const WeightColumn::View pw = psrc.view();
     constexpr size_t kScoreLookahead = 16;
     for (size_t i = 0; i < out_n; ++i) {
       if (i + kScoreLookahead < out_n) {
         bw.PrefetchAt(build_sel[i + kScoreLookahead]);
         pw.PrefetchAt(probe_sel[i + kScoreLookahead]);
       }
-      scores->Append(bw[build_sel[i]] * pw[probe_sel[i]]);
+      out->Append(bw[build_sel[i]] * pw[probe_sel[i]]);
     }
   };
-  if (scheduler != nullptr && build_sel.size() >= 2 * kMorselRows &&
-      !out_vars.empty()) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(out_vars.size() + 1);
-    for (size_t i = 0; i < out_vars.size(); ++i) {
-      tasks.push_back([&fill_col, i] { fill_col(i); });
-    }
-    tasks.push_back([&fill_scores] { fill_scores(); });
+  auto scores = std::make_shared<WeightColumn>();
+  tasks.push_back([&] { fill_lane(*build.weights(), *probe.weights(),
+                                  scores.get()); });
+  WeightsPtr lane2;
+  if (build.lane2() != nullptr || probe.lane2() != nullptr) {
+    lane2 = std::make_shared<WeightColumn>();
+    tasks.push_back([&] {
+      fill_lane(build.Lane2OrScores(), probe.Lane2OrScores(), lane2.get());
+    });
+  }
+  if (scheduler != nullptr && out_n >= 2 * kMorselRows && tasks.size() > 1) {
     scheduler->RunAll(std::move(tasks));
   } else {
-    for (size_t i = 0; i < out_vars.size(); ++i) fill_col(i);
-    fill_scores();
+    for (auto& task : tasks) task();
   }
   return Rel::FromColumns(std::move(out_vars), std::move(cols),
-                          std::move(scores), build_sel.size());
+                          std::move(scores), out_n, std::move(lane2));
 }
 
 namespace {
 
+/// Row ids written by index after an uninitialized resize.
+using RowIds = std::vector<uint32_t, internal::DefaultInitAllocator<uint32_t>>;
+
+/// Per-group fold state of a grouping pass: each group's representative
+/// input row and its folded score in each lane (`acc2` stays empty on a
+/// single-lane input).
+struct Groups {
+  RowIds rep;
+  std::vector<double> acc;
+  std::vector<double> acc2;
+};
+
 /// Sequential grouping kernel shared by both projection flavors and both
 /// (sequential / partition-parallel) paths: assign each row of `rows` to a
 /// group via a flat index (groups with equal hashes chain; real key
-/// comparison on the input columns) and fold scores per group. `rows` must
-/// be ascending so the per-group fold order matches a full sequential scan.
-/// `row_at(t)` maps loop position to input row id; the two instantiations
-/// are the identity (sequential full-input path, no row-index vector to
-/// allocate or stream) and a subscript into a partition's row list.
-template <typename RowAt, typename Init, typename Update>
-void GroupRowsImpl(const Rel& in, std::span<const int> key_pos,
-                   std::span<const uint64_t> h, size_t nr, RowAt row_at,
-                   Init init, Update update, std::vector<uint32_t>* group_rep,
-                   std::vector<double>* acc) {
+/// comparison on the input columns) and fold scores per group, in every
+/// lane, into the empty `out`. `rows` must be ascending so the per-group
+/// fold order matches a full sequential scan. `row_at(t)` maps loop
+/// position to input row id; the two instantiations are the identity
+/// (sequential full-input path, no row-index vector to allocate or stream)
+/// and a subscript into a partition's row list. `kTwoLanes` must say
+/// whether `in` has a lane 2; the single-lane instantiation carries no
+/// lane-2 work in its loop.
+template <bool kTwoLanes, typename RowAt, typename Init, typename Update>
+void GroupRowsKernel(const Rel& in, std::span<const int> key_pos,
+                     std::span<const uint64_t> h, size_t nr, RowAt row_at,
+                     Init init, Update update, Groups* out) {
+  assert(out->rep.empty() && out->acc.empty() && out->acc2.empty());
   FlatHashIndex index(nr);
-  std::vector<uint32_t> group_next;  // chain of groups sharing a hash
-  // Near-distinct keys create a group per row; reserving for the worst
-  // case avoids repeated reallocation-and-copy of three hot vectors.
-  group_rep->reserve(group_rep->size() + nr);
-  group_next.reserve(nr);
-  acc->reserve(acc->size() + nr);
+  // Near-distinct keys create a group per row. The group arrays are sized
+  // for that worst case up front (uninitialized), written by index and
+  // trimmed at the end, so the loop makes no capacity checks or calls for
+  // them; the score vectors are reserved for the same worst case.
+  out->rep.resize(nr);
+  RowIds group_next(nr);  // chain of groups sharing a hash
+  out->acc.reserve(nr);
+  if constexpr (kTwoLanes) out->acc2.reserve(nr);
   const WeightColumn::View w = in.weights()->view();
+  [[maybe_unused]] const WeightColumn::View w2 = in.Lane2OrScores().view();
   // Fixed-distance lookahead: the index exceeds L2 for large groupings and
   // every HeadFor lands on a random slot, so fetch the slot a few rows
   // early. (Pure overlap; does not change which slot any row claims.)
   constexpr size_t kGroupLookahead = 16;
   const bool prefetch = nr >= kPrefetchMinBuildRows;
+  uint32_t num_groups = 0;
   for (size_t t = 0; t < nr; ++t) {
     if (prefetch && t + kGroupLookahead < nr) {
       index.PrefetchSlotWrite(h[row_at(t + kGroupLookahead)]);
@@ -654,29 +700,43 @@ void GroupRowsImpl(const Rel& in, std::span<const int> key_pos,
     uint32_t& head = index.HeadFor(h[r]);
     uint32_t g = head;
     while (g != FlatHashIndex::kNil &&
-           !KeysEqual(in, r, key_pos, in, (*group_rep)[g], key_pos)) {
+           !KeysEqual(in, r, key_pos, in, out->rep[g], key_pos)) {
       g = group_next[g];
     }
     if (g == FlatHashIndex::kNil) {
-      g = static_cast<uint32_t>(group_rep->size());
-      group_rep->push_back(r);
-      group_next.push_back(head);
+      g = num_groups++;
+      out->rep[g] = r;
+      group_next[g] = head;
       head = g;
-      acc->push_back(init(w[r]));
+      out->acc.push_back(init(w[r]));
+      if constexpr (kTwoLanes) out->acc2.push_back(init(w2[r]));
     } else {
-      (*acc)[g] = update((*acc)[g], w[r]);
+      out->acc[g] = update(out->acc[g], w[r]);
+      if constexpr (kTwoLanes) out->acc2[g] = update(out->acc2[g], w2[r]);
     }
+  }
+  out->rep.resize(num_groups);
+}
+
+/// GroupRowsKernel instantiated for `in`'s lane count.
+template <typename RowAt, typename Init, typename Update>
+void GroupRowsImpl(const Rel& in, std::span<const int> key_pos,
+                   std::span<const uint64_t> h, size_t nr, RowAt row_at,
+                   Init init, Update update, Groups* out) {
+  if (in.lane2() != nullptr) {
+    GroupRowsKernel<true>(in, key_pos, h, nr, row_at, init, update, out);
+  } else {
+    GroupRowsKernel<false>(in, key_pos, h, nr, row_at, init, update, out);
   }
 }
 
 template <typename Init, typename Update>
 void GroupRows(const Rel& in, std::span<const int> key_pos,
                std::span<const uint64_t> h, std::span<const uint32_t> rows,
-               Init init, Update update, std::vector<uint32_t>* group_rep,
-               std::vector<double>* acc) {
+               Init init, Update update, Groups* out) {
   GroupRowsImpl(
-      in, key_pos, h, rows.size(),
-      [rows](size_t t) { return rows[t]; }, init, update, group_rep, acc);
+      in, key_pos, h, rows.size(), [rows](size_t t) { return rows[t]; },
+      init, update, out);
 }
 
 /// Identity variant (rows 0..n-1 in order): the full sequential grouping
@@ -684,11 +744,10 @@ void GroupRows(const Rel& in, std::span<const int> key_pos,
 template <typename Init, typename Update>
 void GroupAllRows(const Rel& in, std::span<const int> key_pos,
                   std::span<const uint64_t> h, Init init, Update update,
-                  std::vector<uint32_t>* group_rep, std::vector<double>* acc) {
+                  Groups* out) {
   GroupRowsImpl(
       in, key_pos, h, h.size(),
-      [](size_t t) { return static_cast<uint32_t>(t); }, init, update,
-      group_rep, acc);
+      [](size_t t) { return static_cast<uint32_t>(t); }, init, update, out);
 }
 
 /// Shared grouping loop for both projection flavors: batch-hash the key
@@ -711,59 +770,69 @@ Rel ProjectImpl(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
 
   const size_t n = in.NumRows();
   HashVector h = HashKeyColumns(in, key_pos, scheduler);
+  const bool two_lanes = in.lane2() != nullptr;
 
-  std::vector<uint32_t> group_rep;  // representative input row per group
-  std::vector<double> acc;          // folded score per group
+  Groups groups;
   if (scheduler != nullptr && n >= 2 * kMorselRows) {
     HashPartitions parts = PartitionByHashPrefix(h);
-    std::vector<std::vector<uint32_t>> part_rep(kNumPartitions);
-    std::vector<std::vector<double>> part_acc(kNumPartitions);
+    std::vector<Groups> part(kNumPartitions);
     scheduler->ParallelFor(0, kNumPartitions, 1, [&](size_t lo, size_t hi) {
       for (size_t p = lo; p < hi; ++p) {
         std::span<const uint32_t> rows(parts.rows.data() + parts.offsets[p],
                                        parts.offsets[p + 1] - parts.offsets[p]);
-        GroupRows(in, key_pos, h, rows, init, update, &part_rep[p],
-                  &part_acc[p]);
+        GroupRows(in, key_pos, h, rows, init, update, &part[p]);
       }
     });
-    // Merge: per-partition group lists are ascending by representative row;
-    // a k-way merge by representative restores the global first-occurrence
-    // order of the sequential scan.
+    // Merge: representatives are distinct rows, so sorting (representative,
+    // position) keys restores the global first-occurrence order of the
+    // sequential scan; each lane's accumulators follow their group through
+    // its position in the concatenated partition lists.
     size_t total_groups = 0;
-    for (const auto& v : part_rep) total_groups += v.size();
-    std::vector<std::pair<uint32_t, double>> merged;
-    merged.reserve(total_groups);
-    for (size_t p = 0; p < kNumPartitions; ++p) {
-      for (size_t g = 0; g < part_rep[p].size(); ++g) {
-        merged.emplace_back(part_rep[p][g], part_acc[p][g]);
+    for (const Groups& g : part) total_groups += g.rep.size();
+    std::vector<uint64_t> order;
+    std::vector<double> flat_acc, flat_acc2;
+    order.reserve(total_groups);
+    flat_acc.reserve(total_groups);
+    if (two_lanes) flat_acc2.reserve(total_groups);
+    for (const Groups& g : part) {
+      for (size_t k = 0; k < g.rep.size(); ++k) {
+        order.push_back(uint64_t{g.rep[k]} << 32 | flat_acc.size());
+        flat_acc.push_back(g.acc[k]);
+        if (two_lanes) flat_acc2.push_back(g.acc2[k]);
       }
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    group_rep.reserve(total_groups);
-    acc.reserve(total_groups);
-    for (const auto& [rep, a] : merged) {
-      group_rep.push_back(rep);
-      acc.push_back(a);
+    std::sort(order.begin(), order.end());
+    groups.rep.reserve(total_groups);
+    groups.acc.reserve(total_groups);
+    if (two_lanes) groups.acc2.reserve(total_groups);
+    for (uint64_t key : order) {
+      const uint32_t pos = static_cast<uint32_t>(key);
+      groups.rep.push_back(static_cast<uint32_t>(key >> 32));
+      groups.acc.push_back(flat_acc[pos]);
+      if (two_lanes) groups.acc2.push_back(flat_acc2[pos]);
     }
   } else {
-    GroupAllRows(in, key_pos, h, init, update, &group_rep, &acc);
+    GroupAllRows(in, key_pos, h, init, update, &groups);
   }
 
   std::vector<ColumnPtr> cols;
   cols.reserve(keep_vars.size());
   for (int c : key_pos) {
     cols.push_back(std::make_shared<Column>(
-        Column::Gathered(*in.col(c), group_rep, scheduler)));
+        Column::Gathered(*in.col(c), groups.rep, scheduler)));
   }
-  if (raw_acc_out != nullptr) *raw_acc_out = acc;
-  // Per-group score rewrite applied on the raw fold vector; doing it here
+  if (raw_acc_out != nullptr) *raw_acc_out = groups.acc;
+  // Per-group score rewrite applied on the raw fold vectors; doing it here
   // (instead of per-row through the Rel accessors) avoids a copy-on-write
   // check per call on outputs with millions of groups.
-  for (double& a : acc) a = finalize(a);
-  auto scores = std::make_shared<WeightColumn>(acc);
+  for (double& a : groups.acc) a = finalize(a);
+  for (double& a : groups.acc2) a = finalize(a);
+  auto scores = std::make_shared<WeightColumn>(groups.acc);
+  WeightsPtr lane2;
+  if (two_lanes) lane2 = std::make_shared<WeightColumn>(groups.acc2);
   return Rel::FromColumns(std::move(keep_vars), std::move(cols),
-                          std::move(scores), group_rep.size());
+                          std::move(scores), groups.rep.size(),
+                          std::move(lane2));
 }
 
 #if DISSODB_SIMD_COMPILED
@@ -830,6 +899,22 @@ __attribute__((target("avx2"))) double FusedComplementScoreAvx2(
 
 #endif  // DISSODB_SIMD_COMPILED
 
+/// Boolean-projection score of one non-empty lane, 1 - prod(1 - w[r]):
+/// the fused SIMD accumulator when it engages, else the sequential fold.
+double BooleanScore(const WeightColumn& w) {
+  const size_t n = w.size();
+#if DISSODB_SIMD_COMPILED
+  if (n >= kFusedMinRows && simd::UseAvx2() && w.chunk_capacity() % 4 == 0) {
+    return FusedComplementScoreAvx2(w);
+  }
+#endif
+  // Same multiply sequence as the grouped fold, so the scalar fast path is
+  // bit-identical to the pre-fast-path behavior.
+  double acc = 1.0 - w[0];
+  for (size_t r = 1; r < n; ++r) acc *= 1.0 - w[r];
+  return 1.0 - acc;
+}
+
 }  // namespace
 
 Rel ProjectIndependent(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
@@ -838,26 +923,15 @@ Rel ProjectIndependent(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
   if (keep_mask == 0 && n > 0) {
     // Boolean projection: every row folds into the single empty-tuple
     // group, so skip hashing and grouping entirely and accumulate the
-    // complement product directly over the score column's chunk spans.
-    const auto& w = *in.weights();
-    double score = 0.0;
-    bool fused = false;
-#if DISSODB_SIMD_COMPILED
-    if (n >= kFusedMinRows && simd::UseAvx2() && w.chunk_capacity() % 4 == 0) {
-      score = FusedComplementScoreAvx2(w);
-      fused = true;
+    // complement product directly over each lane's chunk spans.
+    auto scores = std::make_shared<WeightColumn>(
+        std::vector<double>(1, BooleanScore(*in.weights())));
+    WeightsPtr lane2;
+    if (in.lane2() != nullptr) {
+      lane2 = std::make_shared<WeightColumn>(
+          std::vector<double>(1, BooleanScore(*in.lane2())));
     }
-#endif
-    if (!fused) {
-      // Same multiply sequence as the grouped fold below, so the scalar
-      // fast path is bit-identical to the pre-fast-path behavior.
-      double acc = 1.0 - w[0];
-      for (size_t r = 1; r < n; ++r) acc *= 1.0 - w[r];
-      score = 1.0 - acc;
-    }
-    auto scores =
-        std::make_shared<WeightColumn>(std::vector<double>(1, score));
-    return Rel::FromColumns({}, {}, std::move(scores), 1);
+    return Rel::FromColumns({}, {}, std::move(scores), 1, std::move(lane2));
   }
 
   // Accumulate the complement product: acc = prod(1 - s_i); final score is
@@ -889,16 +963,21 @@ Result<Rel> MinMerge(const std::vector<Rel>& inputs) {
   std::iota(identity.begin(), identity.end(), 0);
 
   size_t total = 0;
-  for (const auto& in : inputs) total += in.NumRows();
+  bool two_lanes = false;
+  for (const auto& in : inputs) {
+    total += in.NumRows();
+    two_lanes = two_lanes || in.lane2() != nullptr;
+  }
 
   // Groups across all inputs; a representative is an (input, row) pair.
   FlatHashIndex index(total);
   std::vector<uint32_t> group_input, group_row, group_next;
-  std::vector<double> best;
+  std::vector<double> best, best2;
   for (size_t k = 0; k < inputs.size(); ++k) {
     const Rel& in = inputs[k];
     HashVector h = HashKeyColumns(in, identity);
     const WeightColumn::View w = in.weights()->view();
+    const WeightColumn::View w2 = in.Lane2OrScores().view();
     for (size_t r = 0; r < in.NumRows(); ++r) {
       uint32_t& head = index.HeadFor(h[r]);
       uint32_t g = head;
@@ -914,8 +993,10 @@ Result<Rel> MinMerge(const std::vector<Rel>& inputs) {
         group_next.push_back(head);
         head = g;
         best.push_back(w[r]);
+        if (two_lanes) best2.push_back(w2[r]);
       } else {
         best[g] = std::min(best[g], w[r]);
+        if (two_lanes) best2[g] = std::min(best2[g], w2[r]);
       }
     }
   }
@@ -957,8 +1038,10 @@ Result<Rel> MinMerge(const std::vector<Rel>& inputs) {
     cols.push_back(std::move(col));
   }
   auto scores = std::make_shared<WeightColumn>(best);
+  WeightsPtr lane2;
+  if (two_lanes) lane2 = std::make_shared<WeightColumn>(best2);
   return Rel::FromColumns(inputs[0].vars(), std::move(cols), std::move(scores),
-                          group_row.size());
+                          group_row.size(), std::move(lane2));
 }
 
 }  // namespace dissodb

@@ -72,10 +72,15 @@ struct ChunkedScanStats {
 /// concatenate in chunk order, so the emitted Rel is bit-identical (row
 /// order included) with or without a scheduler. `stats`, if given,
 /// accumulates the chunk counters.
+///
+/// `lane2`, if given, is a second weight per table row (same row count as
+/// the table); the scan emits it as the relation's lane 2 — zero-copy when
+/// unfiltered, else gathered with lane 1's selection.
 Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
                      int atom_idx, const Table* table = nullptr,
                      Scheduler* scheduler = nullptr,
-                     ChunkedScanStats* stats = nullptr);
+                     ChunkedScanStats* stats = nullptr,
+                     WeightsPtr lane2 = nullptr);
 
 /// Delta scan: ScanAtom restricted to table rows >= `begin_row`. Applies
 /// the same constant / repeated-variable checks, so the emitted rows are
@@ -87,7 +92,8 @@ Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
                          int atom_idx, size_t begin_row,
                          Scheduler* scheduler = nullptr);
 
-/// Natural hash join; scores multiply.
+/// Natural hash join; scores multiply, lane by lane. The smaller input
+/// builds, the other probes; output rows come in probe-row order.
 ///
 /// With a scheduler and a large enough input, the build side is partitioned
 /// by hash prefix (one flat index per partition, built in parallel) and the
@@ -95,19 +101,30 @@ Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
 /// parallel path emits rows in exactly the sequential order (morsel outputs
 /// concatenate in probe-row order; per-partition chains preserve the global
 /// insertion order), so results are bit-identical either way.
-Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler = nullptr);
+///
+/// Probe-column reuse: when every probe row matches exactly one build row,
+/// the output rows are the probe rows in order, so the output shares every
+/// probe column (shared keys included — KeysEqual matched type and
+/// payload) instead of gathering it; only build-only variables and the
+/// scores are assembled. Columns are copy-on-write, so the sharing is as
+/// safe as a zero-copy scan's.
+Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler = nullptr,
+             bool* probe_cols_reused = nullptr);
 
 /// HashJoin with the build/probe roles pinned by the caller instead of
 /// chosen by size. Delta maintenance joins a tiny appended probe delta
 /// against the unchanged build side; letting the size heuristic flip the
 /// roles would change the output row order and break bit-identity with the
 /// from-scratch join, which probes the full (old + delta) side.
+/// `probe_cols_reused` (here and on HashJoin), if given, receives whether
+/// the output shares the probe's columns.
 Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
-                       Scheduler* scheduler = nullptr);
+                       Scheduler* scheduler = nullptr,
+                       bool* probe_cols_reused = nullptr);
 
 /// Projection with duplicate elimination onto `keep_mask` (must be a subset
 /// of the input variables); scores combine independently:
-/// s(group) = 1 - prod(1 - s_i).
+/// s(group) = 1 - prod(1 - s_i), in each lane.
 ///
 /// With a scheduler and a large enough input, rows are partitioned by key
 /// hash prefix and each partition is grouped independently; groups are then
@@ -128,8 +145,9 @@ Rel ProjectDistinct(const Rel& in, VarMask keep_mask,
                     Scheduler* scheduler = nullptr);
 
 /// Per-row minimum across score-equivalent inputs (same variable sets and,
-/// for plans of the same query, the same row sets). Rows present in only
-/// some inputs keep the minimum over the inputs containing them.
+/// for plans of the same query, the same row sets), taken per lane. Rows
+/// present in only some inputs keep the minimum over the inputs containing
+/// them.
 Result<Rel> MinMerge(const std::vector<Rel>& inputs);
 
 }  // namespace dissodb

@@ -15,16 +15,19 @@ Rel::Rel(std::vector<VarId> vars) : vars_(std::move(vars)) {
 }
 
 Rel Rel::FromColumns(std::vector<VarId> vars, std::vector<ColumnPtr> cols,
-                     WeightsPtr scores, size_t rows) {
+                     WeightsPtr scores, size_t rows, WeightsPtr lane2) {
   Rel out(std::move(vars));
   assert(cols.size() == out.vars_.size());
   assert(scores && scores->size() == rows);
+  assert(lane2 == nullptr || lane2->size() == rows);
   out.AdoptImpl(std::move(cols), std::move(scores), rows);
+  out.lane2_ = std::move(lane2);
   return out;
 }
 
 void Rel::AppendRows(const Rel& src) {
   assert(src.mask_ == mask_);
+  assert(lane2_ == nullptr && src.lane2_ == nullptr);
   const size_t n = src.NumRows();
   if (n == 0) return;
   std::vector<uint32_t> sel(n);
@@ -74,7 +77,7 @@ Rel RemapRelVars(const Rel& in, const std::vector<VarId>& var_map) {
     cols.push_back(in.col(c));
   }
   return Rel::FromColumns(std::move(vars), std::move(cols), in.weights(),
-                          in.NumRows());
+                          in.NumRows(), in.lane2());
 }
 
 }  // namespace dissodb

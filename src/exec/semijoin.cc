@@ -112,48 +112,6 @@ Result<std::vector<AtomInput>> ResolveAndFilter(
   return inputs;
 }
 
-/// Widest build-side payload range (hi - lo) the dense path covers: a
-/// bitmap of at most 2^22 bits is 512 KiB, which stays cache-resident
-/// while the probe side streams past it. Wider keys keep the hash path.
-constexpr uint64_t kDenseMaxRange = uint64_t{1} << 22;
-
-/// Bitmap words the dense path may clear per row of the pair (probe plus
-/// build). Clearing a word costs no more than reading a row, so at one
-/// word per row the clear never costs more than the pair's own rows; a
-/// wide range over a few rows keeps the hash path.
-constexpr uint64_t kDenseMaxWordsPerRow = 1;
-
-/// Payload range of a dense-path build column: offsets `v - lo` of its
-/// values run from 0 to `width` (unsigned arithmetic, so negative integers
-/// and dictionary codes need no special case).
-struct DenseRange {
-  uint64_t lo;
-  uint64_t width;
-};
-
-/// The bitmap range when the one-column pair `a ⋉ b` qualifies for the
-/// dense path, read from the columns alone: both type-uniform with one
-/// type (so equal raw bits mean equal keys, exactly as KeysEqual), `b`
-/// non-empty with a zone-map range below kDenseMaxRange, and at most
-/// kDenseMaxWordsPerRow bitmap words per row of the pair.
-std::optional<DenseRange> DenseRangeFor(const Column& a, const Column& b) {
-  if (!a.uniform() || !b.uniform() || a.type() != b.type() || b.size() == 0) {
-    return std::nullopt;
-  }
-  uint64_t lo = ~uint64_t{0};
-  uint64_t hi = 0;
-  for (size_t ci = 0; ci < b.num_chunks(); ++ci) {
-    lo = std::min(lo, b.ChunkMinBits(ci));
-    hi = std::max(hi, b.ChunkMaxBits(ci));
-  }
-  const uint64_t width = hi - lo;
-  if (width >= kDenseMaxRange ||
-      width / 64 + 1 > kDenseMaxWordsPerRow * (a.size() + b.size())) {
-    return std::nullopt;
-  }
-  return DenseRange{lo, width};
-}
-
 /// Dense-path semi-join: one bit per build value over `range`, then one
 /// streaming pass over the probe column that keeps each row whose bit is
 /// set. Rows come out ascending, as from the hash path.
@@ -197,11 +155,17 @@ std::vector<uint32_t> SemiJoinSelect(const Table& ta,
     stats->build_rows += bn;
   }
   if (pos_a.size() == 1) {
+    // Dense path: both key columns type-uniform with one type (so equal raw
+    // bits mean equal keys, exactly as KeysEqual), and the build column
+    // dense over the rows of the pair.
     const Column& a = *ta.col(pos_a[0]);
     const Column& b = *tb.col(pos_b[0]);
-    if (std::optional<DenseRange> range = DenseRangeFor(a, b)) {
-      if (stats) ++stats->dense_semijoins;
-      return DenseSemiJoinSelect(a, b, *range);
+    if (a.uniform() && a.type() == b.type()) {
+      if (std::optional<DenseRange> range =
+              DenseRangeFor(b, a.size() + b.size())) {
+        if (stats) ++stats->dense_semijoins;
+        return DenseSemiJoinSelect(a, b, *range);
+      }
     }
   }
   // Index b's key values (batch hash + chain; real key comparison on

@@ -586,4 +586,19 @@ bool KeysEqual(const ColumnarRows& a, size_t ra, std::span<const int> ka,
   return true;
 }
 
+std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows) {
+  if (!col.uniform() || col.size() == 0) return std::nullopt;
+  uint64_t lo = ~uint64_t{0};
+  uint64_t hi = 0;
+  for (size_t ci = 0; ci < col.num_chunks(); ++ci) {
+    lo = std::min(lo, col.ChunkMinBits(ci));
+    hi = std::max(hi, col.ChunkMaxBits(ci));
+  }
+  const uint64_t width = hi - lo;
+  if (width >= kDenseMaxRange || width / 64 + 1 > kDenseMaxWordsPerRow * rows) {
+    return std::nullopt;
+  }
+  return DenseRange{lo, width};
+}
+
 }  // namespace dissodb

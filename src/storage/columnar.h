@@ -48,6 +48,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -504,6 +505,33 @@ HashVector HashKeyColumns(const ColumnarRows& rows,
 /// (at key columns `kb`). `ka.size()` must equal `kb.size()`.
 bool KeysEqual(const ColumnarRows& a, size_t ra, std::span<const int> ka,
                const ColumnarRows& b, size_t rb, std::span<const int> kb);
+
+/// Payload range of a column read off its zone maps: every value v has
+/// offset v - lo in [0, width] (unsigned arithmetic, so negative integers
+/// and dictionary codes need no special case).
+struct DenseRange {
+  uint64_t lo;
+  uint64_t width;
+};
+
+/// Widest payload range (hi - lo) a dense bitmap covers: at most 2^22
+/// bits is 512 KiB, which stays cache-resident while values stream past
+/// it. Wider columns are hashed.
+inline constexpr uint64_t kDenseMaxRange = uint64_t{1} << 22;
+
+/// Bitmap words a dense pass may clear per row it serves. Clearing a word
+/// costs no more than reading a row, so at one word per row the clear
+/// never costs more than the rows themselves; a wide range over a few rows
+/// is hashed.
+inline constexpr uint64_t kDenseMaxWordsPerRow = 1;
+
+/// The range of `col` when a bitmap over it can replace hashing its
+/// values, read from the column alone: type-uniform (equal raw bits mean
+/// equal values), non-empty, a zone-map range below kDenseMaxRange, and at
+/// most kDenseMaxWordsPerRow bitmap words per row of the `rows` the bitmap
+/// serves. One rule for the dense semi-join and the anytime exponents'
+/// distinct counts.
+std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows);
 
 }  // namespace dissodb
 

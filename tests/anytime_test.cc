@@ -14,8 +14,13 @@
 //  (5) Reproducibility: with exact escalation disabled the pure-MC
 //      refinement path returns bit-identical intervals for 1 and 8 worker
 //      threads.
+//  (6) One evaluation, two lanes: every answer's (lower, upper) equals the
+//      two-pass reference (tests/reference_ops.h) bit for bit, and a
+//      column mixing value types counts (type, payload) pairs so the lower
+//      bound stays sound.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -23,11 +28,17 @@
 #include <vector>
 
 #include "src/anytime/anytime.h"
+#include "src/anytime/controller.h"
 #include "src/dissociation/counting.h"
+#include "src/dissociation/minimal_plans.h"
 #include "src/engine/query_engine.h"
 #include "src/infer/query_inference.h"
+#include "src/lift/safe_plan.h"
+#include "src/query/analysis.h"
+#include "src/serve/scheduler.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
+#include "tests/reference_ops.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
@@ -36,6 +47,8 @@ namespace {
 using testing_util::AddTable;
 using testing_util::ChunkCapOverride;
 using testing_util::Q;
+using testing_util::RefBounds;
+using testing_util::RefTwoPassBounds;
 
 constexpr double kTol = 1e-12;
 
@@ -381,6 +394,188 @@ TEST(AnytimeTest, IntervalsReproducibleAcrossThreadCounts) {
     EXPECT_EQ(one.answers[i].point, eight.answers[i].point) << i;
     EXPECT_EQ(one.answers[i].certified, eight.answers[i].certified) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// (6) One evaluation, two lanes
+// ---------------------------------------------------------------------------
+
+TEST(AnytimeTest, MixedTypeColumnsCountTypeAndPayload) {
+  // x takes the Int64 1 and the string code 1, y the Int64 2 and the
+  // string code 2: equal payloads, different values. Counting payloads
+  // alone gave every exponent 1, so the "lower" bound equalled the upper
+  // bound (0.389648) and exceeded P(q) (0.371094).
+  const Value x1 = Value::Int64(1), x2 = Value::StringCode(1);
+  const Value y1 = Value::Int64(2), y2 = Value::StringCode(2);
+  Table r(RelationSchema::AllInt64("R", 2));
+  r.AddRow({Value::Int64(7), x1}, 0.5);
+  r.AddRow({Value::Int64(7), x2}, 0.5);
+  Table s(RelationSchema::AllInt64("S", 2));
+  for (const Value& x : {x1, x2}) {
+    for (const Value& y : {y1, y2}) s.AddRow({x, y}, 0.5);
+  }
+  Table t(RelationSchema::AllInt64("T", 1));
+  t.AddRow({y1}, 0.5);
+  t.AddRow({y2}, 0.5);
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(r)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(s)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+  ConjunctiveQuery q = Q("q(z) :- R(z,x), S(x,y), T(y)");
+
+  auto exact = ExactProbabilities(db, q);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ(exact->size(), 1u);
+  const double p = (*exact)[0].score;
+  EXPECT_NEAR(p, 0.371094, 1e-6);
+
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_FALSE(prepared->exact());
+  auto res = engine.RunWithGuarantees(*prepared);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->answers.size(), 1u);
+  EXPECT_EQ(res->exponents, (std::vector<double>{2, 1, 2}));
+  EXPECT_LE(res->answers[0].lower, p + kTol);
+  EXPECT_GE(res->answers[0].upper, p - kTol);
+  EXPECT_LT(res->answers[0].lower, res->answers[0].upper);
+}
+
+/// The engine's compile step for canonical query `q`: the lifted single
+/// plan under Opt. 1, else every minimal plan (QueryEngine::GetOrCompile).
+CompiledPlans CompileLikeEngine(const ConjunctiveQuery& q, const Snapshot& snap,
+                                bool opt1) {
+  CompiledPlans compiled;
+  auto sk = SchemaKnowledge::FromSnapshot(q, snap);
+  EXPECT_TRUE(sk.ok());
+  if (!sk.ok()) return compiled;
+  if (opt1) {
+    auto lifted = lift::CompileSafePlan(q, *sk);
+    EXPECT_TRUE(lifted.ok()) << q.ToString();
+    if (!lifted.ok()) return compiled;
+    compiled.single_plan = lifted->plan;
+    compiled.exact = lifted->exact;
+  } else {
+    auto plans = EnumerateMinimalPlans(q, *sk, PlanEnumOptions{});
+    EXPECT_TRUE(plans.ok()) << q.ToString();
+    if (!plans.ok()) return compiled;
+    compiled.exact = plans->size() == 1;
+    compiled.plans = std::move(*plans);
+  }
+  return compiled;
+}
+
+/// Runs the controller's bounds stage on `q` (canonical variable space) and
+/// checks every answer's interval against the two-pass reference, bit for
+/// bit. Returns the number of answers checked.
+size_t ExpectLanesMatchTwoPass(const Database& db, const ConjunctiveQuery& q,
+                               bool opt1, int threads,
+                               const std::string& context) {
+  const Snapshot snap = db.snapshot();
+  const CompiledPlans compiled = CompileLikeEngine(q, snap, opt1);
+  if (compiled.single_plan == nullptr && compiled.plans.empty()) return 0;
+  Scheduler pool(threads);
+  AnytimeInput in;
+  in.snap = snap;
+  in.query = &q;
+  in.compiled = &compiled;
+  in.scheduler = &pool;
+  auto out = RunAnytime(in, GuaranteeSpec{});
+  EXPECT_TRUE(out.ok()) << context << ": " << out.status().ToString();
+  if (!out.ok()) return 0;
+  const std::vector<double> exponents =
+      compiled.exact ? std::vector<double>{} : out->exponents;
+  auto ref = RefTwoPassBounds(snap, q, compiled, {}, exponents, &pool);
+  EXPECT_TRUE(ref.ok()) << context;
+  if (!ref.ok()) return 0;
+  EXPECT_EQ(out->answers.size(), ref->size()) << context;
+  size_t checked = 0;
+  for (const BoundedAnswer& a : out->answers) {
+    auto it = ref->find(a.tuple);
+    if (it == ref->end()) {
+      ADD_FAILURE() << context << ": answer missing from the reference";
+      continue;
+    }
+    // The safe route's interval is a point at the exact score.
+    const double lower = compiled.exact ? it->second.second : it->second.first;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.lower), std::bit_cast<uint64_t>(lower))
+        << context;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.upper),
+              std::bit_cast<uint64_t>(it->second.second))
+        << context;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(AnytimeTest, LanesBitIdenticalToTwoPassReference) {
+  Rng rng(19631);
+  RandomQuerySpec qspec;
+  qspec.min_atoms = 2;
+  qspec.max_atoms = 4;
+  qspec.max_vars = 5;
+  qspec.head_var_prob = 0.35;
+  size_t unsafe = 0;
+  size_t answers = 0;
+  for (int trial = 0; trial < 5000 && unsafe < 110; ++trial) {
+    ConjunctiveQuery raw = RandomQuery(&rng, qspec);
+    if (DissociationExponent(raw) > 10) continue;
+    // A quarter of the queries run at chunk capacity 4, so scans, joins
+    // and weight rescales cross chunk seams.
+    std::unique_ptr<ChunkCapOverride> cap;
+    if (unsafe % 4 == 0) cap = std::make_unique<ChunkCapOverride>(4);
+    RandomInstanceSpec ispec;
+    if (unsafe % 2 == 1) {
+      ispec.max_rows = 40;
+      ispec.domain = 6;
+    }
+    Database db = RandomDatabaseFor(raw, &rng, ispec);
+    QueryEngine engine = QueryEngine::Borrow(db);
+    auto prepared = engine.Prepare(raw);
+    ASSERT_TRUE(prepared.ok()) << raw.ToString();
+    if (prepared->exact()) continue;
+    ++unsafe;
+    const ConjunctiveQuery& q = prepared->canonical();
+    for (bool opt1 : {true, false}) {
+      for (int threads : {1, 4}) {
+        const std::string context = q.ToString() + " opt1=" +
+                                    std::to_string(opt1) + " threads=" +
+                                    std::to_string(threads);
+        answers += ExpectLanesMatchTwoPass(db, q, opt1, threads, context);
+      }
+    }
+  }
+  EXPECT_GE(unsafe, 100u);
+  EXPECT_GE(answers, 250u);
+}
+
+TEST(AnytimeTest, LanesBitIdenticalToTwoPassReferenceOnLargeChain) {
+  // 60k-row 3-chain: the morsel-parallel join, grouping and gather paths
+  // all engage with 4 threads.
+  ChainSpec cspec;
+  cspec.k = 3;
+  cspec.n = 60'000;
+  cspec.target_answers = 150;
+  cspec.seed = 31;
+  Database db = MakeChainDatabase(cspec);
+  ConjunctiveQuery q = MakeChainQuery(3);
+  for (int threads : {1, 4}) {
+    EXPECT_GE(ExpectLanesMatchTwoPass(db, q, /*opt1=*/true, threads,
+                                      "3-chain threads=" +
+                                          std::to_string(threads)),
+              100u);
+  }
+}
+
+TEST(AnytimeTest, SafeRouteRunsOneLane) {
+  // The exact route evaluates without lane 2: its point intervals equal
+  // the single-lane evaluation bit for bit.
+  Database db;
+  AddTable(&db, "R", 1, {{{1}, 0.7}, {{2}, 0.5}});
+  AddTable(&db, "S", 2, {{{1, 10}, 0.9}, {{1, 20}, 0.4}, {{2, 20}, 0.8}});
+  ConjunctiveQuery q = Q("q(x) :- R(x), S(x,y)");
+  EXPECT_EQ(ExpectLanesMatchTwoPass(db, q, /*opt1=*/true, 1, "safe"), 2u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/exec/evaluator.h"
 #include "src/infer/query_inference.h"
 #include "src/lift/safe_plan.h"
+#include "src/serve/result_cache.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
@@ -163,6 +164,39 @@ TEST(EvaluatorTest, NonBooleanAnswersPerHeadValue) {
                                                      : 0.7 * 0.5 * 0.9;
     EXPECT_NEAR(a.score, expected, 1e-12);
   }
+}
+
+TEST(LaneEvalTest, Lane2EvaluationIsRefusedAResultCache) {
+  // Lane-2 scores are part of no fingerprint: an evaluator holding both a
+  // result cache and lane-2 weights must fail before touching the cache.
+  Database db = Example17Database();
+  auto q = Example17Query();
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
+  ASSERT_TRUE(sk.ok());
+  auto lifted = lift::CompileSafePlan(q, *sk);
+  ASSERT_TRUE(lifted.ok());
+  const Snapshot snap = db.snapshot();
+
+  std::vector<WeightsPtr> lane2(q.num_atoms());
+  lane2[0] = std::make_shared<WeightColumn>(std::vector<double>{0.25, 0.25});
+  ResultCache cache(16);
+  PlanEvaluator ev(snap, q);
+  ev.SetResultCache(&cache, snap.version());
+  ev.SetLane2Weights(lane2);
+  auto refused = ev.Evaluate(lifted->plan);
+  EXPECT_FALSE(refused.ok());
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.in_flight_waits, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+
+  // Without the cache the same evaluation runs, and lane 2 differs from
+  // lane 1 only where the rescaled atom R contributes.
+  PlanEvaluator lanes(snap, q);
+  lanes.SetLane2Weights(lane2);
+  auto rel = lanes.Evaluate(lifted->plan);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_NE((*rel)->lane2(), nullptr);
+  EXPECT_LT((*(*rel)->lane2())[0], (*rel)->Score(0));
 }
 
 TEST(DeterministicEvalTest, DistinctAnswers) {

@@ -8,6 +8,7 @@
 #include "src/common/simd.h"
 #include "src/exec/operators.h"
 #include "src/serve/scheduler.h"
+#include "tests/reference_ops.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
@@ -551,6 +552,288 @@ TEST(ChunkedScanTest, RepeatedVariableSelectionAcrossChunkSeams) {
   ASSERT_EQ(rel->NumRows(), 7u);  // i = 0, 3, 6, 9, 12, 15, 18
   for (size_t r = 0; r < rel->NumRows(); ++r) {
     EXPECT_EQ(rel->At(r, 0), Value::Int64(static_cast<int64_t>(r) * 3));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Score lanes: an operator run with lane 2 must equal, bit for bit, the
+// same operator run on lane 1 alone and on lane 2's weights alone — same
+// rows, same order, same fold order in each lane.
+// ---------------------------------------------------------------------------
+
+/// `n` random weights in [0.01, 0.51).
+WeightsPtr RandomWeights(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> w(n);
+  for (double& v : w) v = 0.01 + 0.5 * rng.NextDouble();
+  return std::make_shared<WeightColumn>(w);
+}
+
+/// `r` with a random lane 2 attached (columns and lane 1 shared).
+Rel WithLane2(const Rel& r, uint64_t seed) {
+  std::vector<ColumnPtr> cols;
+  for (int c = 0; c < r.arity(); ++c) cols.push_back(r.col(c));
+  return Rel::FromColumns(r.vars(), std::move(cols), r.weights(), r.NumRows(),
+                          RandomWeights(r.NumRows(), seed));
+}
+
+/// The single-lane relation scoring `r`'s lane 2 (its lane 1 when it has
+/// no lane 2 of its own).
+Rel Lane2Only(const Rel& r) {
+  std::vector<ColumnPtr> cols;
+  for (int c = 0; c < r.arity(); ++c) cols.push_back(r.col(c));
+  auto w = r.lane2() != nullptr ? r.lane2() : r.weights();
+  return Rel::FromColumns(r.vars(), std::move(cols), w, r.NumRows());
+}
+
+/// `r` without its lane 2.
+Rel Lane1Only(const Rel& r) {
+  std::vector<ColumnPtr> cols;
+  for (int c = 0; c < r.arity(); ++c) cols.push_back(r.col(c));
+  return Rel::FromColumns(r.vars(), std::move(cols), r.weights(), r.NumRows());
+}
+
+/// `two` (a two-lane output) equals `ref1` in rows and lane 1 and `ref2`
+/// in rows and lane 2, bit for bit.
+void ExpectLanes(const Rel& two, const Rel& ref1, const Rel& ref2) {
+  ASSERT_NE(two.lane2(), nullptr);
+  ExpectBitIdentical(Lane1Only(two), ref1);
+  ExpectBitIdentical(Lane2Only(two), ref2);
+}
+
+TEST(LaneTest, ScanCarriesLane2ZeroCopyOrGathered) {
+  ChunkCapOverride cap(8);
+  Database db = ClusteredDatabase(100, 7, 5, 3);
+  const Snapshot snap = db.snapshot();
+  const Table& t = snap.table(0);
+  const WeightsPtr lane2 = RandomWeights(t.NumRows(), 4);
+
+  auto all = ScanAtom(snap, Q("q(x,y) :- R(x,y)"), 0, nullptr, nullptr,
+                      nullptr, lane2);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->lane2(), lane2);  // unfiltered: zero-copy
+
+  auto q = Q("q(x) :- R(x, 3)");
+  auto filtered = ScanAtom(snap, q, 0, nullptr, nullptr, nullptr, lane2);
+  ASSERT_TRUE(filtered.ok());
+  auto ref1 = ScanAtom(snap, q, 0);
+  ASSERT_TRUE(ref1.ok());
+  EXPECT_GT(ref1->NumRows(), 0u);
+  // Lane 2 alone: the same scan over a table whose weights are lane 2.
+  Table t2 = t;
+  for (size_t r = 0; r < t2.NumRows(); ++r) t2.SetProb(r, (*lane2)[r]);
+  auto ref2 = ScanAtom(snap, q, 0, &t2);
+  ASSERT_TRUE(ref2.ok());
+  ExpectLanes(*filtered, *ref1, *ref2);
+
+  auto mismatched = ScanAtom(snap, q, 0, nullptr, nullptr, nullptr,
+                             std::make_shared<WeightColumn>());
+  EXPECT_FALSE(mismatched.ok());
+}
+
+TEST(LaneTest, HashJoinFoldsBothLanesInBothRoleOrders) {
+  for (size_t cap_size : {size_t{8}, Column::kDefaultChunkCapacity}) {
+    ChunkCapOverride cap(cap_size);
+    Rel a = WithLane2(RandomBinaryRel(0, 1, 600, 90, 71), 72);
+    Rel b = WithLane2(RandomBinaryRel(1, 2, 900, 90, 73), 74);
+    for (bool a_builds : {true, false}) {
+      const Rel& build = a_builds ? a : b;
+      const Rel& probe = a_builds ? b : a;
+      Rel two = HashJoinBuildProbe(build, probe);
+      EXPECT_GT(two.NumRows(), 0u);
+      ExpectLanes(two, HashJoinBuildProbe(Lane1Only(build), Lane1Only(probe)),
+                  HashJoinBuildProbe(Lane2Only(build), Lane2Only(probe)));
+    }
+    // One side without a lane 2: it scores lane 2 as lane 1.
+    Rel mixed = HashJoin(a, Lane1Only(b));
+    ExpectLanes(mixed, HashJoin(Lane1Only(a), Lane1Only(b)),
+                HashJoin(Lane2Only(a), Lane1Only(b)));
+  }
+}
+
+TEST(LaneTest, ParallelHashJoinFoldsBothLanes) {
+  Rel a = WithLane2(RandomBinaryRel(0, 1, 36'000, 18'000, 75), 76);
+  Rel b = WithLane2(RandomBinaryRel(1, 2, 40'000, 18'000, 77), 78);
+  Scheduler pool(4);
+  Rel two = HashJoin(a, b, &pool);
+  ExpectLanes(two, HashJoin(Lane1Only(a), Lane1Only(b)),
+              HashJoin(Lane2Only(a), Lane2Only(b)));
+}
+
+TEST(LaneTest, GroupedProjectionFoldsBothLanesSequentialAndParallel) {
+  for (size_t cap_size : {size_t{8}, Column::kDefaultChunkCapacity}) {
+    ChunkCapOverride cap(cap_size);
+    Rel in = WithLane2(RandomBinaryRel(0, 1, 40'000, 700, 79), 80);
+    // Sequential path.
+    ExpectLanes(ProjectIndependent(in, MaskOf(0)),
+                ProjectIndependent(Lane1Only(in), MaskOf(0)),
+                ProjectIndependent(Lane2Only(in), MaskOf(0)));
+    // Partition-parallel path (>= 2 morsels of rows with a scheduler),
+    // checked against the sequential single-lane runs.
+    Scheduler pool(4);
+    ExpectLanes(ProjectIndependent(in, MaskOf(0), &pool),
+                ProjectIndependent(Lane1Only(in), MaskOf(0)),
+                ProjectIndependent(Lane2Only(in), MaskOf(0)));
+    ExpectLanes(ProjectDistinct(in, MaskOf(1), &pool),
+                ProjectDistinct(Lane1Only(in), MaskOf(1)),
+                ProjectDistinct(Lane2Only(in), MaskOf(1)));
+  }
+}
+
+TEST(LaneTest, BooleanProjectionRunsTheKernelPerLane) {
+  for (size_t cap_size : {size_t{8}, Column::kDefaultChunkCapacity}) {
+    ChunkCapOverride cap(cap_size);
+    // 1000 rows engage the fused AVX2 accumulator where available; 100
+    // stay on the scalar fold.
+    for (size_t n : {size_t{100}, size_t{1000}}) {
+      Rel in = WithLane2(RandomBinaryRel(0, 1, n, 50, 81 + n), 82 + n);
+      ExpectLanes(ProjectIndependent(in, 0),
+                  ProjectIndependent(Lane1Only(in), 0),
+                  ProjectIndependent(Lane2Only(in), 0));
+      ScopedScalarFallback scalar;
+      ExpectLanes(ProjectIndependent(in, 0),
+                  ProjectIndependent(Lane1Only(in), 0),
+                  ProjectIndependent(Lane2Only(in), 0));
+    }
+  }
+}
+
+TEST(LaneTest, MinMergeTakesTheMinimumPerLane) {
+  for (size_t cap_size : {size_t{8}, Column::kDefaultChunkCapacity}) {
+    ChunkCapOverride cap(cap_size);
+    // Overlapping key ranges: some rows appear in one input only.
+    Rel a = ProjectIndependent(RandomBinaryRel(0, 1, 300, 60, 91), MaskOf(0));
+    Rel b = ProjectIndependent(RandomBinaryRel(0, 1, 300, 80, 92), MaskOf(0));
+    Rel c = ProjectIndependent(RandomBinaryRel(0, 1, 50, 100, 93), MaskOf(0));
+    Rel a2 = WithLane2(a, 94), b2 = WithLane2(b, 95);
+    // c has no lane 2 of its own: it scores lane 2 as lane 1.
+    auto two = MinMerge({a2, b2, c});
+    auto ref1 = MinMerge({a, b, c});
+    auto ref2 = MinMerge({Lane2Only(a2), Lane2Only(b2), c});
+    ASSERT_TRUE(two.ok() && ref1.ok() && ref2.ok());
+    EXPECT_GT(ref1->NumRows(), a.NumRows());
+    ExpectLanes(*two, *ref1, *ref2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Probe-column reuse: a join whose probe rows each match exactly one build
+// row shares the probe's columns; anything else gathers.
+// ---------------------------------------------------------------------------
+
+/// Rel(x) or Rel(x, y) from explicit rows; scores 0.5 + row / 100.
+Rel MakeRel(std::vector<VarId> vars,
+            const std::vector<std::vector<int64_t>>& rows) {
+  Rel r(std::move(vars));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<Value> row;
+    for (int64_t v : rows[i]) row.push_back(Value::Int64(v));
+    r.AddRow(row, 0.5 + static_cast<double>(i) / 100.0);
+  }
+  return r;
+}
+
+/// The join against the nested-loop reference. Rows come in probe order;
+/// a probe row's several partners come in build-chain order, which the
+/// reference does not model, so those compare as sorted lists.
+void ExpectJoinMatchesReference(const Rel& out, const Rel& build,
+                                const Rel& probe, bool probe_order = true) {
+  using testing_util::Canonical;
+  using testing_util::RefJoin;
+  using testing_util::ToRef;
+  const testing_util::RefRel ref = RefJoin(ToRef(probe), ToRef(build));
+  const testing_util::RefRel got = ToRef(out);
+  EXPECT_EQ(got.vars, ref.vars);
+  if (probe_order) {
+    EXPECT_EQ(got.rows, ref.rows);
+    EXPECT_EQ(got.scores, ref.scores);
+  } else {
+    EXPECT_EQ(Canonical(got), Canonical(ref));
+  }
+}
+
+TEST(ProbeReuseTest, ExactlyOneMatchPerProbeRowSharesProbeColumns) {
+  Rel build = MakeRel({0}, {{1}, {2}, {3}});
+  Rel probe = MakeRel({0, 1}, {{2, 20}, {1, 10}, {3, 30}, {2, 21}});
+  bool reused = false;
+  Rel out = HashJoinBuildProbe(build, probe, nullptr, &reused);
+  EXPECT_TRUE(reused);
+  ASSERT_EQ(out.NumRows(), probe.NumRows());
+  EXPECT_EQ(out.col(0), probe.col(0));  // the shared key, too
+  EXPECT_EQ(out.col(1), probe.col(1));
+  ExpectJoinMatchesReference(out, build, probe);
+}
+
+TEST(ProbeReuseTest, UnmatchedOrRepeatedProbeRowsGather) {
+  Rel probe = MakeRel({0, 1}, {{2, 20}, {1, 10}, {4, 40}});
+  bool reused = true;
+  // Probe row x=4 has no partner.
+  Rel build = MakeRel({0}, {{1}, {2}, {3}});
+  Rel out = HashJoinBuildProbe(build, probe, nullptr, &reused);
+  EXPECT_FALSE(reused);
+  EXPECT_NE(out.col(0), probe.col(0));
+  EXPECT_NE(out.col(1), probe.col(1));
+  ExpectJoinMatchesReference(out, build, probe);
+
+  // Every probe row matches, but x=2 matches twice.
+  Rel dup = MakeRel({0, 2}, {{1, 5}, {2, 6}, {2, 7}, {4, 8}});
+  reused = true;
+  out = HashJoinBuildProbe(dup, probe, nullptr, &reused);
+  EXPECT_FALSE(reused);
+  ASSERT_EQ(out.NumRows(), probe.NumRows() + 1);
+  EXPECT_NE(out.col(1), probe.col(1));
+  ExpectJoinMatchesReference(out, dup, probe, /*probe_order=*/false);
+
+  // Pinned roles reuse; the size-chosen roles flip them (the smaller side
+  // builds), and the former build side's unmatched row forces a gather.
+  Rel small = MakeRel({0, 1}, {{2, 20}, {1, 10}});
+  Rel large = MakeRel({0}, {{1}, {2}, {3}});
+  reused = false;
+  out = HashJoinBuildProbe(large, small, nullptr, &reused);
+  EXPECT_TRUE(reused);
+  reused = true;
+  out = HashJoin(large, small, nullptr, &reused);
+  EXPECT_FALSE(reused);
+  ExpectJoinMatchesReference(out, small, large);
+}
+
+TEST(ProbeReuseTest, MixedChunkGeometriesHashJoinAndProjectBitIdentically) {
+  // The probe columns keep the capacity they were built at, while the
+  // gathered build-only column and the scores take the current default:
+  // one Rel, two chunk geometries. Everything downstream must match the
+  // same pipeline over single-geometry inputs.
+  const size_t n = 40'000;
+  Rel probe_small_chunks(std::vector<VarId>{0, 1});
+  {
+    ChunkCapOverride cap(8);
+    probe_small_chunks = RandomBinaryRel(0, 1, n, 5'000, 101);
+  }
+  Rel probe = RandomBinaryRel(0, 1, n, 5'000, 101);
+  ASSERT_EQ(probe_small_chunks.col(0)->chunk_capacity(), 8u);
+  Rel build(std::vector<VarId>{0, 2});
+  for (int64_t x = 0; x < 5'000; ++x) {
+    build.AddRow(std::vector<Value>{Value::Int64(x), Value::Int64(x % 97)},
+                 0.3 + 0.0001 * static_cast<double>(x));
+  }
+  Scheduler pool(4);
+  for (Scheduler* s : {static_cast<Scheduler*>(nullptr), &pool}) {
+    bool reused = false;
+    Rel mixed = HashJoinBuildProbe(build, probe_small_chunks, s, &reused);
+    ASSERT_TRUE(reused);
+    EXPECT_EQ(mixed.col(0)->chunk_capacity(), 8u);
+    EXPECT_EQ(mixed.col(2)->chunk_capacity(), Column::kDefaultChunkCapacity);
+    Rel uniform = HashJoinBuildProbe(build, probe, s);
+    ExpectBitIdentical(mixed, uniform);
+
+    const std::vector<int> keys = {0, 1, 2};
+    HashVector hm = HashKeyColumns(mixed, keys, s);
+    HashVector hu = HashKeyColumns(uniform, keys, s);
+    ASSERT_TRUE(std::equal(hm.begin(), hm.end(), hu.begin(), hu.end()));
+    ExpectBitIdentical(HashJoin(mixed, build, s), HashJoin(uniform, build, s));
+    ExpectBitIdentical(ProjectIndependent(mixed, MaskOf(2), s),
+                       ProjectIndependent(uniform, MaskOf(2), s));
+    ExpectBitIdentical(ProjectIndependent(mixed, MaskOf(0) | MaskOf(2), s),
+                       ProjectIndependent(uniform, MaskOf(0) | MaskOf(2), s));
   }
 }
 

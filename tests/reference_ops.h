@@ -10,6 +10,12 @@
 // recursion — stop rule, independent join, Min over *every* minimal cut —
 // with no separator shortcut. The lifted compiler must emit exactly its
 // plan.
+//
+// RefTwoPassBounds is the reference for the anytime controller's
+// two-lane evaluation (src/anytime/controller.cc): the compiled plans
+// evaluated twice, once over the stored weights (upper bounds) and once
+// over table copies rescaled with Table::DissociateProbabilitiesObliviously
+// (lower bounds), aligned by answer tuple.
 #ifndef DISSODB_TESTS_REFERENCE_OPS_H_
 #define DISSODB_TESTS_REFERENCE_OPS_H_
 
@@ -23,11 +29,16 @@
 #include "src/common/status.h"
 #include "src/dissociation/dissociation.h"
 #include "src/dissociation/minimal_plans.h"
+#include "src/engine/prepared_query.h"
+#include "src/exec/evaluator.h"
+#include "src/exec/ranking.h"
 #include "src/exec/rel.h"
 #include "src/plan/plan.h"
 #include "src/query/analysis.h"
 #include "src/query/cq.h"
 #include "src/query/cuts.h"
+#include "src/serve/scheduler.h"
+#include "src/storage/snapshot.h"
 
 namespace dissodb {
 namespace testing_util {
@@ -276,6 +287,117 @@ inline Result<PlanPtr> BuildSinglePlan(const ConjunctiveQuery& q,
   SinglePlanBuilder b(q, std::move(atoms), opts.enum_opts.use_deterministic,
                       opts.reuse_common_subplans);
   return b.Run();
+}
+
+/// The compiled plans as a list: the single min-plan, or every minimal
+/// plan.
+inline std::vector<PlanPtr> RefPlansOf(const CompiledPlans& compiled) {
+  if (compiled.single_plan != nullptr) return {compiled.single_plan};
+  return compiled.plans;
+}
+
+/// The table bound to atom `idx`: the override when present, else the
+/// snapshot table of the atom's relation (nullptr when absent).
+inline const Table* RefAtomTable(const Snapshot& snap,
+                                 const ConjunctiveQuery& q,
+                                 const AtomOverrides& overrides, int idx) {
+  auto it = overrides.find(idx);
+  if (it != overrides.end()) return it->second.table;
+  int t = snap.FindTable(q.atom(idx).relation);
+  return t < 0 ? nullptr : &snap.table(t);
+}
+
+/// Upper-bound pass: the compiled plans over the stored weights (the
+/// single min-plan through one evaluator, minimal plans separately and
+/// min-merged).
+inline Result<Rel> RefUpperBounds(const Snapshot& snap,
+                                  const ConjunctiveQuery& q,
+                                  const CompiledPlans& compiled,
+                                  const AtomOverrides& overrides,
+                                  Scheduler* scheduler) {
+  if (compiled.single_plan != nullptr) {
+    PlanEvaluator ev(snap, q);
+    for (const auto& [idx, ov] : overrides) {
+      ev.SetAtomTable(idx, ov.table, ov.tag);
+    }
+    if (scheduler != nullptr) ev.SetScheduler(scheduler);
+    auto rel = ev.Evaluate(compiled.single_plan);
+    if (!rel.ok()) return rel.status();
+    return Rel(**rel);
+  }
+  return EvaluatePlansSeparately(snap, q, compiled.plans, overrides);
+}
+
+/// Lower-bound pass: the same plans over shallow table copies whose
+/// weights are rescaled to 1 - (1-p)^(1/d_i), bound untagged so nothing
+/// is exchanged with a result cache, min-merged across plans.
+inline Result<Rel> RefObliviousLowerBounds(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const CompiledPlans& compiled, const AtomOverrides& overrides,
+    const std::vector<double>& exponents, Scheduler* scheduler) {
+  const std::vector<PlanPtr> plans = RefPlansOf(compiled);
+  if (plans.empty()) return Status::InvalidArgument("no compiled plans");
+
+  // Reserve up front: SetAtomTable keeps raw pointers into this vector.
+  std::vector<Table> scaled;
+  scaled.reserve(q.num_atoms());
+  AtomOverrides lb_overrides;
+  for (int i = 0; i < q.num_atoms(); ++i) {
+    const Table* base = RefAtomTable(snap, q, overrides, i);
+    if (base == nullptr) {
+      return Status::NotFound("no table named " + q.atom(i).relation);
+    }
+    const double d =
+        i < static_cast<int>(exponents.size()) ? exponents[i] : 1.0;
+    if (d > 1.0 && !base->schema().deterministic && base->NumRows() > 0) {
+      scaled.push_back(*base);
+      scaled.back().DissociateProbabilitiesObliviously(d);
+      lb_overrides[i] = AtomOverride{&scaled.back(), {}};
+    } else if (overrides.count(i) != 0) {
+      lb_overrides[i] = AtomOverride{base, {}};
+    }
+  }
+
+  if (plans.size() == 1) {
+    PlanEvaluator ev(snap, q);
+    for (const auto& [idx, ov] : lb_overrides) ev.SetAtomTable(idx, ov.table);
+    if (scheduler != nullptr) ev.SetScheduler(scheduler);
+    auto rel = ev.Evaluate(plans[0]);
+    if (!rel.ok()) return rel.status();
+    return Rel(**rel);
+  }
+  return EvaluatePlansSeparately(snap, q, plans, lb_overrides);
+}
+
+/// Per-answer (lower, upper) from the two passes, keyed by answer tuple in
+/// canonical variable order and clamped as the controller clamps them.
+using RefBounds = std::map<std::vector<Value>, std::pair<double, double>>;
+
+inline Result<RefBounds> RefTwoPassBounds(const Snapshot& snap,
+                                          const ConjunctiveQuery& q,
+                                          const CompiledPlans& compiled,
+                                          const AtomOverrides& overrides,
+                                          const std::vector<double>& exponents,
+                                          Scheduler* scheduler = nullptr) {
+  auto upper = RefUpperBounds(snap, q, compiled, overrides, scheduler);
+  if (!upper.ok()) return upper.status();
+  auto lower = RefObliviousLowerBounds(snap, q, compiled, overrides,
+                                       exponents, scheduler);
+  if (!lower.ok()) return lower.status();
+  std::map<std::vector<Value>, double> lower_by_tuple;
+  for (RankedAnswer& ra : RankAnswers(*lower)) {
+    lower_by_tuple.emplace(std::move(ra.tuple), ra.score);
+  }
+  auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
+  RefBounds out;
+  for (RankedAnswer& ra : RankAnswers(*upper)) {
+    const double u = clamp01(ra.score);
+    auto it = lower_by_tuple.find(ra.tuple);
+    const double l =
+        clamp01(std::min(it != lower_by_tuple.end() ? it->second : 0.0, u));
+    out.emplace(std::move(ra.tuple), std::make_pair(l, u));
+  }
+  return out;
 }
 
 }  // namespace testing_util

@@ -347,6 +347,98 @@ TEST(EngineTraceTest, JoinOutputMatchesReferenceJoin) {
             ToRef(*r_scan).rows.size() + ToRef(*s_scan).rows.size());
 }
 
+TEST(EngineTraceTest, JoinSpansReportProbeColumnReuse) {
+  // R(x) builds (the smaller side) and every S(x,y) row matches exactly
+  // one R row: the join shares S's columns. With an extra R row, R is the
+  // larger side and probes, its unmatched row forces gathered columns.
+  auto q = Q("q(x,y) :- R(x), S(x,y)");
+  for (bool extra_r_row : {false, true}) {
+    Database db;
+    std::vector<std::pair<std::vector<int64_t>, double>> r_rows = {
+        {{1}, 0.7}, {{2}, 0.5}};
+    if (extra_r_row) {
+      r_rows.push_back({{3}, 0.4});
+      r_rows.push_back({{4}, 0.4});
+    }
+    AddTable(&db, "R", 1, r_rows);
+    AddTable(&db, "S", 2, {{{1, 10}, 0.9}, {{1, 20}, 0.4}, {{2, 20}, 0.8}});
+    auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
+    ASSERT_TRUE(sk.ok());
+    auto lifted = lift::CompileSafePlan(q, *sk);
+    ASSERT_TRUE(lifted.ok());
+
+    obs::TraceContext ctx;
+    const uint32_t root = ctx.BeginSpan("evaluate", 0);
+    PlanEvaluator ev(db.snapshot(), q);
+    ev.SetTrace(&ctx, root);
+    ASSERT_TRUE(ev.Evaluate(lifted->plan).ok());
+    ctx.EndSpan(root);
+    obs::QueryTrace trace = ctx.Finish();
+
+    const obs::TraceSpan* join = FindSpan(trace, "join");
+    ASSERT_NE(join, nullptr);
+    ASSERT_NE(Arg(*join, "probe_cols"), nullptr);
+    EXPECT_EQ(*Arg(*join, "probe_cols"),
+              extra_r_row ? "gathered" : "reused");
+  }
+}
+
+TEST(EngineTraceTest, AnytimeBoundsSpanReportsLanesAndExponents) {
+  Database db;
+  AddTable(&db, "R", 2, {{{1, 1}, 0.6}, {{1, 2}, 0.4}, {{2, 2}, 0.8}});
+  AddTable(&db, "S", 2,
+           {{{1, 10}, 0.9}, {{1, 20}, 0.5}, {{2, 20}, 0.7}, {{2, 10}, 0.3}});
+  AddTable(&db, "T", 1, {{{10}, 0.6}, {{20}, 0.3}});
+  QueryEngine engine = QueryEngine::Borrow(db);
+
+  // Unsafe: one evaluation carries both bounds, and the span names the
+  // exponents behind the lower one. Every join reports its probe columns.
+  auto unsafe_q = engine.Prepare("q(z) :- R(z,x), S(x,y), T(y)");
+  ASSERT_TRUE(unsafe_q.ok());
+  auto res = engine.RunWithGuarantees(*unsafe_q, Bindings().EnableTrace());
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_NE(res->base.trace, nullptr);
+  ExpectBalanced(*res->base.trace);
+  const obs::TraceSpan* bounds = FindSpan(*res->base.trace, "anytime-bounds");
+  ASSERT_NE(bounds, nullptr);
+  ASSERT_NE(Arg(*bounds, "lanes"), nullptr);
+  EXPECT_EQ(*Arg(*bounds, "lanes"), "2");
+  std::string exponents;
+  for (double d : res->exponents) {
+    if (!exponents.empty()) exponents += ',';
+    exponents += std::to_string(static_cast<int64_t>(d));
+  }
+  ASSERT_FALSE(res->exponents.empty());
+  ASSERT_NE(Arg(*bounds, "exponents"), nullptr);
+  EXPECT_EQ(*Arg(*bounds, "exponents"), exponents);
+  size_t joins = 0;
+  for (const auto& s : res->base.trace->spans) {
+    if (s.name != "join" || Arg(s, "reused") != nullptr) continue;
+    ++joins;
+    ASSERT_NE(Arg(s, "probe_cols"), nullptr);
+    std::string steps = *Arg(s, "probe_cols") + ",";
+    for (size_t at = 0; at < steps.size(); at = steps.find(',', at) + 1) {
+      const std::string step = steps.substr(at, steps.find(',', at) - at);
+      EXPECT_TRUE(step == "reused" || step == "gathered") << step;
+    }
+  }
+  EXPECT_GT(joins, 0u);
+
+  // Safe: the exact route evaluates one lane and has no exponents.
+  auto safe_q = engine.Prepare("q(x) :- R(x,z), S(z,y)");
+  ASSERT_TRUE(safe_q.ok());
+  ASSERT_TRUE(safe_q->exact());
+  auto safe = engine.RunWithGuarantees(*safe_q, Bindings().EnableTrace());
+  ASSERT_TRUE(safe.ok());
+  ASSERT_NE(safe->base.trace, nullptr);
+  const obs::TraceSpan* safe_bounds =
+      FindSpan(*safe->base.trace, "anytime-bounds");
+  ASSERT_NE(safe_bounds, nullptr);
+  ASSERT_NE(Arg(*safe_bounds, "lanes"), nullptr);
+  EXPECT_EQ(*Arg(*safe_bounds, "lanes"), "1");
+  EXPECT_EQ(Arg(*safe_bounds, "exponents"), nullptr);
+}
+
 TEST(EngineTraceTest, BalancedNestingUnderPooledParallelExecution) {
   // Large-ish inputs + a 4-thread pool: executions run on pool threads and
   // operators fan out morsels, yet every trace must stay a balanced tree.
