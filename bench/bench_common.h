@@ -83,6 +83,13 @@ struct TpchRun {
   size_t answers = 0;
 };
 
+/// Prepare + Execute of `q` on `engine` with the TPC-H selections bound
+/// (untagged) in place of their atoms' tables: the paper's query with its
+/// WHERE clauses.
+Result<QueryResult> ExecuteWithSelections(QueryEngine& engine,
+                                          const ConjunctiveQuery& q,
+                                          const TpchSelections& sel);
+
 /// Runs all Section 5 methods for one ($1, $2) setting.
 TpchRun RunTpchMethods(const Database& db, const ConjunctiveQuery& q,
                        int64_t dollar1, const std::string& dollar2,

@@ -47,7 +47,8 @@ int main() {
     if (avg_pa < 0.05 || avg_pa > 0.95) continue;
     ++runs;
 
-    auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
+    QueryEngine engine = QueryEngine::Borrow(db);
+    auto diss = ExecuteWithSelections(engine, q, **sel);
     diss_ap.Add(ApAgainst(*exact, diss->answers));
     lin_ap.Add(ApAgainst(*exact, LineageSizeRanking(*lineage)));
     for (size_t si = 0; si < sample_counts.size(); ++si) {

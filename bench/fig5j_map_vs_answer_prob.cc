@@ -54,7 +54,8 @@ int main() {
 
       Bucket& b = buckets[bucket_of(avg_pa)];
       ++b.n;
-      auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
+      QueryEngine engine = QueryEngine::Borrow(db);
+      auto diss = ExecuteWithSelections(engine, q, **sel);
       b.diss.Add(ApAgainst(*exact, diss->answers));
       b.lin.Add(ApAgainst(*exact, LineageSizeRanking(*lineage)));
       for (int rep = 0; rep < 3; ++rep) {

@@ -56,7 +56,8 @@ int main() {
         if (!exact->empty() && (*exact)[0].score > 0.999999) continue;
         maxlin = std::max(maxlin, MaxLineageSize(*lineage));
         lin_ap.Add(ApAgainst(*exact, LineageSizeRanking(*lineage)));
-        auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
+        QueryEngine engine = QueryEngine::Borrow(db);
+        auto diss = ExecuteWithSelections(engine, q, **sel);
         diss_ap.Add(ApAgainst(*exact, diss->answers));
         if (cfg.constant) break;  // constant pi: ranking is deterministic
       }

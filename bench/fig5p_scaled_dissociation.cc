@@ -33,7 +33,10 @@ int main() {
       if (!lineage.ok()) continue;
       auto sgt = ExactFromLineage(*lineage);
       if (!sgt.ok()) continue;
-      auto sdiss = PropagationScore(scaled, q);
+      QueryEngine engine = QueryEngine::Borrow(scaled);
+      auto prepared = engine.Prepare(q);
+      if (!prepared.ok()) continue;
+      auto sdiss = engine.Execute(*prepared);
       sdiss_sgt.Add(ApAgainst(*sgt, sdiss->answers));
       sdiss_gt.Add(ApAgainst(*gt, sdiss->answers));
       sgt_gt.Add(ApAgainst(*gt, *sgt));

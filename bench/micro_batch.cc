@@ -1,5 +1,6 @@
 // Batch serving benchmark: 64 overlapping chain queries through
-// QueryEngine::RunBatch versus a loop of single Run calls.
+// QueryEngine::ExecuteBatch versus a loop of single Prepare + Execute
+// calls.
 //
 // The workload cycles chain queries of length 2..7 over one shared chain-7
 // database, so the batch contains many repeated shapes — the serving
@@ -37,22 +38,40 @@ int main() {
               "over a chain-7 database with n=%zu rows/relation\n\n",
               kBatchSize, kBatchSize / 6, spec.n);
 
-  // Sequential baseline: one engine, single Run calls. The plan cache is
-  // active (both paths compile each shape once); the result cache is not —
-  // Run measures evaluation, which is exactly the pre-serving behavior.
+  // Prepares every workload query on `engine`; false (after printing the
+  // error) if one fails.
+  auto prepare_all = [&workload](QueryEngine& engine,
+                                 std::vector<PreparedQuery>* out) {
+    for (const auto& q : workload) {
+      auto p = engine.Prepare(q);
+      if (!p.ok()) {
+        std::printf("Prepare failed: %s\n", p.status().ToString().c_str());
+        return false;
+      }
+      out->push_back(std::move(*p));
+    }
+    return true;
+  };
+
+  // Sequential baseline: one engine, Prepare + Execute per query. The plan
+  // cache is active (both paths compile each shape once); the result cache
+  // is not — Execute measures evaluation, which is exactly the pre-serving
+  // behavior.
   double seq_ms = 1e300;
   size_t seq_answers = 0;
   for (int rep = 0; rep < 3; ++rep) {
     QueryEngine engine = QueryEngine::Borrow(db);
     Timer t;
     for (const auto& q : workload) {
-      auto r = engine.Run(q);
+      auto prepared = engine.Prepare(q);
+      if (!prepared.ok()) continue;
+      auto r = engine.Execute(*prepared);
       if (r.ok()) seq_answers += r->answers.size();
     }
     seq_ms = std::min(seq_ms, t.ElapsedMillis());
   }
 
-  // Batch path: fresh engine per rep so the first RunBatch's hit rate is
+  // Batch path: fresh engine per rep so the first ExecuteBatch's hit rate is
   // the honest cold-cache number. Concurrent duplicates cannot compute
   // twice — the cache's in-flight dedup hands one requester the lead and
   // parks the rest on its future — but the pool stays capped at 8 threads
@@ -66,15 +85,19 @@ int main() {
   for (int rep = 0; rep < 3; ++rep) {
     QueryEngine engine = QueryEngine::Borrow(db, batch_opts);
     Timer t;
-    auto results = engine.RunBatch(workload);
+    std::vector<PreparedQuery> prepared;
+    if (!prepare_all(engine, &prepared)) return 1;
+    auto results = engine.ExecuteBatch(prepared);
     double ms = t.ElapsedMillis();
-    if (!results.ok()) {
-      std::printf("RunBatch failed: %s\n",
-                  results.status().ToString().c_str());
-      return 1;
-    }
     batch_answers = 0;
-    for (const auto& r : *results) batch_answers += r.answers.size();
+    for (const auto& r : results) {
+      if (!r.ok()) {
+        std::printf("ExecuteBatch failed: %s\n",
+                    r.status().ToString().c_str());
+        return 1;
+      }
+      batch_answers += r->answers.size();
+    }
     if (ms < batch_ms) {
       batch_ms = ms;
       batch_stats = engine.stats();
@@ -98,7 +121,7 @@ int main() {
 
   PrintHeader({"path", "wall_ms", "per_query", "speedup"});
   PrintRow({"sequential", FmtMs(seq_ms), FmtMs(seq_ms / kBatchSize), "1.00"});
-  PrintRow({"RunBatch", FmtMs(batch_ms), FmtMs(batch_ms / kBatchSize),
+  PrintRow({"ExecuteBatch", FmtMs(batch_ms), FmtMs(batch_ms / kBatchSize),
             Fmt(speedup)});
   std::printf("\nresult cache: %zu served (%zu hits + %zu in-flight waits) "
               "/ %zu lookups (%.1f%%), %zu entries, %zu evictions\n",
@@ -127,7 +150,8 @@ int main() {
     return 1;
   }
   // CI acceptance gate (opt-in so loaded dev machines don't fail runs):
-  // DISSODB_REQUIRE_SPEEDUP=2 demands RunBatch beat the sequential loop 2x.
+  // DISSODB_REQUIRE_SPEEDUP=2 demands ExecuteBatch beat the sequential loop
+  // 2x.
   if (const char* req = std::getenv("DISSODB_REQUIRE_SPEEDUP")) {
     const double required = std::atof(req);
     if (required > 0 && speedup < required) {
@@ -145,9 +169,11 @@ int main() {
     EngineOptions traced_opts = batch_opts;
     traced_opts.trace_sample_every = 1;
     QueryEngine engine = QueryEngine::Borrow(db, traced_opts);
-    auto results = engine.RunBatch(workload);
-    if (!results.ok() || results->empty() ||
-        (*results)[0].trace == nullptr) {
+    std::vector<PreparedQuery> prepared;
+    if (!prepare_all(engine, &prepared)) return 1;
+    auto results = engine.ExecuteBatch(prepared);
+    if (results.empty() || !results[0].ok() ||
+        results[0]->trace == nullptr) {
       std::printf("FAIL: traced batch produced no trace\n");
       return 1;
     }
@@ -161,14 +187,14 @@ int main() {
       std::printf("FAIL: cannot open %s\n", path);
       return 1;
     }
-    const std::string json = (*results)[0].trace->ToChromeJson();
+    const std::string json = results[0]->trace->ToChromeJson();
     std::fwrite(json.data(), 1, json.size(), f);
     std::fclose(f);
     std::printf("trace export: %zu traced executions, wrote %zu bytes of "
                 "Chrome trace JSON to %s\n",
                 engine.stats().traces_recorded, json.size(), path);
     std::printf("span tree of the exported execution:\n%s",
-                (*results)[0].trace->ToText().c_str());
+                results[0]->trace->ToText().c_str());
   }
   return 0;
 }

@@ -129,8 +129,12 @@ void BM_PropagationChain4(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Database* db = ChainDb(4, n);
   ConjunctiveQuery q = MakeChainQuery(4);
+  EngineOptions eo;
+  eo.plan_cache_capacity = 0;  // a one-shot engine compiles every time
   for (auto _ : state) {
-    auto res = PropagationScore(*db, q);
+    QueryEngine engine = QueryEngine::Borrow(*db, eo);
+    auto prepared = engine.Prepare(q);
+    auto res = engine.Execute(*prepared);
     benchmark::DoNotOptimize(res->answers.size());
   }
 }
@@ -143,7 +147,8 @@ void BM_EngineCachedQuery(benchmark::State& state) {
   QueryEngine engine = QueryEngine::Borrow(*db);
   ConjunctiveQuery q = MakeChainQuery(4);
   for (auto _ : state) {
-    auto res = engine.Run(q);
+    auto prepared = engine.Prepare(q);
+    auto res = engine.Execute(*prepared);
     benchmark::DoNotOptimize(res->answers.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -237,7 +242,8 @@ void CaptureJson() {
     QueryEngine engine = QueryEngine::Borrow(*db);
     ConjunctiveQuery q = MakeChainQuery(4);
     double ms = TimeMs([&] {
-      auto res = engine.Run(q);
+      auto prepared = engine.Prepare(q);
+      auto res = engine.Execute(*prepared);
       benchmark::DoNotOptimize(res->answers.size());
     });
     BenchJsonRecord("engine_cached_query_chain4", n,

@@ -3,11 +3,12 @@
 //
 // Three measurements over one shared chain database:
 //   1. prepare-once-execute-many: N executions of one PreparedQuery handle
-//      vs N full Run(text) calls (parse + canonicalize + plan-cache lookup
-//      every time).
-//   2. isomorphic batch: 64 pairwise variable-renamed chain queries through
-//      RunBatch; canonicalization collapses their handles to one plan-cache
-//      entry and shared ResultCache fingerprints.
+//      vs N Prepare(text) + Execute calls (parse + canonicalize +
+//      plan-cache lookup every time).
+//   2. isomorphic batch: 64 pairwise variable-renamed chain queries, each
+//      prepared, through ExecuteBatch; canonicalization collapses their
+//      handles to one plan-cache entry and shared ResultCache
+//      fingerprints.
 //   3. opt3 batch: the same workload with semi-join reduction enabled —
 //      reductions are fingerprinted and cached, so (unlike PR 3, where
 //      opt3 disabled all sharing) the batch still gets result-cache hits.
@@ -94,11 +95,14 @@ int main() {
     size_t checksum_run = 0, checksum_exec = 0;
     for (int rep = 0; rep < 3; ++rep) {
       QueryEngine engine = QueryEngine::Borrow(*target);
-      (void)engine.Run(text);  // warm the plan cache: both paths compile once
+      // Warm the plan cache: both paths compile once.
+      (void)engine.Prepare(text);
       Timer t;
       checksum_run = 0;
       for (int i = 0; i < execs; ++i) {
-        auto r = engine.Run(text);
+        auto prepared = engine.Prepare(text);
+        if (!prepared.ok()) continue;
+        auto r = engine.Execute(*prepared);
         if (r.ok()) checksum_run += r->answers.size();
       }
       *run_ms = std::min(*run_ms, t.ElapsedMillis());
@@ -120,8 +124,8 @@ int main() {
       *exec_ms = std::min(*exec_ms, t.ElapsedMillis());
     }
     if (checksum_run != checksum_exec) {
-      std::printf("answer mismatch: Run %zu vs Execute %zu\n", checksum_run,
-                  checksum_exec);
+      std::printf("answer mismatch: Prepare+Execute %zu vs Execute %zu\n",
+                  checksum_run, checksum_exec);
       return false;
     }
     return true;
@@ -136,11 +140,12 @@ int main() {
   }
   const double amortization = small_run_ms / small_exec_ms;
   PrintHeader({"path", "wall_ms", "per_query", "speedup"});
-  PrintRow({"small Run(text)", FmtMs(small_run_ms),
+  PrintRow({"small Prepare+Execute", FmtMs(small_run_ms),
             FmtMs(small_run_ms / kSmallExecs), "1.00"});
   PrintRow({"small Execute(prep)", FmtMs(small_exec_ms),
             FmtMs(small_exec_ms / kSmallExecs), Fmt(amortization)});
-  PrintRow({"large Run(text)", FmtMs(run_ms), FmtMs(run_ms / kExecs), "1.00"});
+  PrintRow({"large Prepare+Execute", FmtMs(run_ms), FmtMs(run_ms / kExecs),
+            "1.00"});
   PrintRow({"large Execute(prep)", FmtMs(exec_ms), FmtMs(exec_ms / kExecs),
             Fmt(run_ms / exec_ms)});
 
@@ -163,12 +168,23 @@ int main() {
       opts.propagation.opt3_semijoin_reduction = opt3;
       QueryEngine engine = QueryEngine::Borrow(db, opts);
       Timer t;
-      auto results = engine.RunBatch(workload);
+      std::vector<PreparedQuery> prepared;
+      for (const auto& q : workload) {
+        auto p = engine.Prepare(q);
+        if (!p.ok()) {
+          std::printf("Prepare failed: %s\n", p.status().ToString().c_str());
+          return false;
+        }
+        prepared.push_back(std::move(*p));
+      }
+      auto results = engine.ExecuteBatch(prepared);
       double ms = t.ElapsedMillis();
-      if (!results.ok()) {
-        std::printf("RunBatch failed: %s\n",
-                    results.status().ToString().c_str());
-        return false;
+      for (const auto& r : results) {
+        if (!r.ok()) {
+          std::printf("ExecuteBatch failed: %s\n",
+                      r.status().ToString().c_str());
+          return false;
+        }
       }
       if (ms < *best_ms) {
         *best_ms = ms;
@@ -186,7 +202,8 @@ int main() {
   auto served = [](const EngineStats& s) {
     return s.result_cache_hits + s.result_cache_in_flight_waits;
   };
-  std::printf("\n64 pairwise variable-renamed chain-4 queries (RunBatch):\n");
+  std::printf(
+      "\n64 pairwise variable-renamed chain-4 queries (ExecuteBatch):\n");
   PrintHeader({"engine", "wall_ms", "rc_served", "plan_miss"});
   PrintRow({"canonical", FmtMs(canon_ms), std::to_string(served(canon_stats)),
             std::to_string(canon_stats.plan_cache_misses)});

@@ -126,7 +126,8 @@ double Alg1CompileNs(const ConjunctiveQuery& q) {
 double ColdServeNs(Database& db, const ConjunctiveQuery& q, bool lifted) {
   return TimeMs([&] {
            QueryEngine engine = QueryEngine::Borrow(db, RouteOptions(lifted));
-           if (!engine.Run(q).ok()) std::abort();
+           auto prepared = engine.Prepare(q);
+           if (!prepared.ok() || !engine.Execute(*prepared).ok()) std::abort();
          }) *
          1e6;
 }
@@ -144,8 +145,14 @@ int main() {
     Database db = ChainDatabase(k, rows, 1000 + k);
     QueryEngine lifted = QueryEngine::Borrow(db, RouteOptions(true));
     QueryEngine alg1 = QueryEngine::Borrow(db, RouteOptions(false));
-    auto a = lifted.Run(*q);
-    auto b = alg1.Run(*q);
+    auto lifted_q = lifted.Prepare(*q);
+    auto alg1_q = alg1.Prepare(*q);
+    if (!lifted_q.ok() || !alg1_q.ok()) {
+      std::printf("FAIL: k=%d prepare failed\n", k);
+      return 1;
+    }
+    auto a = lifted.Execute(*lifted_q);
+    auto b = alg1.Execute(*alg1_q);
     if (!a.ok() || !b.ok()) {
       std::printf("FAIL: k=%d run failed\n", k);
       return 1;

@@ -79,7 +79,9 @@ int main() {
 
   // The engine facade ranks answers by propagation score.
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto diss = engine.Run(*q);
+  auto prepared = engine.Prepare(*q);
+  auto diss = prepared.ok() ? engine.Execute(*prepared)
+                            : Result<QueryResult>(prepared.status());
   if (!diss.ok()) {
     std::printf("query failed: %s\n", diss.status().ToString().c_str());
     return 1;

@@ -102,7 +102,9 @@ int main(int argc, char** argv) {
   ispec.domain = 4;
   Database db = RandomDatabaseFor(*q, &rng, ispec);
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto res = engine.Run(*q);
+  auto prepared = engine.Prepare(*q);
+  auto res = prepared.ok() ? engine.Execute(*prepared)
+                           : Result<QueryResult>(prepared.status());
   if (res.ok()) {
     std::printf("\nsample evaluation on a random instance "
                 "(%zu answers, %zu plan nodes evaluated):\n%s",
@@ -158,11 +160,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Serving path: the same query three times as one batch — the compiled
-  // plan comes from the plan cache and the duplicate evaluations are
-  // served from the shared subplan result cache. A fourth prepared handle
-  // under renamed variables canonicalizes to the same artifact.
-  auto batch = engine.RunBatch(std::vector<ConjunctiveQuery>{*q, *q, *q});
+  // Serving path: the same query prepared three times and executed as one
+  // batch — the compiled plan comes from the plan cache and the duplicate
+  // evaluations are served from the shared subplan result cache. A fourth
+  // prepared handle under renamed variables canonicalizes to the same
+  // artifact.
+  std::vector<PreparedQuery> copies;
+  for (int i = 0; i < 3; ++i) {
+    auto p = engine.Prepare(*q);
+    if (p.ok()) copies.push_back(std::move(*p));
+  }
+  bool batch_ok = copies.size() == 3;
+  for (const auto& r : engine.ExecuteBatch(copies)) batch_ok &= r.ok();
   {
     ConjunctiveQuery renamed;
     renamed.SetName(q->name());
@@ -188,9 +197,10 @@ int main(int argc, char** argv) {
                   prepared->needs_remap() ? "yes" : "no");
     }
   }
-  if (batch.ok()) {
+  if (batch_ok) {
     EngineStats s = engine.stats();
-    std::printf("\nengine stats after Run + RunBatch{3 copies} + Prepare:\n");
+    std::printf("\nengine stats after Execute + ExecuteBatch{3 copies} + "
+                "Prepare:\n");
     std::printf("  queries:            %zu (%zu async), %zu prepares\n",
                 s.queries, s.batch_queries, s.prepared_queries);
     std::printf("  plan cache:         %zu hits, %zu misses (LRU); "

@@ -57,15 +57,25 @@ int main() {
 
   // 4. The propagation score through the QueryEngine facade: one object
   //    owning parse -> plan choice -> vectorized evaluation, with compiled
-  //    plans cached across calls (safe for concurrent readers).
+  //    plans cached across calls (safe for concurrent readers). Prepare
+  //    compiles once; Execute evaluates.
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto rho = engine.RunBoolean(kQueryText);
-  if (!rho.ok()) {
-    std::printf("query failed: %s\n", rho.status().ToString().c_str());
+  auto prepared = engine.Prepare(kQueryText);
+  if (!prepared.ok()) {
+    std::printf("query failed: %s\n", prepared.status().ToString().c_str());
     return 1;
   }
-  std::printf("\npropagation score rho(q) = %.6f\n", *rho);
-  (void)engine.RunBoolean(kQueryText);  // plan-cache hit
+  auto result = engine.Execute(*prepared);
+  if (!result.ok()) {
+    std::printf("query failed: %s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  // A Boolean query has one answer, or none when no world satisfies it.
+  const double rho =
+      result->answers.empty() ? 0.0 : result->answers[0].score;
+  std::printf("\npropagation score rho(q) = %.6f\n", rho);
+  auto again = engine.Prepare(kQueryText);  // plan-cache hit
+  if (again.ok()) (void)engine.Execute(*again);
   auto stats = engine.stats();
   std::printf("engine: %zu queries, %zu plan-cache hits, %zu misses\n",
               stats.queries, stats.plan_cache_hits, stats.plan_cache_misses);
@@ -75,7 +85,7 @@ int main() {
   double p_exact = exact->empty() ? 0.0 : (*exact)[0].score;
   std::printf("exact probability  P(q) = %.6f\n", p_exact);
   std::printf("relative error           = %.2f%%\n",
-              100.0 * (*rho - p_exact) / p_exact);
+              100.0 * (rho - p_exact) / p_exact);
 
   // 6. The generated SQL, as it would be pushed into an external DBMS.
   auto sk = SchemaKnowledge::FromSnapshot(*q, db.snapshot());

@@ -19,7 +19,9 @@ void Report(const char* title, const ConjunctiveQuery& q,
     std::printf("    %s\n", PlanToString(p, q).c_str());
   }
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto rho = engine.Run(q);
+  auto prepared = engine.Prepare(q);
+  auto rho = prepared.ok() ? engine.Execute(*prepared)
+                           : Result<QueryResult>(prepared.status());
   auto exact = ExactProbabilities(db, q);
   double r = rho->answers.empty() ? 0 : rho->answers[0].score;
   double e = exact->empty() ? 0 : (*exact)[0].score;

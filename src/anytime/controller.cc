@@ -86,32 +86,6 @@ uint64_t PlansHash(const CompiledPlans& compiled, const ConjunctiveQuery& q) {
   return Mix64(h);
 }
 
-/// Evaluates the compiled plans once, mirroring ExecuteInternal's
-/// evaluation stage without result-cache participation. Lane 1 scores the
-/// stored weights (upper bounds, or exact scores on the safe route); a
-/// non-empty `lane2` (ObliviousLowerWeights) rides through the same
-/// evaluation as score lane 2 (lower bounds).
-Result<Rel> EvaluateCompiled(const AnytimeInput& in,
-                             const std::vector<WeightsPtr>& lane2,
-                             uint32_t span) {
-  const ConjunctiveQuery& q = *in.query;
-  if (in.compiled->single_plan != nullptr) {
-    PlanEvaluator ev(in.snap, q);
-    for (const auto& [idx, ov] : in.overrides) {
-      ev.SetAtomTable(idx, ov.table, ov.tag);
-    }
-    ev.SetLane2Weights(lane2);
-    if (in.scheduler != nullptr) ev.SetScheduler(in.scheduler);
-    if (in.trace != nullptr) ev.SetTrace(in.trace, span);
-    auto rel = ev.Evaluate(in.compiled->single_plan);
-    if (!rel.ok()) return rel.status();
-    return Rel(**rel);
-  }
-  return EvaluatePlansSeparately(in.snap, q, in.compiled->plans, in.overrides,
-                                 /*scan_stats=*/nullptr, in.trace, span,
-                                 lane2);
-}
-
 /// "d0,d1,..." for the bounds span.
 std::string ExponentsLabel(const std::vector<double>& exponents) {
   std::string out;
@@ -218,9 +192,14 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
                            ExponentsLabel(out.exponents));
       }
     }
-    auto evaluated = EvaluateCompiled(in, lane2, bounds_span.id());
+    auto evaluated =
+        EvaluatePlans(in.snap, q, *in.compiled, in.overrides, in.scheduler,
+                      /*result_cache=*/nullptr, /*delta_recipes=*/false, lane2,
+                      in.trace, bounds_span.id());
     if (!evaluated.ok()) return evaluated.status();
-    Rel rel = std::move(*evaluated);
+    out.nodes_evaluated = evaluated->nodes_evaluated;
+    out.scans = evaluated->scans;
+    Rel rel = std::move(evaluated->rel);
     if (in.var_map != nullptr && rel.arity() > 0) {
       rel = RemapRelVars(rel, *in.var_map);
     }

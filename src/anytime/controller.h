@@ -34,9 +34,9 @@
 
 #include "src/anytime/anytime.h"
 #include "src/common/status.h"
-#include "src/engine/prepared_query.h"
 #include "src/exec/evaluator.h"
 #include "src/obs/trace.h"
+#include "src/plan/plan.h"
 #include "src/query/cq.h"
 #include "src/serve/scheduler.h"
 #include "src/storage/snapshot.h"
@@ -71,6 +71,9 @@ struct AnytimeOutput {
   /// Per-atom oblivious exponents d_i used for the lower bound (empty on
   /// the safe-exact route). Exposed for tests and plan exploration.
   std::vector<double> exponents;
+  /// The bounds evaluation's plan nodes and scan counters.
+  size_t nodes_evaluated = 0;
+  ChunkedScanStats scans;
 };
 
 Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,

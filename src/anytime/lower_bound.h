@@ -38,8 +38,8 @@
 
 #include <vector>
 
-#include "src/engine/prepared_query.h"
 #include "src/exec/evaluator.h"
+#include "src/plan/plan.h"
 #include "src/query/cq.h"
 #include "src/storage/columnar.h"
 #include "src/storage/snapshot.h"

@@ -24,18 +24,4 @@ Result<std::vector<Value>> Bindings::ParamVector(int num_params) const {
   return out;
 }
 
-std::optional<std::string> Bindings::Fingerprint() const {
-  std::string fp;
-  for (const auto& [idx, v] : params_) {
-    fp += "p" + std::to_string(idx) + "=c" +
-          std::to_string(static_cast<int>(v.type())) + ":" +
-          std::to_string(v.RawBits()) + ";";
-  }
-  for (const auto& [idx, ov] : atoms_) {
-    if (ov.tag.empty()) return std::nullopt;
-    fp += "a" + std::to_string(idx) + "=" + ov.tag + ";";
-  }
-  return fp;
-}
-
 }  // namespace dissodb

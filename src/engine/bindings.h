@@ -7,11 +7,11 @@
 //   - per-atom table selections: a Table bound in place of an atom's
 //     catalog table (pre-filtered inputs, per-tenant slices, ...).
 //
-// Unlike the legacy raw overrides map, bindings are *fingerprintable*:
-// parameter values always are (they become constants in the executed
-// query, which the subplan fingerprints render), and an atom selection is
-// whenever the caller supplies a content tag — a string that uniquely
-// identifies the bound table's contents (e.g. "tenant:42@v7"). Two
+// Bindings are *fingerprintable*: parameter values always are (they
+// become constants in the executed query, which the subplan fingerprints
+// render), and an atom selection is whenever the caller supplies a content
+// tag — a string that uniquely identifies the bound table's contents
+// (e.g. "tenant:42@v7"). Two
 // executions presenting the same tag for the same atom MUST bind identical
 // table contents; in exchange, their subplans participate in the engine's
 // shared ResultCache instead of disabling it. Untagged selections keep the
@@ -23,7 +23,6 @@
 #define DISSODB_ENGINE_BINDINGS_H_
 
 #include <map>
-#include <optional>
 #include <string>
 
 #include "src/common/status.h"
@@ -69,19 +68,8 @@ class Bindings {
   /// placeholder is unbound or an index is out of range.
   Result<std::vector<Value>> ParamVector(int num_params) const;
 
-  /// Fingerprint of these bindings in the *caller's* index space:
-  /// parameter values plus atom content tags; nullopt iff some atom
-  /// selection is untagged (the bindings then cannot participate in
-  /// result sharing). Diagnostic/test utility — the engine does NOT use
-  /// this for its caches: it keys Opt. 3 reductions by (executed query
-  /// text, snapshot version, tags rendered at *canonical* atom indices),
-  /// so body-permuted spellings agree and distinct spellings cannot
-  /// collide. String parameter values must be pool-interned codes to be
-  /// stable across queries.
-  std::optional<std::string> Fingerprint() const;
-
  private:
-  std::map<int, Value> params_;  // ordered: deterministic fingerprints
+  std::map<int, Value> params_;
   AtomOverrides atoms_;
   bool trace_ = false;  // per-execution tracing opt-in
 };

@@ -334,32 +334,27 @@ Result<QueryResult> QueryEngine::Execute(const PreparedQuery& prepared,
                          /*use_result_cache=*/false, &snap);
 }
 
-Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
-                                                 const Bindings& bindings,
-                                                 Scheduler* scheduler,
-                                                 bool use_result_cache,
-                                                 const Snapshot* pinned) {
+Status QueryEngine::Bind(const PreparedQuery& prepared,
+                         const Bindings& bindings, const char* span_prefix,
+                         BoundQuery* out) {
   if (!prepared.valid()) {
     return Status::InvalidArgument("executing an empty PreparedQuery handle");
   }
-  const PreparedQuery::Impl& impl = *prepared.impl_;
-  use_result_cache = use_result_cache && impl.share_results;
+  out->impl = prepared.impl_.get();
+  const PreparedQuery::Impl& impl = *out->impl;
 
   // Tracing: per-query opt-in (Bindings::EnableTrace) or engine-wide 1-in-N
   // sampling. Untraced executions carry a null context, so every
-  // instrumentation site below costs one branch.
-  const uint64_t t_start = obs::NowNanos();
-  const bool traced =
-      bindings.trace_requested() ||
+  // instrumentation site costs one branch.
+  out->t_start = obs::NowNanos();
+  if (bindings.trace_requested() ||
       (opts_.trace_sample_every > 0 &&
        trace_tick_.fetch_add(1, std::memory_order_relaxed) %
                opts_.trace_sample_every ==
-           0);
-  obs::TraceContext trace_ctx;
-  obs::TraceContext* trace = traced ? &trace_ctx : nullptr;
-  uint32_t root = 0;
-  if (traced) {
-    root = trace_ctx.BeginSpan("execute " + impl.canon.query.ToString(), 0);
+           0)) {
+    out->trace = &out->trace_ctx;
+    out->root =
+        out->trace_ctx.BeginSpan(span_prefix + impl.canon.query.ToString(), 0);
   }
 
   // Parameter substitution: the compiled plans only depend on the query's
@@ -367,25 +362,20 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   // query carries the bound constants (scans filter on them, and subplan
   // fingerprints render them, so distinct parameter values never collide
   // in the result cache).
+  out->query = &impl.canon.query;
   const int np = impl.canon.query.num_params();
-  ConjunctiveQuery substituted;
-  const ConjunctiveQuery* exec_q = &impl.canon.query;
-  bool params_shareable = true;
   if (np > 0) {
     auto params = bindings.ParamVector(np);
     if (!params.ok()) return params.status();
-    // A bound string constant unknown to the pool carries a parse-local
-    // negative code (not stable across queries) — such executions must not
-    // exchange results, exactly like unknown strings written in the text.
     for (const Value& v : *params) {
       if (v.type() == ValueType::kString && v.AsStringCode() < 0) {
-        params_shareable = false;
+        out->params_shareable = false;
       }
     }
     auto sub = SubstituteParams(impl.canon.query, *params);
     if (!sub.ok()) return sub.status();
-    substituted = std::move(*sub);
-    exec_q = &substituted;
+    out->substituted = std::move(*sub);
+    out->query = &out->substituted;
   } else if (bindings.num_params_bound() > 0) {
     return Status::InvalidArgument(
         "bindings provide parameter values but the query has no placeholders");
@@ -394,19 +384,49 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   // Per-atom bindings arrive in the caller's (original) body order; the
   // canonical body may be a permutation of it (atom-order
   // canonicalization), so remap indices before touching the catalog.
-  AtomOverrides effective;
   for (const auto& [idx, ov] : bindings.atom_overrides()) {
-    if (idx < 0 || idx >= exec_q->num_atoms() || ov.table == nullptr) {
+    if (idx < 0 || idx >= out->query->num_atoms() || ov.table == nullptr) {
       return Status::InvalidArgument("atom binding index out of range");
     }
-    effective[impl.canon.atom_orig_to_canon[idx]] = ov;
+    out->overrides[impl.canon.atom_orig_to_canon[idx]] = ov;
   }
+  return Status::OK();
+}
+
+void QueryEngine::RecordScans(const ChunkedScanStats& scans) {
+  // Scan counters flow straight into the registry (sharded atomics) — no
+  // engine-wide mutex on the execution path.
+  if (scans.filtered_scans > 0) m_scan_filtered_->Add(scans.filtered_scans);
+  if (scans.parallel_scans > 0) m_scan_parallel_->Add(scans.parallel_scans);
+  if (scans.chunks_scanned > 0) {
+    m_scan_chunks_scanned_->Add(scans.chunks_scanned);
+  }
+  if (scans.chunks_pruned > 0) m_scan_chunks_pruned_->Add(scans.chunks_pruned);
+  if (scans.rows_scanned > 0) m_scan_rows_scanned_->Add(scans.rows_scanned);
+  if (scans.rows_selected > 0) {
+    m_scan_rows_selected_->Add(scans.rows_selected);
+  }
+}
+
+Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
+                                                 const Bindings& bindings,
+                                                 Scheduler* scheduler,
+                                                 bool use_result_cache,
+                                                 const Snapshot* pinned) {
+  BoundQuery bound;
+  DISSODB_RETURN_NOT_OK(Bind(prepared, bindings, "execute ", &bound));
+  const PreparedQuery::Impl& impl = *bound.impl;
+  const ConjunctiveQuery* exec_q = bound.query;
+  AtomOverrides& effective = bound.overrides;
+  obs::TraceContext* trace = bound.trace;
+  const uint32_t root = bound.root;
 
   // Pin the state to execute against: every scan, reduction, and
   // result-cache exchange below reads exactly this snapshot.
   const Snapshot snap = pinned != nullptr ? *pinned : db_->snapshot();
   const uint64_t version = snap.version();
-  use_result_cache = use_result_cache && params_shareable;
+  use_result_cache =
+      use_result_cache && impl.share_results && bound.params_shareable;
 
   // Opt. 3: semi-join-reduce the inputs first. When the bindings are
   // fingerprintable the reduction itself is too — reduction(query text,
@@ -430,7 +450,7 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
       }
     }
     const bool taggable =
-        impl.share_results && params_shareable && all_tagged;
+        impl.share_results && bound.params_shareable && all_tagged;
     std::string rtag;
     SemiJoinStats sj_stats;
     bool sj_computed = false;
@@ -496,36 +516,17 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
   result.exact = impl.compiled->exact;
 
   Rel scores(std::vector<VarId>{});
-  ChunkedScanStats scan_stats;
   {
     obs::ScopedSpan eval_span(trace, "evaluate", root);
-    if (impl.compiled->single_plan) {
-      PlanEvaluator ev(snap, *exec_q);
-      for (const auto& [idx, ov] : effective) {
-        ev.SetAtomTable(idx, ov.table, ov.tag);
-      }
-      if (use_result_cache && result_cache_) {
-        ev.SetResultCache(result_cache_.get(), version);
-        ev.EnableDeltaRecipes(opts_.delta_maintain_results);
-      }
-      ev.SetScheduler(scheduler);
-      if (trace != nullptr) ev.SetTrace(trace, eval_span.id());
-      auto rel = ev.Evaluate(impl.compiled->single_plan);
-      if (!rel.ok()) return rel.status();
-      result.nodes_evaluated = ev.nodes_evaluated();
-      result.result_cache_hits = ev.result_cache_hits();
-      scan_stats = ev.scan_stats();
-      scores = **rel;
-    } else {
-      auto rel = EvaluatePlansSeparately(snap, *exec_q, impl.compiled->plans,
-                                         effective, &scan_stats, trace,
-                                         eval_span.id());
-      if (!rel.ok()) return rel.status();
-      for (const auto& p : impl.compiled->plans) {
-        result.nodes_evaluated += MeasurePlan(p).tree_nodes;
-      }
-      scores = std::move(*rel);
-    }
+    auto evaluated = EvaluatePlans(
+        snap, *exec_q, *impl.compiled, effective, scheduler,
+        use_result_cache ? result_cache_.get() : nullptr,
+        opts_.delta_maintain_results, /*lane2=*/{}, trace, eval_span.id());
+    if (!evaluated.ok()) return evaluated.status();
+    result.nodes_evaluated = evaluated->nodes_evaluated;
+    result.result_cache_hits = evaluated->result_cache_hits;
+    RecordScans(evaluated->scans);
+    scores = std::move(evaluated->rel);
   }
 
   // Map the answer relation from canonical variable space back to the
@@ -539,43 +540,21 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
     result.answers = RankAnswers(scores);
   }
 
-  // Scan counters flow straight into the registry (sharded atomics) — no
-  // engine-wide mutex on the execution path anymore.
-  if (scan_stats.filtered_scans > 0) {
-    m_scan_filtered_->Add(scan_stats.filtered_scans);
-  }
-  if (scan_stats.parallel_scans > 0) {
-    m_scan_parallel_->Add(scan_stats.parallel_scans);
-  }
-  if (scan_stats.chunks_scanned > 0) {
-    m_scan_chunks_scanned_->Add(scan_stats.chunks_scanned);
-  }
-  if (scan_stats.chunks_pruned > 0) {
-    m_scan_chunks_pruned_->Add(scan_stats.chunks_pruned);
-  }
-  if (scan_stats.rows_scanned > 0) {
-    m_scan_rows_scanned_->Add(scan_stats.rows_scanned);
-  }
-  if (scan_stats.rows_selected > 0) {
-    m_scan_rows_selected_->Add(scan_stats.rows_selected);
-  }
-
   m_queries_->Add(1);
-  m_execute_ns_->Record(obs::NowNanos() - t_start);
-  if (traced) {
-    trace_ctx.Annotate(root, "answers",
-                       static_cast<uint64_t>(result.answers.size()));
-    trace_ctx.Annotate(root, "nodes_evaluated",
-                       static_cast<uint64_t>(result.nodes_evaluated));
-    trace_ctx.Annotate(root, "result_cache_hits",
-                       static_cast<uint64_t>(result.result_cache_hits));
-    trace_ctx.Annotate(root, "from_plan_cache",
-                       std::string(result.from_plan_cache ? "yes" : "no"));
-    trace_ctx.Annotate(root, "safe_plan",
-                       std::string(result.exact ? "exact" : "dissociated"));
-    trace_ctx.EndSpan(root);
-    result.trace =
-        std::make_shared<const obs::QueryTrace>(trace_ctx.Finish());
+  m_execute_ns_->Record(obs::NowNanos() - bound.t_start);
+  if (trace != nullptr) {
+    trace->Annotate(root, "answers",
+                    static_cast<uint64_t>(result.answers.size()));
+    trace->Annotate(root, "nodes_evaluated",
+                    static_cast<uint64_t>(result.nodes_evaluated));
+    trace->Annotate(root, "result_cache_hits",
+                    static_cast<uint64_t>(result.result_cache_hits));
+    trace->Annotate(root, "from_plan_cache",
+                    std::string(result.from_plan_cache ? "yes" : "no"));
+    trace->Annotate(root, "safe_plan",
+                    std::string(result.exact ? "exact" : "dissociated"));
+    trace->EndSpan(root);
+    result.trace = std::make_shared<const obs::QueryTrace>(trace->Finish());
     m_traces_->Add(1);
   }
   return result;
@@ -584,54 +563,17 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
 Result<AnytimeResult> QueryEngine::RunWithGuarantees(
     const PreparedQuery& prepared, const Bindings& bindings,
     const GuaranteeSpec& spec) {
-  if (!prepared.valid()) {
-    return Status::InvalidArgument("executing an empty PreparedQuery handle");
-  }
-  const PreparedQuery::Impl& impl = *prepared.impl_;
-  const uint64_t t_start = obs::NowNanos();
-
-  const bool traced =
-      bindings.trace_requested() ||
-      (opts_.trace_sample_every > 0 &&
-       trace_tick_.fetch_add(1, std::memory_order_relaxed) %
-               opts_.trace_sample_every ==
-           0);
-  obs::TraceContext trace_ctx;
-  obs::TraceContext* trace = traced ? &trace_ctx : nullptr;
-  uint32_t root = 0;
-  if (traced) {
-    root = trace_ctx.BeginSpan("anytime " + impl.canon.query.ToString(), 0);
-  }
-
-  // Parameter substitution and atom-override remap, exactly as
-  // ExecuteInternal does them.
-  const int np = impl.canon.query.num_params();
-  ConjunctiveQuery substituted;
-  const ConjunctiveQuery* exec_q = &impl.canon.query;
-  if (np > 0) {
-    auto params = bindings.ParamVector(np);
-    if (!params.ok()) return params.status();
-    auto sub = SubstituteParams(impl.canon.query, *params);
-    if (!sub.ok()) return sub.status();
-    substituted = std::move(*sub);
-    exec_q = &substituted;
-  } else if (bindings.num_params_bound() > 0) {
-    return Status::InvalidArgument(
-        "bindings provide parameter values but the query has no placeholders");
-  }
-  AtomOverrides effective;
-  for (const auto& [idx, ov] : bindings.atom_overrides()) {
-    if (idx < 0 || idx >= exec_q->num_atoms() || ov.table == nullptr) {
-      return Status::InvalidArgument("atom binding index out of range");
-    }
-    effective[impl.canon.atom_orig_to_canon[idx]] = ov;
-  }
+  BoundQuery bound;
+  DISSODB_RETURN_NOT_OK(Bind(prepared, bindings, "anytime ", &bound));
+  const PreparedQuery::Impl& impl = *bound.impl;
+  obs::TraceContext* trace = bound.trace;
+  const uint32_t root = bound.root;
 
   AnytimeInput input;
   input.snap = db_->snapshot();
-  input.query = exec_q;
+  input.query = bound.query;
   input.compiled = impl.compiled.get();
-  input.overrides = std::move(effective);
+  input.overrides = std::move(bound.overrides);
   input.var_map = impl.canon.identity ? nullptr : &impl.canon.canon_to_orig;
   input.scheduler = EnsureScheduler();
   input.trace = trace;
@@ -651,6 +593,7 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
   result.deadline_hit = o.stats.deadline_hit;
   result.exponents = std::move(o.exponents);
 
+  result.base.nodes_evaluated = o.nodes_evaluated;
   result.base.from_plan_cache = impl.from_plan_cache;
   result.base.exact = o.verdict == AnytimeVerdict::kExact;
   result.base.certified = o.verdict != AnytimeVerdict::kBoundsOnly;
@@ -662,6 +605,7 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
   }
   result.answers = std::move(o.answers);
 
+  RecordScans(o.scans);
   m_queries_->Add(1);
   m_anytime_runs_->Add(1);
   switch (result.verdict) {
@@ -686,27 +630,27 @@ Result<AnytimeResult> QueryEngine::RunWithGuarantees(
     m_mc_samples_drawn_->Add(result.mc_samples_drawn);
   }
   m_anytime_rounds_per_query_->Record(result.refine_rounds);
-  m_anytime_run_ns_->Record(obs::NowNanos() - t_start);
+  m_anytime_run_ns_->Record(obs::NowNanos() - bound.t_start);
 
-  if (traced) {
+  if (trace != nullptr) {
     // The escalation rung this execution ended on: bounds -> refine ->
     // certified (exact counts as certified — every guarantee holds).
     const char* rung =
         result.verdict != AnytimeVerdict::kBoundsOnly
             ? "certified"
             : (result.refine_rounds > 0 ? "refine" : "bounds");
-    trace_ctx.Annotate(root, "anytime", std::string(rung));
-    trace_ctx.Annotate(root, "verdict",
-                       std::string(AnytimeVerdictName(result.verdict)));
-    trace_ctx.Annotate(root, "answers",
-                       static_cast<uint64_t>(result.answers.size()));
-    trace_ctx.Annotate(root, "refine_rounds",
-                       static_cast<uint64_t>(result.refine_rounds));
-    trace_ctx.Annotate(root, "refined_answers",
-                       static_cast<uint64_t>(result.refined_answers));
-    trace_ctx.EndSpan(root);
+    trace->Annotate(root, "anytime", std::string(rung));
+    trace->Annotate(root, "verdict",
+                    std::string(AnytimeVerdictName(result.verdict)));
+    trace->Annotate(root, "answers",
+                    static_cast<uint64_t>(result.answers.size()));
+    trace->Annotate(root, "refine_rounds",
+                    static_cast<uint64_t>(result.refine_rounds));
+    trace->Annotate(root, "refined_answers",
+                    static_cast<uint64_t>(result.refined_answers));
+    trace->EndSpan(root);
     result.base.trace =
-        std::make_shared<const obs::QueryTrace>(trace_ctx.Finish());
+        std::make_shared<const obs::QueryTrace>(trace->Finish());
     m_traces_->Add(1);
   }
   return result;
@@ -821,76 +765,6 @@ std::vector<Result<QueryResult>> QueryEngine::ExecuteBatch(
     out.push_back(futures[i].get());
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy wrappers
-// ---------------------------------------------------------------------------
-
-Result<QueryResult> QueryEngine::Run(
-    std::string_view query_text,
-    const std::unordered_map<int, const Table*>& overrides) {
-  auto q = ParseQueryReadOnly(query_text, db_->strings());
-  if (!q.ok()) return q.status();
-  return Run(*q, overrides);
-}
-
-Result<QueryResult> QueryEngine::Run(
-    const ConjunctiveQuery& q,
-    const std::unordered_map<int, const Table*>& overrides) {
-  auto prepared = Prepare(q);
-  if (!prepared.ok()) return prepared.status();
-  Bindings bindings;
-  for (const auto& [idx, table] : overrides) {
-    bindings.SetAtomTable(idx, table);  // untagged: conservative semantics
-  }
-  return ExecuteInternal(*prepared, bindings, /*scheduler=*/nullptr,
-                         /*use_result_cache=*/false);
-}
-
-Result<double> QueryEngine::RunBoolean(std::string_view query_text,
-                                       const Bindings& bindings) {
-  auto prepared = Prepare(query_text);
-  if (!prepared.ok()) return prepared.status();
-  if (!prepared->original().IsBoolean()) {
-    return Status::InvalidArgument("query has head variables");
-  }
-  auto r = ExecuteInternal(*prepared, bindings, /*scheduler=*/nullptr,
-                           /*use_result_cache=*/false);
-  if (!r.ok()) return r.status();
-  if (r->answers.empty()) return 0.0;
-  return r->answers[0].score;
-}
-
-Result<std::vector<QueryResult>> QueryEngine::RunBatch(
-    const std::vector<ConjunctiveQuery>& queries) {
-  std::vector<PreparedQuery> prepared;
-  prepared.reserve(queries.size());
-  for (const auto& q : queries) {
-    auto p = Prepare(q);
-    if (!p.ok()) return p.status();
-    prepared.push_back(std::move(*p));
-  }
-  auto detailed = ExecuteBatch(prepared);
-  std::vector<QueryResult> out;
-  out.reserve(detailed.size());
-  for (auto& r : detailed) {
-    if (!r.ok()) return r.status();  // all-or-nothing legacy semantics
-    out.push_back(std::move(*r));
-  }
-  return out;
-}
-
-Result<std::vector<QueryResult>> QueryEngine::RunBatch(
-    const std::vector<std::string>& query_texts) {
-  std::vector<ConjunctiveQuery> queries;
-  queries.reserve(query_texts.size());
-  for (const auto& text : query_texts) {
-    auto q = ParseQueryReadOnly(text, db_->strings());
-    if (!q.ok()) return q.status();
-    queries.push_back(std::move(*q));
-  }
-  return RunBatch(queries);
 }
 
 EngineStats QueryEngine::stats() const {

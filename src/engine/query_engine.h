@@ -17,8 +17,7 @@
 // Bindings carry constant parameters and per-atom table selections; tagged
 // selections (and Opt. 3's semi-join-reduced inputs, which the engine tags
 // as reduction(query, db version)) stay fingerprintable and therefore keep
-// participating in cross-query result sharing. Thin Run/RunBatch/RunBoolean
-// wrappers keep the legacy string-in/answers-out surface working.
+// participating in cross-query result sharing.
 //
 // Serving layer (src/serve/): the engine owns a bounded ResultCache of
 // evaluated subplan relations keyed by (plan fingerprint [+ binding tags],
@@ -80,9 +79,9 @@ struct EngineOptions {
   /// entry); 0 disables the cache.
   size_t plan_cache_capacity = 1024;
   /// Max cached evaluated subplan relations shared across Submit /
-  /// ExecuteBatch / RunBatch workloads; 0 disables the result cache.
-  /// Synchronous Execute/Run never consult it, so single-query timings
-  /// measure evaluation, not caching.
+  /// ExecuteBatch workloads; 0 disables the result cache. Synchronous
+  /// Execute never consults it, so single-query timings measure
+  /// evaluation, not caching.
   size_t result_cache_capacity = 256;
   /// Max cached Opt. 3 semi-join reductions, keyed by (executed query,
   /// database version, binding tags); 0 disables reduction reuse.
@@ -111,7 +110,7 @@ struct EngineOptions {
 struct EngineStats {
   size_t queries = 0;
   size_t batch_queries = 0;  ///< subset of `queries` served asynchronously
-  size_t prepared_queries = 0;  ///< Prepare calls (each Run prepares once)
+  size_t prepared_queries = 0;  ///< Prepare calls
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
   /// Executions whose answers were column-remapped from canonical variable
@@ -239,8 +238,7 @@ class QueryEngine {
 
   /// Synchronous execution with `bindings` (parameter values + per-atom
   /// table selections), against a snapshot acquired at call time. Does not
-  /// consult the shared result cache — Execute timings measure evaluation,
-  /// exactly like the legacy Run.
+  /// consult the shared result cache — Execute timings measure evaluation.
   Result<QueryResult> Execute(const PreparedQuery& prepared,
                               const Bindings& bindings = {});
 
@@ -292,40 +290,6 @@ class QueryEngine {
       const std::vector<PreparedQuery>& prepared,
       const std::vector<Bindings>& bindings = {});
 
-  // -------------------------------------------------------------------------
-  // Legacy wrappers (thin shims over Prepare/Execute; kept so existing
-  // callers migrate mechanically)
-  // -------------------------------------------------------------------------
-
-  /// Parses and runs a datalog query. `overrides` rebinds atoms to filtered
-  /// tables (per-query selections, untagged — prefer Bindings with content
-  /// tags); pointers must stay alive for the call.
-  Result<QueryResult> Run(
-      std::string_view query_text,
-      const std::unordered_map<int, const Table*>& overrides = {});
-
-  /// Runs an already-parsed query.
-  Result<QueryResult> Run(
-      const ConjunctiveQuery& q,
-      const std::unordered_map<int, const Table*>& overrides = {});
-
-  /// Boolean-query convenience: the propagation score as a single number
-  /// (0 when no satisfying assignment exists). Routed through the prepared
-  /// path, so bindings (parameters, tagged selections) work here too.
-  Result<double> RunBoolean(std::string_view query_text,
-                            const Bindings& bindings = {});
-
-  /// Batch wrapper over ExecuteBatch with all-or-nothing error semantics:
-  /// on any per-query failure the whole batch returns the first error.
-  /// Results align with `queries` by index and rankings are bit-identical
-  /// to sequential Run calls. Prefer ExecuteBatch for per-query errors.
-  Result<std::vector<QueryResult>> RunBatch(
-      const std::vector<ConjunctiveQuery>& queries);
-
-  /// Parses, then batch-evaluates.
-  Result<std::vector<QueryResult>> RunBatch(
-      const std::vector<std::string>& query_texts);
-
   /// Snapshot view assembled from the engine's metrics registry plus the
   /// result cache and scheduler (see MetricsRegistry for the live handles).
   EngineStats stats() const;
@@ -345,8 +309,37 @@ class QueryEngine {
       const ConjunctiveQuery& q, const std::string& key,
       const std::string& original_text, bool* cache_hit, bool* renamed_hit);
 
-  /// Shared by Execute, Submit tasks, and the legacy wrappers. `scheduler`
-  /// enables the morsel-parallel operator paths (nullptr = sequential) and
+  /// One execution after the bind stage. Not copyable or movable:
+  /// `query` may point at `substituted`, and the trace context holds a
+  /// mutex.
+  struct BoundQuery {
+    const PreparedQuery::Impl* impl = nullptr;
+    /// The executed query: the canonical query, or `substituted` when the
+    /// query has placeholders.
+    const ConjunctiveQuery* query = nullptr;
+    ConjunctiveQuery substituted;
+    /// False when a bound string parameter is unknown to the pool: its
+    /// parse-local code is not stable across queries, so the execution
+    /// must not exchange results.
+    bool params_shareable = true;
+    /// Atom bindings remapped to canonical atom indices.
+    AtomOverrides overrides;
+    uint64_t t_start = 0;
+    obs::TraceContext trace_ctx;
+    obs::TraceContext* trace = nullptr;  ///< &trace_ctx iff traced
+    uint32_t root = 0;                   ///< root span (0 when untraced)
+  };
+
+  /// The bind stage of ExecuteInternal and RunWithGuarantees: rejects an
+  /// empty handle, decides tracing (per-query opt-in or 1-in-N sampling)
+  /// and opens the root span "<span_prefix><canonical query>", substitutes
+  /// parameters, and remaps atom bindings to canonical indices.
+  Status Bind(const PreparedQuery& prepared, const Bindings& bindings,
+              const char* span_prefix, BoundQuery* out);
+
+  /// Shared by Execute and Submit tasks: bind -> Opt. 3 reduction ->
+  /// evaluate (EvaluatePlans) -> rank. `scheduler` enables the
+  /// morsel-parallel operator paths (nullptr = sequential) and
   /// `use_result_cache` engages the workload-shared subplan cache.
   /// `pinned`, if non-null, is the snapshot to execute against; otherwise
   /// one is acquired here.
@@ -355,6 +348,9 @@ class QueryEngine {
                                       Scheduler* scheduler,
                                       bool use_result_cache,
                                       const Snapshot* pinned = nullptr);
+
+  /// Adds one evaluation's scan counters to the registry.
+  void RecordScans(const ChunkedScanStats& scans);
 
   /// Opt. 3 support: returns the semi-join reduction of the executed query
   /// under `overrides` against `snap`, cached under `key` when non-empty.

@@ -364,4 +364,36 @@ Result<Rel> EvaluatePlansSeparately(
   return MinMerge(results);
 }
 
+Result<EvaluatedPlans> EvaluatePlans(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const CompiledPlans& compiled, const AtomOverrides& overrides,
+    Scheduler* scheduler, ResultCache* result_cache, bool delta_recipes,
+    const std::vector<WeightsPtr>& lane2, obs::TraceContext* trace,
+    uint32_t trace_parent) {
+  if (compiled.single_plan != nullptr) {
+    PlanEvaluator ev(snap, q);
+    for (const auto& [idx, ov] : overrides) {
+      ev.SetAtomTable(idx, ov.table, ov.tag);
+    }
+    if (result_cache != nullptr) {
+      ev.SetResultCache(result_cache, snap.version());
+      ev.EnableDeltaRecipes(delta_recipes);
+    }
+    ev.SetScheduler(scheduler);
+    ev.SetLane2Weights(lane2);
+    if (trace != nullptr) ev.SetTrace(trace, trace_parent);
+    auto rel = ev.Evaluate(compiled.single_plan);
+    if (!rel.ok()) return rel.status();
+    return EvaluatedPlans{**rel, ev.nodes_evaluated(), ev.result_cache_hits(),
+                          ev.scan_stats()};
+  }
+  ChunkedScanStats scans;
+  auto rel = EvaluatePlansSeparately(snap, q, compiled.plans, overrides,
+                                     &scans, trace, trace_parent, lane2);
+  if (!rel.ok()) return rel.status();
+  size_t nodes = 0;
+  for (const PlanPtr& p : compiled.plans) nodes += MeasurePlan(p).tree_nodes;
+  return EvaluatedPlans{std::move(*rel), nodes, 0, scans};
+}
+
 }  // namespace dissodb

@@ -191,6 +191,33 @@ Result<Rel> EvaluatePlansSeparately(const Snapshot& snap,
                                     uint32_t trace_parent = 0,
                                     const std::vector<WeightsPtr>& lane2 = {});
 
+/// What EvaluatePlans computed: the answer relation (the query's
+/// variable space) and the work it took.
+struct EvaluatedPlans {
+  Rel rel;
+  /// Plan-DAG nodes evaluated; for the minimal plans, their tree sizes.
+  size_t nodes_evaluated = 0;
+  /// Nodes served from the result cache (single plan only).
+  size_t result_cache_hits = 0;
+  ChunkedScanStats scans;
+};
+
+/// The evaluate stage of every engine execution (QueryEngine::Execute,
+/// Submit, and the anytime controller's bounds): the single min-plan
+/// through one PlanEvaluator, or every minimal plan through
+/// EvaluatePlansSeparately, over `snap` with `overrides` (atom indices of
+/// `q`). A null `scheduler` runs sequentially. `result_cache` (single plan
+/// only; nullptr = none) exchanges subplans under snap.version(), with
+/// delta recipes when `delta_recipes`. A non-empty `lane2` turns on score
+/// lane 2; with a result cache too, evaluation fails with InvalidArgument.
+/// Spans go under `trace_parent` when `trace` is non-null.
+Result<EvaluatedPlans> EvaluatePlans(
+    const Snapshot& snap, const ConjunctiveQuery& q,
+    const CompiledPlans& compiled, const AtomOverrides& overrides,
+    Scheduler* scheduler, ResultCache* result_cache, bool delta_recipes,
+    const std::vector<WeightsPtr>& lane2, obs::TraceContext* trace,
+    uint32_t trace_parent);
+
 }  // namespace dissodb
 
 #endif  // DISSODB_EXEC_EVALUATOR_H_

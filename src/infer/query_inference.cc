@@ -54,14 +54,6 @@ Result<std::vector<RankedAnswer>> ExactProbabilities(
   return ExactFromLineage(*lineage, wmc);
 }
 
-Result<std::vector<RankedAnswer>> McProbabilities(
-    const Database& db, const ConjunctiveQuery& q, size_t samples, Rng* rng,
-    const std::unordered_map<int, const Table*>& overrides) {
-  auto lineage = ComputeLineage(db.snapshot(), q, overrides);
-  if (!lineage.ok()) return lineage.status();
-  return McFromLineage(*lineage, samples, rng);
-}
-
 std::vector<RankedAnswer> LineageSizeRanking(const LineageResult& lineage) {
   std::vector<RankedAnswer> out;
   out.reserve(lineage.answers.size());

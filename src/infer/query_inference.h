@@ -25,11 +25,6 @@ Result<std::vector<RankedAnswer>> ExactProbabilities(
     const std::unordered_map<int, const Table*>& overrides = {},
     const WmcOptions& wmc = {});
 
-/// MC(x): per-answer naive sampling of the lineage with `samples` worlds.
-Result<std::vector<RankedAnswer>> McProbabilities(
-    const Database& db, const ConjunctiveQuery& q, size_t samples, Rng* rng,
-    const std::unordered_map<int, const Table*>& overrides = {});
-
 /// Ranking by lineage size (number of DNF terms), the paper's
 /// non-probabilistic baseline.
 std::vector<RankedAnswer> LineageSizeRanking(const LineageResult& lineage);

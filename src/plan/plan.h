@@ -105,6 +105,19 @@ std::string PlanFingerprint(
     const PlanPtr& plan, const ConjunctiveQuery& q,
     std::unordered_map<const PlanNode*, std::string>* memo = nullptr);
 
+/// The compiled form of a query: either the single min-plan (Opt. 1) or the
+/// list of minimal plans evaluated separately. Immutable and shared between
+/// the engine's plan cache and every PreparedQuery handle derived from it.
+struct CompiledPlans {
+  PlanPtr single_plan;           // non-null iff opt1_single_plan
+  std::vector<PlanPtr> plans;    // used when opt1 is off
+  /// True iff the query is safe given the schema knowledge (Corollary 28):
+  /// the compiled plan's scores are exact probabilities, not upper bounds.
+  /// Under Opt. 1 it is the lifted compiler's verdict (src/lift/); with
+  /// Opt. 1 off, a single minimal plan. The two always agree.
+  bool exact = false;
+};
+
 }  // namespace dissodb
 
 #endif  // DISSODB_PLAN_PLAN_H_

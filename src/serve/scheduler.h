@@ -1,7 +1,7 @@
 // Fixed thread pool with a shared work queue, used by the serving layer for
 // two kinds of parallelism:
 //   - inter-query: independent plan evaluations of a batch run concurrently
-//     (QueryEngine::RunBatch submits one task per query), and
+//     (QueryEngine::Submit / ExecuteBatch submit one task per query), and
 //   - intra-operator: the hot vectorized operators split their row ranges
 //     into morsels and fan them out (ParallelFor), so one large join or
 //     grouping uses all cores.

@@ -17,7 +17,7 @@
 // PlanEvaluator, SemiJoinReduce, ComputeLineage, QueryEngine::Execute /
 // Submit) runs against one, and the Database exposes no table of its own.
 // The few entry points outside the engine that take `const Database&`
-// (QueryEngine, PropagationScore, PlanScore, ExactProbabilities, ...)
+// (QueryEngine, PlanScore, ExactProbabilities, ...)
 // acquire exactly one snapshot per call.
 //
 // Lifetime: a Snapshot owns everything it exposes (tables, string pool),

@@ -578,5 +578,43 @@ TEST(AnytimeTest, SafeRouteRunsOneLane) {
   EXPECT_EQ(ExpectLanesMatchTwoPass(db, q, /*opt1=*/true, 1, "safe"), 2u);
 }
 
+TEST(AnytimeTest, BoundsReportNodesAndScansLikeExecute) {
+  // The bounds evaluation is Execute's evaluate stage: it evaluates the
+  // same plan nodes, and the constant selection on T runs a filtered scan
+  // whose counters reach the engine registry.
+  Database db;
+  AddTable(&db, "R", 2, {{{1, 10}, 0.5}, {{2, 10}, 0.6}, {{2, 20}, 0.7}});
+  AddTable(&db, "S", 2,
+           {{{10, 100}, 0.8}, {{20, 100}, 0.4}, {{20, 200}, 0.9}});
+  AddTable(&db, "T", 2, {{{100, 7}, 0.5}, {{200, 7}, 0.3}, {{200, 8}, 0.6}});
+  for (bool opt1 : {true, false}) {
+    EngineOptions opts;
+    opts.propagation.opt1_single_plan = opt1;
+    QueryEngine engine = QueryEngine::Borrow(db, opts);
+    auto prepared = engine.Prepare("q(x) :- R(x,y), S(y,z), T(z,7)");
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ASSERT_FALSE(prepared->exact());
+
+    auto bounded = engine.RunWithGuarantees(*prepared);
+    ASSERT_TRUE(bounded.ok()) << bounded.status().ToString();
+    const ChunkedScanStats anytime_scans = engine.stats().scans;
+    EXPECT_GT(anytime_scans.filtered_scans, 0u) << "opt1=" << opt1;
+    EXPECT_GT(anytime_scans.rows_scanned, 0u) << "opt1=" << opt1;
+
+    auto executed = engine.Execute(*prepared);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_GT(executed->nodes_evaluated, 0u) << "opt1=" << opt1;
+    EXPECT_EQ(bounded->base.nodes_evaluated, executed->nodes_evaluated)
+        << "opt1=" << opt1;
+    // Execute scans exactly what the bounds evaluation scanned.
+    EXPECT_EQ(engine.stats().scans.filtered_scans,
+              2 * anytime_scans.filtered_scans)
+        << "opt1=" << opt1;
+    EXPECT_EQ(engine.stats().scans.rows_scanned,
+              2 * anytime_scans.rows_scanned)
+        << "opt1=" << opt1;
+  }
+}
+
 }  // namespace
 }  // namespace dissodb

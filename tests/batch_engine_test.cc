@@ -1,5 +1,6 @@
-// Batch serving path: RunBatch determinism against sequential Run, subplan
-// sharing through the result cache, and database-version invalidation.
+// Batch serving path: ExecuteBatch determinism against sequential Execute,
+// subplan sharing through the result cache, and database-version
+// invalidation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +16,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 void ExpectSameRankings(const std::vector<RankedAnswer>& a,
@@ -29,7 +31,7 @@ void ExpectSameRankings(const std::vector<RankedAnswer>& a,
   }
 }
 
-TEST(BatchEngineTest, RunBatchMatchesSequentialRunOnRandomInstances) {
+TEST(BatchEngineTest, ExecuteBatchMatchesSequentialExecuteOnRandomInstances) {
   for (int seed = 0; seed < 30; ++seed) {
     Rng rng(9000 + seed);
     RandomQuerySpec qs;
@@ -39,17 +41,18 @@ TEST(BatchEngineTest, RunBatchMatchesSequentialRunOnRandomInstances) {
     Database db = RandomDatabaseFor(q, &rng);
 
     QueryEngine sequential = QueryEngine::Borrow(db);
-    auto expected = sequential.Run(q);
+    auto expected = PrepareAndExecute(sequential, q);
 
     QueryEngine batch_engine = QueryEngine::Borrow(db);
-    // Duplicates in the batch exercise the result-cache sharing path.
-    auto got = batch_engine.RunBatch(
-        std::vector<ConjunctiveQuery>{q, q, q});
-    ASSERT_EQ(expected.ok(), got.ok()) << "seed " << seed;
+    auto prepared = batch_engine.Prepare(q);
+    ASSERT_EQ(expected.ok(), prepared.ok()) << "seed " << seed;
     if (!expected.ok()) continue;
-    ASSERT_EQ(got->size(), 3u);
-    for (const auto& r : *got) {
-      ExpectSameRankings(expected->answers, r.answers,
+    // Duplicates in the batch exercise the result-cache sharing path.
+    auto got = batch_engine.ExecuteBatch({*prepared, *prepared, *prepared});
+    ASSERT_EQ(got.size(), 3u);
+    for (const auto& r : got) {
+      ASSERT_TRUE(r.ok()) << "seed " << seed << ": " << r.status().ToString();
+      ExpectSameRankings(expected->answers, r->answers,
                          "seed " + std::to_string(seed));
     }
   }
@@ -64,14 +67,15 @@ TEST(BatchEngineTest, OverlappingWorkloadSharesSubplansThroughCache) {
   ConjunctiveQuery q = MakeChainQuery(4);
 
   QueryEngine engine = QueryEngine::Borrow(db);
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
   // Warm the cache with a single-query batch first: on a many-core pool,
   // 8 concurrent duplicates could otherwise all miss before the first Put
   // lands (a documented benign race) and make the hit assertions flaky.
-  auto warm = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(warm.ok());
-  std::vector<ConjunctiveQuery> workload(8, q);
-  auto results = engine.RunBatch(workload);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  auto warm = engine.ExecuteBatch({*prepared});
+  ASSERT_TRUE(warm[0].ok());
+  auto results = engine.ExecuteBatch(std::vector<PreparedQuery>(8, *prepared));
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   // The first evaluation fills the cache; the duplicates are served from
   // it (a duplicate query's root subplan is a cache hit, so it evaluates
@@ -82,12 +86,12 @@ TEST(BatchEngineTest, OverlappingWorkloadSharesSubplansThroughCache) {
   EXPECT_EQ(s.batch_queries, 9u);  // 1 warm-up + 8 workload queries
   EXPECT_GT(s.tasks_executed, 0u);
   size_t total_hits = 0;
-  for (const auto& r : *results) total_hits += r.result_cache_hits;
+  for (const auto& r : results) total_hits += r->result_cache_hits;
   EXPECT_GT(total_hits, 0u);
 
-  // Sequential Run never touches the result cache (its semantics measure
-  // evaluation), so hits stay put.
-  auto single = engine.Run(q);
+  // Sequential Execute never touches the result cache (its semantics
+  // measure evaluation), so hits stay put.
+  auto single = engine.Execute(*prepared);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single->result_cache_hits, 0u);
   EXPECT_EQ(engine.stats().result_cache_hits, s.result_cache_hits);
@@ -106,8 +110,9 @@ TEST(BatchEngineTest, IdenticalConcurrentQueriesComputeEachSubplanOnce) {
   size_t distinct_subplans;
   {
     QueryEngine engine(db);
-    auto r = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-    ASSERT_TRUE(r.ok());
+    auto prepared = engine.Prepare(q);
+    ASSERT_TRUE(prepared.ok());
+    ASSERT_TRUE(engine.ExecuteBatch({*prepared})[0].ok());
     distinct_subplans = engine.stats().result_cache_misses;
     ASSERT_GT(distinct_subplans, 0u);
   }
@@ -120,10 +125,13 @@ TEST(BatchEngineTest, IdenticalConcurrentQueriesComputeEachSubplanOnce) {
   opts.num_threads = 8;
   QueryEngine engine(db, opts);
   QueryEngine reference(db);
-  auto expected = reference.Run(q);
+  auto expected = PrepareAndExecute(reference, q);
   ASSERT_TRUE(expected.ok());
-  auto results = engine.RunBatch(std::vector<ConjunctiveQuery>(kDup, q));
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  auto results =
+      engine.ExecuteBatch(std::vector<PreparedQuery>(kDup, *prepared));
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   EngineStats s = engine.stats();
   EXPECT_EQ(s.result_cache_misses, distinct_subplans)
@@ -131,8 +139,8 @@ TEST(BatchEngineTest, IdenticalConcurrentQueriesComputeEachSubplanOnce) {
   // Every duplicate query was served at least its root subplan without
   // computing (by plain hit or by waiting on the in-flight leader).
   EXPECT_GE(s.result_cache_hits + s.result_cache_in_flight_waits, kDup - 1);
-  for (const auto& r : *results) {
-    ExpectSameRankings(expected->answers, r.answers, "dedup batch");
+  for (const auto& r : results) {
+    ExpectSameRankings(expected->answers, r->answers, "dedup batch");
   }
 }
 
@@ -145,12 +153,14 @@ TEST(BatchEngineTest, MutationBumpsVersionAndInvalidatesCachedResults) {
 
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q() :- R(x), S(x,y), T(y)");
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
   // Run the duplicate after the first query finished, so it is served by a
   // plain cache hit rather than by waiting on an in-flight computation.
-  auto before = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(before.ok());
-  const double score_before = (*before)[0].answers[0].score;
-  ASSERT_TRUE(engine.RunBatch(std::vector<ConjunctiveQuery>{q}).ok());
+  auto before = engine.ExecuteBatch({*prepared});
+  ASSERT_TRUE(before[0].ok());
+  const double score_before = before[0]->answers[0].score;
+  ASSERT_TRUE(engine.ExecuteBatch({*prepared})[0].ok());
   EXPECT_GT(engine.stats().result_cache_hits, 0u);
 
   // Mutate a base probability: the version counter moves and every cached
@@ -162,16 +172,16 @@ TEST(BatchEngineTest, MutationBumpsVersionAndInvalidatesCachedResults) {
   }
   EXPECT_GT(db.version(), v0);
 
-  auto after = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(after.ok());
-  const double score_after = (*after)[0].answers[0].score;
+  auto after = engine.ExecuteBatch({*prepared});
+  ASSERT_TRUE(after[0].ok());
+  const double score_after = after[0]->answers[0].score;
   EXPECT_NE(score_before, score_after);
 
   // The stale-entry discard counts as an eviction, and the recomputed
   // score must match a fresh engine with no cache history.
   EXPECT_GT(engine.stats().result_cache_evictions, 0u);
   QueryEngine fresh = QueryEngine::Borrow(db);
-  auto expected = fresh.Run(q);
+  auto expected = PrepareAndExecute(fresh, q);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(score_after, expected->answers[0].score);
 }
@@ -193,7 +203,7 @@ TEST(BatchEngineTest, MultiThreadedBatchIsDeterministic) {
   {
     QueryEngine sequential(db);
     for (const auto& q : workload) {
-      auto r = sequential.Run(q);
+      auto r = PrepareAndExecute(sequential, q);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       expected.push_back(r->answers);
     }
@@ -203,11 +213,17 @@ TEST(BatchEngineTest, MultiThreadedBatchIsDeterministic) {
   opts.num_threads = 4;
   QueryEngine engine(db, opts);
   for (int round = 0; round < 3; ++round) {
-    auto results = engine.RunBatch(workload);
-    ASSERT_TRUE(results.ok()) << results.status().ToString();
-    ASSERT_EQ(results->size(), workload.size());
+    std::vector<PreparedQuery> prepared;
+    for (const auto& q : workload) {
+      auto p = engine.Prepare(q);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      prepared.push_back(std::move(*p));
+    }
+    auto results = engine.ExecuteBatch(prepared);
+    ASSERT_EQ(results.size(), workload.size());
     for (size_t i = 0; i < workload.size(); ++i) {
-      ExpectSameRankings(expected[i], (*results)[i].answers,
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      ExpectSameRankings(expected[i], results[i]->answers,
                          "round " + std::to_string(round) + " query " +
                              std::to_string(i));
     }
@@ -221,19 +237,19 @@ TEST(BatchEngineTest, BatchFromDatalogTextsAndEmptyBatch) {
   AddTable(&db, "S", 2, {{{1, 10}, 0.9}, {{2, 20}, 0.8}});
   QueryEngine engine = QueryEngine::Borrow(db);
 
-  auto empty = engine.RunBatch(std::vector<ConjunctiveQuery>{});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(engine.ExecuteBatch({}).empty());
 
-  auto res = engine.RunBatch(std::vector<std::string>{
-      "q(x) :- R(x), S(x,y)", "q() :- R(x)"});
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  ASSERT_EQ(res->size(), 2u);
-  EXPECT_EQ((*res)[0].answers.size(), 2u);
-  EXPECT_EQ((*res)[1].answers.size(), 1u);
+  auto join = engine.Prepare("q(x) :- R(x), S(x,y)");
+  auto scan = engine.Prepare("q() :- R(x)");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  auto res = engine.ExecuteBatch({*join, *scan});
+  ASSERT_EQ(res.size(), 2u);
+  ASSERT_TRUE(res[0].ok() && res[1].ok());
+  EXPECT_EQ(res[0]->answers.size(), 2u);
+  EXPECT_EQ(res[1]->answers.size(), 1u);
 
-  auto bad = engine.RunBatch(std::vector<std::string>{"q(x) :- "});
-  EXPECT_FALSE(bad.ok());
+  EXPECT_FALSE(engine.Prepare("q(x) :- ").ok());
 }
 
 TEST(BatchEngineTest, ResultCacheDisabledStillMatchesSequential) {
@@ -247,12 +263,13 @@ TEST(BatchEngineTest, ResultCacheDisabledStillMatchesSequential) {
   EngineOptions opts;
   opts.result_cache_capacity = 0;
   QueryEngine engine = QueryEngine::Borrow(db, opts);
-  auto seq = engine.Run(q);
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  auto seq = engine.Execute(*prepared);
   ASSERT_TRUE(seq.ok());
-  auto batch = engine.RunBatch(std::vector<ConjunctiveQuery>{q, q});
-  ASSERT_TRUE(batch.ok());
-  for (const auto& r : *batch) {
-    ExpectSameRankings(seq->answers, r.answers, "no-cache batch");
+  for (const auto& r : engine.ExecuteBatch({*prepared, *prepared})) {
+    ASSERT_TRUE(r.ok());
+    ExpectSameRankings(seq->answers, r->answers, "no-cache batch");
   }
   EXPECT_EQ(engine.stats().result_cache_hits, 0u);
 }

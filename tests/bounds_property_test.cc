@@ -18,6 +18,7 @@
 #include "src/dissociation/lattice.h"
 #include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
+#include "src/engine/query_engine.h"
 #include "src/exec/evaluator.h"
 #include "src/infer/query_inference.h"
 #include "src/workload/random_instance.h"
@@ -26,6 +27,7 @@
 namespace dissodb {
 namespace {
 
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 std::map<std::vector<Value>, double> ToMap(
@@ -96,9 +98,12 @@ TEST(BoundsPropertyTest, PropagationEqualsBruteForceLatticeMinimum) {
       best = std::min(best, prob);
     }
 
-    auto rho = PropagationScoreBoolean(db, q);
-    ASSERT_TRUE(rho.ok()) << q.ToString();
-    EXPECT_NEAR(*rho, best, 1e-9) << q.ToString();
+    QueryEngine engine = QueryEngine::Borrow(db);
+    auto res = PrepareAndExecute(engine, q);
+    ASSERT_TRUE(res.ok()) << q.ToString();
+    // No answer: the query is unsatisfiable and rho(q) = 0.
+    const double rho = res->answers.empty() ? 0.0 : res->answers[0].score;
+    EXPECT_NEAR(rho, best, 1e-9) << q.ToString();
     ++checked;
   }
   EXPECT_GE(checked, 10);
@@ -156,7 +161,8 @@ TEST(BoundsPropertyTest, SafeQueriesComputedExactly) {
     if (!IsHierarchical(q)) continue;
     ++safe_seen;
     Database db = RandomDatabaseFor(q, &rng);
-    auto res = PropagationScore(db, q);
+    QueryEngine engine = QueryEngine::Borrow(db);
+    auto res = PrepareAndExecute(engine, q);
     ASSERT_TRUE(res.ok());
     auto is_safe = IsSafeQuery(q, SchemaKnowledge::None(q));
     ASSERT_TRUE(is_safe.ok());
@@ -199,13 +205,15 @@ TEST(BoundsPropertyTest, Proposition21RelativeErrorVanishes) {
   for (double f : {0.3, 0.1, 0.03, 0.01}) {
     Database scaled = db.Clone();
     scaled.ScaleProbabilities(f);
-    auto rho = PropagationScoreBoolean(scaled, q);
+    QueryEngine engine = QueryEngine::Borrow(scaled);
+    auto rho = PrepareAndExecute(engine, q);
     auto exact = ExactProbabilities(scaled, q);
     ASSERT_TRUE(rho.ok());
+    ASSERT_EQ(rho->answers.size(), 1u);
     ASSERT_TRUE(exact.ok());
     double p = (*exact)[0].score;
     ASSERT_GT(p, 0.0);
-    double rel_err = (*rho - p) / p;
+    double rel_err = (rho->answers[0].score - p) / p;
     EXPECT_GE(rel_err, -1e-9);         // upper bound
     EXPECT_LE(rel_err, prev_rel_err + 1e-12);  // decreasing in f
     prev_rel_err = rel_err;

@@ -36,6 +36,18 @@ void ExpectBitIdentical(const std::vector<RankedAnswer>& expect,
   }
 }
 
+// Prepares every query on `engine`; each must compile.
+std::vector<PreparedQuery> PrepareAll(
+    QueryEngine* engine, const std::vector<ConjunctiveQuery>& queries) {
+  std::vector<PreparedQuery> out;
+  for (const auto& q : queries) {
+    auto p = engine->Prepare(q);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    out.push_back(p.ok() ? std::move(*p) : PreparedQuery());
+  }
+  return out;
+}
+
 // R(a,b) joins S(b). Weights step in 1/16 so products are exact enough to
 // expose any reordered accumulation as a bit difference (they are exact in
 // binary FP, so equal values imply equal operation sequences).
@@ -85,8 +97,8 @@ TEST(DeltaMaintenanceTest, MaintainedEntriesBitIdenticalAcrossChunkSeams) {
   // project(scan).
   ConjunctiveQuery qj = Q("q(x) :- R(x,y), S(y)");
   ConjunctiveQuery qp = Q("q(x) :- R(x,y)");
-  const std::vector<ConjunctiveQuery> batch{qj, qp};
-  ASSERT_TRUE(engine.RunBatch(batch).ok());
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {qj, qp});
+  for (const auto& r : engine.ExecuteBatch(batch)) ASSERT_TRUE(r.ok());
 
   size_t maintained = engine.stats().result_cache_delta_maintained;
   for (size_t delta : {size_t{3}, size_t{4}, size_t{5}, size_t{1},
@@ -101,16 +113,15 @@ TEST(DeltaMaintenanceTest, MaintainedEntriesBitIdenticalAcrossChunkSeams) {
 
     // From-scratch reference: a cold engine at the new version.
     QueryEngine fresh = QueryEngine::Borrow(db);
-    auto expect = fresh.RunBatch(batch);
-    ASSERT_TRUE(expect.ok());
+    auto expect = fresh.ExecuteBatch(PrepareAll(&fresh, {qj, qp}));
 
-    auto got = engine.RunBatch(batch);
-    ASSERT_TRUE(got.ok());
+    auto got = engine.ExecuteBatch(batch);
     for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_GT((*got)[i].result_cache_hits, 0u)
+      ASSERT_TRUE(expect[i].ok() && got[i].ok());
+      EXPECT_GT(got[i]->result_cache_hits, 0u)
           << "delta " << delta << " query " << i
           << ": maintained entry must serve as a hit at the new version";
-      ExpectBitIdentical((*expect)[i].answers, (*got)[i].answers,
+      ExpectBitIdentical(expect[i]->answers, got[i]->answers,
                          "delta " + std::to_string(delta) + " query " +
                              std::to_string(i));
     }
@@ -122,17 +133,18 @@ TEST(DeltaMaintenanceTest, MaintainedRootIsServedWithoutRecomputation) {
   Database db = MakeDb(12, &rng);
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q(x) :- R(x,y), S(y)");
-  ASSERT_TRUE(engine.RunBatch(std::vector<ConjunctiveQuery>{q}).ok());
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {q});
+  ASSERT_TRUE(engine.ExecuteBatch(batch)[0].ok());
 
   AppendRows(&db, /*idx=*/0, 2, /*arity=*/2, &rng);
   ASSERT_GT(engine.stats().result_cache_delta_maintained, 0u);
 
-  auto got = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(got.ok());
+  auto got = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(got[0].ok());
   // The root subplan hits at the new version, so the execution evaluates
   // zero plan nodes — served, not recomputed.
-  EXPECT_GT((*got)[0].result_cache_hits, 0u);
-  EXPECT_EQ((*got)[0].nodes_evaluated, 0u);
+  EXPECT_GT(got[0]->result_cache_hits, 0u);
+  EXPECT_EQ(got[0]->nodes_evaluated, 0u);
 }
 
 TEST(DeltaMaintenanceTest, NonAppendCommitSweepsInsteadOfMaintaining) {
@@ -140,7 +152,8 @@ TEST(DeltaMaintenanceTest, NonAppendCommitSweepsInsteadOfMaintaining) {
   Database db = MakeDb(10, &rng);
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q(x) :- R(x,y), S(y)");
-  ASSERT_TRUE(engine.RunBatch(std::vector<ConjunctiveQuery>{q}).ok());
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {q});
+  ASSERT_TRUE(engine.ExecuteBatch(batch)[0].ok());
 
   const size_t maintained = engine.stats().result_cache_delta_maintained;
   {
@@ -153,13 +166,13 @@ TEST(DeltaMaintenanceTest, NonAppendCommitSweepsInsteadOfMaintaining) {
 
   // The first post-commit batch recomputes (no stale hits) and matches a
   // cold engine exactly.
-  auto got = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ((*got)[0].result_cache_hits, 0u);
+  auto got = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(got[0].ok());
+  EXPECT_EQ(got[0]->result_cache_hits, 0u);
   QueryEngine fresh = QueryEngine::Borrow(db);
-  auto expect = fresh.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(expect.ok());
-  ExpectBitIdentical((*expect)[0].answers, (*got)[0].answers, "post-sweep");
+  auto expect = fresh.ExecuteBatch(PrepareAll(&fresh, {q}));
+  ASSERT_TRUE(expect[0].ok());
+  ExpectBitIdentical(expect[0]->answers, got[0]->answers, "post-sweep");
 }
 
 TEST(DeltaMaintenanceTest, MultiTableAppendMaintainsWhatItCanProve) {
@@ -169,8 +182,8 @@ TEST(DeltaMaintenanceTest, MultiTableAppendMaintainsWhatItCanProve) {
   // qp reads only R; qj reads R and S.
   ConjunctiveQuery qj = Q("q(x) :- R(x,y), S(y)");
   ConjunctiveQuery qp = Q("q(x) :- R(x,y)");
-  const std::vector<ConjunctiveQuery> batch{qj, qp};
-  ASSERT_TRUE(engine.RunBatch(batch).ok());
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {qj, qp});
+  for (const auto& r : engine.ExecuteBatch(batch)) ASSERT_TRUE(r.ok());
 
   const size_t maintained = engine.stats().result_cache_delta_maintained;
   {
@@ -188,12 +201,11 @@ TEST(DeltaMaintenanceTest, MultiTableAppendMaintainsWhatItCanProve) {
   // bit — maintained entries served from cache, fallen-back ones
   // recomputed at the new version.
   QueryEngine fresh = QueryEngine::Borrow(db);
-  auto expect = fresh.RunBatch(batch);
-  ASSERT_TRUE(expect.ok());
-  auto got = engine.RunBatch(batch);
-  ASSERT_TRUE(got.ok());
+  auto expect = fresh.ExecuteBatch(PrepareAll(&fresh, {qj, qp}));
+  auto got = engine.ExecuteBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
-    ExpectBitIdentical((*expect)[i].answers, (*got)[i].answers,
+    ASSERT_TRUE(expect[i].ok() && got[i].ok());
+    ExpectBitIdentical(expect[i]->answers, got[i]->answers,
                        "query " + std::to_string(i));
   }
 }
@@ -204,15 +216,16 @@ TEST(DeltaMaintenanceTest, ReadersRaceAppendOnlyWriterWithMaintenanceOn) {
   Database db = MakeDb(64, &rng);
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q(x) :- R(x,y), S(y)");
-  ASSERT_TRUE(engine.RunBatch(std::vector<ConjunctiveQuery>{q}).ok());
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {q});
+  ASSERT_TRUE(engine.ExecuteBatch(batch)[0].ok());
 
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&engine, &q, &failures] {
       for (int i = 0; i < 8; ++i) {
-        auto r = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-        if (!r.ok() || (*r)[0].answers.empty()) failures.fetch_add(1);
+        auto r = engine.ExecuteBatch(PrepareAll(&engine, {q}));
+        if (!r[0].ok() || r[0]->answers.empty()) failures.fetch_add(1);
       }
     });
   }
@@ -228,11 +241,11 @@ TEST(DeltaMaintenanceTest, ReadersRaceAppendOnlyWriterWithMaintenanceOn) {
 
   // Settle: the final state still serves bit-identically to a cold engine.
   QueryEngine fresh = QueryEngine::Borrow(db);
-  auto expect = fresh.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(expect.ok());
-  auto got = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(got.ok());
-  ExpectBitIdentical((*expect)[0].answers, (*got)[0].answers, "settled");
+  auto expect = fresh.ExecuteBatch(PrepareAll(&fresh, {q}));
+  ASSERT_TRUE(expect[0].ok());
+  auto got = engine.ExecuteBatch(batch);
+  ASSERT_TRUE(got[0].ok());
+  ExpectBitIdentical(expect[0]->answers, got[0]->answers, "settled");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include "src/dissociation/dissociation.h"
 #include "src/dissociation/minimal_plans.h"
-#include "src/dissociation/propagation.h"
+#include "src/engine/query_engine.h"
 #include "src/exec/deterministic.h"
 #include "src/exec/evaluator.h"
 #include "src/infer/query_inference.h"
@@ -16,6 +16,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 using testing_util::Vars;
 
@@ -72,11 +73,14 @@ TEST(Example17Test, MinimalDissociationScores) {
 TEST(Example17Test, PropagationScoreIsMinOfMinimalPlans) {
   Database db = Example17Database();
   auto q = Example17Query();
-  auto rho = PropagationScoreBoolean(db, q);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto rho = PrepareAndExecute(engine, q);
   ASSERT_TRUE(rho.ok()) << rho.status().ToString();
-  EXPECT_NEAR(*rho, 169.0 / 1024.0, 1e-12);  // min(169/1024, 353/2048)
+  ASSERT_EQ(rho->answers.size(), 1u);
+  // min(169/1024, 353/2048)
+  EXPECT_NEAR(rho->answers[0].score, 169.0 / 1024.0, 1e-12);
   // And both bounds are above the exact probability.
-  EXPECT_GT(*rho, 83.0 / 512.0);
+  EXPECT_GT(rho->answers[0].score, 83.0 / 512.0);
 }
 
 TEST(Example17Test, Theorem18ScoreEqualsDissociatedProbability) {
@@ -151,7 +155,8 @@ TEST(EvaluatorTest, NonBooleanAnswersPerHeadValue) {
   AddTable(&db, "R", 2, {{{10, 1}, 0.5}, {{20, 2}, 0.7}});
   AddTable(&db, "S", 2, {{{1, 4}, 0.5}, {{2, 4}, 0.5}});
   AddTable(&db, "T", 1, {{{4}, 0.9}});
-  auto res = PropagationScore(db, q);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto res = PrepareAndExecute(engine, q);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->answers.size(), 2u);
   auto plans = EnumerateMinimalPlans(q);

@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "src/dissociation/minimal_plans.h"
-#include "src/dissociation/propagation.h"
+#include "src/engine/query_engine.h"
 #include "src/exec/deterministic.h"
 #include "src/infer/query_inference.h"
 #include "src/metrics/ap.h"
@@ -17,7 +17,17 @@
 namespace dissodb {
 namespace {
 
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
+
+/// The TPC-H selections as untagged atom bindings.
+Bindings SelectionBindings(const TpchSelections& sel) {
+  Bindings bindings;
+  for (const auto& [idx, table] : sel.overrides) {
+    bindings.SetAtomTable(idx, table);
+  }
+  return bindings;
+}
 
 std::vector<double> Align(const std::vector<RankedAnswer>& ref,
                           const std::vector<RankedAnswer>& scores) {
@@ -38,13 +48,14 @@ TEST(TpchIntegrationTest, DissociationRanksAlmostExactly) {
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   ASSERT_GT(exact->size(), 3u);
 
-  PropagationOptions popts;
-  popts.opt3_semijoin_reduction = true;
-  auto diss = PropagationScore(db, q, popts, overrides);
+  EngineOptions eo;
+  eo.propagation.opt3_semijoin_reduction = true;
+  QueryEngine engine = QueryEngine::Borrow(db, eo);
+  auto diss = PrepareAndExecute(engine, q, SelectionBindings(**sel));
   ASSERT_TRUE(diss.ok());
   auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
   ASSERT_TRUE(sk.ok());
-  auto plans = EnumerateMinimalPlans(q, *sk, popts.enum_opts);
+  auto plans = EnumerateMinimalPlans(q, *sk, eo.propagation.enum_opts);
   ASSERT_TRUE(plans.ok());
   EXPECT_EQ(plans->size(), 2u);
 
@@ -75,7 +86,8 @@ TEST(TpchIntegrationTest, DissociationBeatsLineageRanking) {
   auto exact = ExactFromLineage(*lineage);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
 
-  auto diss = PropagationScore(db, q, {}, overrides);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto diss = PrepareAndExecute(engine, q, SelectionBindings(**sel));
   ASSERT_TRUE(diss.ok());
   auto lin_rank = LineageSizeRanking(*lineage);
 
@@ -95,7 +107,8 @@ TEST(TpchIntegrationTest, DeterministicAnswersMatchProbabilisticSupport) {
   ASSERT_TRUE(sel.ok());
   auto det = EvaluateDeterministic(db.snapshot(), q, (*sel)->overrides);
   ASSERT_TRUE(det.ok());
-  auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto diss = PrepareAndExecute(engine, q, SelectionBindings(**sel));
   ASSERT_TRUE(diss.ok());
   EXPECT_EQ(det->NumRows(), diss->answers.size());
 }
@@ -114,7 +127,8 @@ TEST(TpchIntegrationTest, McRanksWorseOrEqualWithFewSamples) {
   ASSERT_TRUE(exact.ok());
   auto gt = Align(*exact, *exact);
 
-  auto diss = PropagationScore(db, q, {}, (*sel)->overrides);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto diss = PrepareAndExecute(engine, q, SelectionBindings(**sel));
   ASSERT_TRUE(diss.ok());
   double ap_diss = AveragePrecisionAtK(gt, Align(*exact, diss->answers));
 
@@ -146,21 +160,15 @@ TEST(FacadeTest, SqlGenerationForMinimalPlans) {
   }
 }
 
-TEST(FacadeTest, BooleanFacadeOnEmptyAnswer) {
+TEST(FacadeTest, UnsatisfiableBooleanQueryHasNoAnswer) {
   auto q = Q("q() :- R(x), S(x)");
   Database db;
   testing_util::AddTable(&db, "R", 1, {{{1}, 0.5}});
   testing_util::AddTable(&db, "S", 1, {{{2}, 0.5}});
-  auto rho = PropagationScoreBoolean(db, q);
+  QueryEngine engine = QueryEngine::Borrow(db);
+  auto rho = PrepareAndExecute(engine, q);
   ASSERT_TRUE(rho.ok());
-  EXPECT_DOUBLE_EQ(*rho, 0.0);
-}
-
-TEST(FacadeTest, NonBooleanRejectedByBooleanFacade) {
-  auto q = Q("q(x) :- R(x)");
-  Database db;
-  testing_util::AddTable(&db, "R", 1, {{{1}, 0.5}});
-  EXPECT_FALSE(PropagationScoreBoolean(db, q).ok());
+  EXPECT_TRUE(rho->answers.empty());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/common/string_util.h"
 #include "src/dissociation/minimal_plans.h"
 #include "src/dissociation/propagation.h"
+#include "src/engine/query_engine.h"
 #include "src/infer/query_inference.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
@@ -26,6 +27,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 using ScoreMap = std::map<std::vector<Value>, double>;
@@ -81,7 +83,8 @@ TEST(OptEquivalenceTest, AllCombinationsConsistentOnRandomInstances) {
           opts.opt2_reuse_subplans = opt2;
           opts.opt3_semijoin_reduction = opt3;
           opts.enum_opts.use_deterministic = dr;
-          auto res = PropagationScore(db, q, opts);
+          QueryEngine engine = QueryEngine::Borrow(db, {.propagation = opts});
+          auto res = PrepareAndExecute(engine, q);
           ASSERT_TRUE(res.ok()) << q.ToString() << res.status().ToString();
           auto scores = ToMap(res->answers);
           if (!have_single) {
@@ -106,7 +109,8 @@ TEST(OptEquivalenceTest, AllCombinationsConsistentOnRandomInstances) {
         opts.opt1_single_plan = false;
         opts.opt3_semijoin_reduction = opt3;
         opts.enum_opts.use_deterministic = dr;
-        auto res = PropagationScore(db, q, opts);
+        QueryEngine engine = QueryEngine::Borrow(db, {.propagation = opts});
+        auto res = PrepareAndExecute(engine, q);
         ASSERT_TRUE(res.ok()) << q.ToString();
         auto scores = ToMap(res->answers);
         if (!have_all) {
@@ -142,7 +146,9 @@ TEST(OptEquivalenceTest, ChainQueryFamiliesConsistent) {
 
     PropagationOptions all_plans;
     all_plans.opt1_single_plan = false;
-    auto base = PropagationScore(db, q, all_plans);
+    QueryEngine all_plans_engine =
+        QueryEngine::Borrow(db, {.propagation = all_plans});
+    auto base = PrepareAndExecute(all_plans_engine, q);
     ASSERT_TRUE(base.ok());
     auto ref = ToMap(base->answers);
 
@@ -154,7 +160,8 @@ TEST(OptEquivalenceTest, ChainQueryFamiliesConsistent) {
         opts.opt1_single_plan = true;
         opts.opt2_reuse_subplans = opt2;
         opts.opt3_semijoin_reduction = opt3;
-        auto res = PropagationScore(db, q, opts);
+        QueryEngine engine = QueryEngine::Borrow(db, {.propagation = opts});
+        auto res = PrepareAndExecute(engine, q);
         ASSERT_TRUE(res.ok());
         auto scores = ToMap(res->answers);
         if (!have) {
@@ -182,19 +189,24 @@ TEST(OptEquivalenceTest, StarQueryFamiliesConsistent) {
 
     PropagationOptions all_plans;
     all_plans.opt1_single_plan = false;
-    auto base = PropagationScore(db, q, all_plans);
+    QueryEngine all_plans_engine =
+        QueryEngine::Borrow(db, {.propagation = all_plans});
+    auto base = PrepareAndExecute(all_plans_engine, q);
     ASSERT_TRUE(base.ok());
 
     PropagationOptions all_plans_sj = all_plans;
     all_plans_sj.opt3_semijoin_reduction = true;
-    auto base_sj = PropagationScore(db, q, all_plans_sj);
+    QueryEngine all_plans_sj_engine =
+        QueryEngine::Borrow(db, {.propagation = all_plans_sj});
+    auto base_sj = PrepareAndExecute(all_plans_sj_engine, q);
     ASSERT_TRUE(base_sj.ok());
     ExpectSameScores(ToMap(base->answers), ToMap(base_sj->answers),
                      StrFormat("star k=%d opt3", k));
 
     PropagationOptions fast;  // opt1+2+3
     fast.opt3_semijoin_reduction = true;
-    auto res = PropagationScore(db, q, fast);
+    QueryEngine fast_engine = QueryEngine::Borrow(db, {.propagation = fast});
+    auto res = PrepareAndExecute(fast_engine, q);
     ASSERT_TRUE(res.ok());
     ExpectDominates(ToMap(base->answers), ToMap(res->answers),
                     StrFormat("star k=%d all>=single", k));
@@ -217,12 +229,15 @@ TEST(OptEquivalenceTest, Opt2ReducesEvaluatedNodes) {
 
   PropagationOptions with;
   with.opt2_reuse_subplans = true;
-  auto a = PropagationScore(db, q, with);
+  QueryEngine with_engine = QueryEngine::Borrow(db, {.propagation = with});
+  auto a = PrepareAndExecute(with_engine, q);
   ASSERT_TRUE(a.ok());
 
   PropagationOptions without;
   without.opt2_reuse_subplans = false;
-  auto b = PropagationScore(db, q, without);
+  QueryEngine without_engine =
+      QueryEngine::Borrow(db, {.propagation = without});
+  auto b = PrepareAndExecute(without_engine, q);
   ASSERT_TRUE(b.ok());
 
   EXPECT_LT(a->nodes_evaluated, b->nodes_evaluated);
@@ -244,7 +259,9 @@ TEST(OptEquivalenceTest, DrKnowledgeKeepsScoresForSafePart) {
   ASSERT_TRUE(sk.ok());
 
   PropagationOptions with_dr;
-  auto a = PropagationScore(db, q, with_dr);
+  QueryEngine with_dr_engine =
+      QueryEngine::Borrow(db, {.propagation = with_dr});
+  auto a = PrepareAndExecute(with_dr_engine, q);
   ASSERT_TRUE(a.ok());
   auto a_plans = EnumerateMinimalPlans(q, *sk, with_dr.enum_opts);
   ASSERT_TRUE(a_plans.ok());
@@ -252,7 +269,9 @@ TEST(OptEquivalenceTest, DrKnowledgeKeepsScoresForSafePart) {
 
   PropagationOptions without_dr;
   without_dr.enum_opts.use_deterministic = false;
-  auto b = PropagationScore(db, q, without_dr);
+  QueryEngine without_dr_engine =
+      QueryEngine::Borrow(db, {.propagation = without_dr});
+  auto b = PrepareAndExecute(without_dr_engine, q);
   ASSERT_TRUE(b.ok());
   auto b_plans = EnumerateMinimalPlans(q, *sk, without_dr.enum_opts);
   ASSERT_TRUE(b_plans.ok());

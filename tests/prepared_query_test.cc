@@ -23,6 +23,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 void ExpectSameRankings(const std::vector<RankedAnswer>& a,
@@ -360,10 +361,6 @@ TEST(PreparedQueryTest, ExecuteBatchDeliversErrorsPerQuery) {
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
-
-  // The legacy wrapper keeps all-or-nothing semantics.
-  auto bad = engine.RunBatch(std::vector<std::string>{"q() :- R(x)", "q() :-"});
-  EXPECT_FALSE(bad.ok());
 }
 
 TEST(PreparedQueryTest, SubmitIsAsyncAndSharesResults) {
@@ -459,7 +456,6 @@ TEST(PreparedQueryTest, TaggedAtomBindingsKeepResultSharing) {
     ASSERT_TRUE(prepared.ok());
     Bindings tagged;
     tagged.SetAtomTable(0, *table, "R1@full");
-    ASSERT_TRUE(tagged.Fingerprint().has_value());
     std::vector<PreparedQuery> batch(1, *prepared);
     std::vector<Bindings> bindings(1, tagged);
     for (auto& r : engine.ExecuteBatch(batch, bindings)) ASSERT_TRUE(r.ok());
@@ -472,9 +468,10 @@ TEST(PreparedQueryTest, TaggedAtomBindingsKeepResultSharing) {
       EXPECT_GT((*r).result_cache_hits, 0u);
     }
 
-    // Legacy Run with the same table bound must agree.
+    // An untagged binding of the same table must agree.
     QueryEngine reference = QueryEngine::Borrow(db);
-    auto expected = reference.Run(q, {{0, *table}});
+    auto expected = PrepareAndExecute(reference, q,
+                                      Bindings().SetAtomTable(0, *table));
     ASSERT_TRUE(expected.ok());
     auto got = engine.Execute(*prepared, tagged);
     ASSERT_TRUE(got.ok());
@@ -505,10 +502,17 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   auto served = [&](const std::vector<ConjunctiveQuery>& workload) {
     QueryEngine engine = QueryEngine::Borrow(db);
     // Warm with a single-query batch so hit counts are deterministic.
-    auto warm = engine.RunBatch(std::vector<ConjunctiveQuery>{base});
-    EXPECT_TRUE(warm.ok());
-    auto results = engine.RunBatch(workload);
-    EXPECT_TRUE(results.ok()) << results.status().ToString();
+    auto warm = engine.Prepare(base);
+    EXPECT_TRUE(warm.ok() && engine.ExecuteBatch({*warm})[0].ok());
+    std::vector<PreparedQuery> prepared;
+    for (const auto& q : workload) {
+      auto p = engine.Prepare(q);
+      EXPECT_TRUE(p.ok()) << p.status().ToString();
+      if (p.ok()) prepared.push_back(std::move(*p));
+    }
+    for (const auto& r : engine.ExecuteBatch(prepared)) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
     EngineStats s = engine.stats();
     return s.result_cache_hits + s.result_cache_in_flight_waits;
   };
@@ -525,7 +529,7 @@ TEST(PreparedQueryTest, IsomorphicBatchSharesLikeIdenticalBatch) {
   QueryEngine engine = QueryEngine::Borrow(db);
   for (int i = 0; i < kBatch; i += 16) {
     auto expected = CallerSpaceScores(db, renamed[i]);
-    auto got = engine.Run(renamed[i]);
+    auto got = PrepareAndExecute(engine, renamed[i]);
     ASSERT_TRUE(expected.ok() && got.ok());
     ExpectSameRankings(*expected, got->answers,
                        "renamed " + std::to_string(i));
@@ -547,10 +551,12 @@ TEST(PreparedQueryTest, Opt3BatchSharesResultsAndReductions) {
   EngineOptions opts;
   opts.propagation.opt3_semijoin_reduction = true;
   QueryEngine engine = QueryEngine::Borrow(db, opts);
-  auto warm = engine.RunBatch(std::vector<ConjunctiveQuery>{q});
-  ASSERT_TRUE(warm.ok());
-  auto results = engine.RunBatch(std::vector<ConjunctiveQuery>(8, q));
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(engine.ExecuteBatch({*prepared})[0].ok());
+  auto results =
+      engine.ExecuteBatch(std::vector<PreparedQuery>(8, *prepared));
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   EngineStats s = engine.stats();
   EXPECT_GT(s.result_cache_hits, 0u)
@@ -558,32 +564,35 @@ TEST(PreparedQueryTest, Opt3BatchSharesResultsAndReductions) {
   EXPECT_GT(s.reduction_cache_hits, 0u)
       << "repeated identical reductions must be served from cache";
 
-  // Scores are unchanged by the reduction: compare against opt3-off Run.
+  // Scores are unchanged by the reduction: compare against opt3 off.
   QueryEngine plain = QueryEngine::Borrow(db);
-  auto expected = plain.Run(q);
+  auto expected = PrepareAndExecute(plain, q);
   ASSERT_TRUE(expected.ok());
-  ASSERT_EQ(expected->answers.size(), (*results)[0].answers.size());
+  ASSERT_EQ(expected->answers.size(), results[0]->answers.size());
   for (size_t i = 0; i < expected->answers.size(); ++i) {
-    EXPECT_EQ(expected->answers[i].tuple, (*results)[0].answers[i].tuple);
+    EXPECT_EQ(expected->answers[i].tuple, results[0]->answers[i].tuple);
     EXPECT_DOUBLE_EQ(expected->answers[i].score,
-                     (*results)[0].answers[i].score);
+                     results[0]->answers[i].score);
   }
 }
 
-TEST(PreparedQueryTest, RunBooleanRoutesThroughBindings) {
+TEST(PreparedQueryTest, BooleanQueryRoutesThroughBindings) {
   Database db;
   AddTable(&db, "R", 2, {{{1, 10}, 0.25}, {{2, 20}, 0.75}});
   QueryEngine engine = QueryEngine::Borrow(db);
 
-  auto r = engine.RunBoolean("q() :- R($0,y)", Bindings().Set(0, Value::Int64(2)));
+  auto r = PrepareAndExecute(engine, "q() :- R($0,y)",
+                             Bindings().Set(0, Value::Int64(2)));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_DOUBLE_EQ(*r, 0.75);
-  auto miss = engine.RunBoolean("q() :- R($0,y)", Bindings().Set(0, Value::Int64(3)));
+  ASSERT_EQ(r->answers.size(), 1u);
+  EXPECT_DOUBLE_EQ(r->answers[0].score, 0.75);
+  // No satisfying assignment: no answer.
+  auto miss = PrepareAndExecute(engine, "q() :- R($0,y)",
+                                Bindings().Set(0, Value::Int64(3)));
   ASSERT_TRUE(miss.ok());
-  EXPECT_DOUBLE_EQ(*miss, 0.0);
+  EXPECT_TRUE(miss->answers.empty());
   // Boolean queries share the plan cache with their isomorphic siblings.
   EXPECT_EQ(engine.stats().plan_cache_misses, 1u);
-  EXPECT_FALSE(engine.RunBoolean("q(x) :- R(x,y)").ok());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// QueryEngine facade: pipeline parity with PropagationScore, plan caching,
-// datalog entry point, overrides, and concurrent read-only queries.
+// QueryEngine facade: parity with Algorithm 2's reference plan, plan
+// caching, datalog entry point, overrides, and concurrent read-only
+// queries.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -11,12 +13,15 @@
 #include "src/engine/query_engine.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/synthetic.h"
+#include "tests/reference_ops.h"
 #include "tests/test_util.h"
 
 namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::BuildSinglePlan;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 Database RstDatabase() {
@@ -27,7 +32,34 @@ Database RstDatabase() {
   return db;
 }
 
-TEST(QueryEngineTest, MatchesPropagationScoreOnRandomInstances) {
+/// Same answer tuples, scores within 1e-9: canonicalization may reorder
+/// the folds, so the engine need not be bit-identical to the reference.
+void ExpectSameScores(const std::vector<RankedAnswer>& got,
+                      const std::vector<RankedAnswer>& expected,
+                      const std::string& label) {
+  std::map<std::vector<Value>, double> a, b;
+  for (const auto& r : got) a[r.tuple] = r.score;
+  for (const auto& r : expected) b[r.tuple] = r.score;
+  ASSERT_EQ(a.size(), got.size()) << label;
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    ASSERT_EQ(ia->first, ib->first) << label;
+    EXPECT_NEAR(ia->second, ib->second, 1e-9) << label;
+  }
+}
+
+/// Algorithm 2's single min-plan for `q`, built by the reference recursion
+/// and evaluated without the engine's parse, canonicalize and lift steps.
+Result<std::vector<RankedAnswer>> ReferenceScores(const Database& db,
+                                                  const ConjunctiveQuery& q) {
+  auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
+  if (!sk.ok()) return sk.status();
+  auto plan = BuildSinglePlan(q, *sk);
+  if (!plan.ok()) return plan.status();
+  return PlanScore(db, q, *plan);
+}
+
+TEST(QueryEngineTest, MatchesReferencePlanOnRandomInstances) {
   for (int seed = 0; seed < 50; ++seed) {
     Rng rng(7000 + seed);
     RandomQuerySpec qs;
@@ -36,16 +68,12 @@ TEST(QueryEngineTest, MatchesPropagationScoreOnRandomInstances) {
     ConjunctiveQuery q = RandomQuery(&rng, qs);
     Database db = RandomDatabaseFor(q, &rng);
 
-    auto expected = PropagationScore(db, q);
+    auto expected = ReferenceScores(db, q);
     QueryEngine engine = QueryEngine::Borrow(db);
-    auto got = engine.Run(q);
+    auto got = PrepareAndExecute(engine, q);
     ASSERT_EQ(expected.ok(), got.ok()) << "seed " << seed;
     if (!expected.ok()) continue;
-    ASSERT_EQ(got->answers.size(), expected->answers.size()) << "seed " << seed;
-    for (size_t i = 0; i < got->answers.size(); ++i) {
-      EXPECT_EQ(got->answers[i].tuple, expected->answers[i].tuple);
-      EXPECT_DOUBLE_EQ(got->answers[i].score, expected->answers[i].score);
-    }
+    ExpectSameScores(got->answers, *expected, "seed " + std::to_string(seed));
     auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
     ASSERT_TRUE(sk.ok());
     auto is_safe = IsSafeQuery(q, *sk);
@@ -57,7 +85,7 @@ TEST(QueryEngineTest, MatchesPropagationScoreOnRandomInstances) {
 TEST(QueryEngineTest, ParsesDatalogAndRanksAnswers) {
   Database db = RstDatabase();
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto res = engine.Run("q(x) :- R(x), S(x,y), T(y)");
+  auto res = PrepareAndExecute(engine, "q(x) :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_EQ(res->answers.size(), 2u);
   EXPECT_GE(res->answers[0].score, res->answers[1].score);
@@ -66,14 +94,14 @@ TEST(QueryEngineTest, ParsesDatalogAndRanksAnswers) {
 TEST(QueryEngineTest, PlanCacheHitsOnRepeatedQueries) {
   Database db = RstDatabase();
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto r1 = engine.Run("q() :- R(x), S(x,y), T(y)");
+  auto r1 = PrepareAndExecute(engine, "q() :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(r1.ok());
   EXPECT_FALSE(r1->from_plan_cache);
-  auto r2 = engine.Run("q() :- R(x), S(x,y), T(y)");
+  auto r2 = PrepareAndExecute(engine, "q() :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->from_plan_cache);
   // Same query, different surface syntax -> same canonical key.
-  auto r3 = engine.Run("q()  :-  R(x) , S(x , y), T(y).");
+  auto r3 = PrepareAndExecute(engine, "q()  :-  R(x) , S(x , y), T(y).");
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3->from_plan_cache);
   EXPECT_EQ(r1->answers[0].score, r2->answers[0].score);
@@ -94,19 +122,19 @@ TEST(QueryEngineTest, PlanCacheEvictionIsTrueLru) {
   const std::string b = "q() :- S(x,y)";
   const std::string c = "q() :- T(x)";
 
-  ASSERT_TRUE(engine.Run(a).ok());  // cache: [A]
-  ASSERT_TRUE(engine.Run(b).ok());  // cache: [B, A]
+  ASSERT_TRUE(PrepareAndExecute(engine, a).ok());  // cache: [A]
+  ASSERT_TRUE(PrepareAndExecute(engine, b).ok());  // cache: [B, A]
   // Touch A: under FIFO this would not matter; under LRU it makes B the
   // eviction victim.
-  auto a_hit = engine.Run(a);  // cache: [A, B]
+  auto a_hit = PrepareAndExecute(engine, a);  // cache: [A, B]
   ASSERT_TRUE(a_hit.ok());
   EXPECT_TRUE(a_hit->from_plan_cache);
-  ASSERT_TRUE(engine.Run(c).ok());  // evicts B -> cache: [C, A]
+  ASSERT_TRUE(PrepareAndExecute(engine, c).ok());  // evicts B -> cache: [C, A]
 
-  auto a_again = engine.Run(a);
+  auto a_again = PrepareAndExecute(engine, a);
   ASSERT_TRUE(a_again.ok());
   EXPECT_TRUE(a_again->from_plan_cache) << "LRU must keep the touched entry";
-  auto b_again = engine.Run(b);
+  auto b_again = PrepareAndExecute(engine, b);
   ASSERT_TRUE(b_again.ok());
   EXPECT_FALSE(b_again->from_plan_cache) << "LRU must have evicted B";
   // Misses: A, B, C, and B recompiled after eviction.
@@ -118,20 +146,22 @@ TEST(QueryEngineTest, CacheCapacityZeroDisablesCaching) {
   EngineOptions opts;
   opts.plan_cache_capacity = 0;
   QueryEngine engine = QueryEngine::Borrow(db, opts);
-  (void)engine.Run("q() :- R(x), S(x,y), T(y)");
-  auto r2 = engine.Run("q() :- R(x), S(x,y), T(y)");
+  (void)PrepareAndExecute(engine, "q() :- R(x), S(x,y), T(y)");
+  auto r2 = PrepareAndExecute(engine, "q() :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2->from_plan_cache);
 }
 
-TEST(QueryEngineTest, RunBooleanMatchesPropagationScoreBoolean) {
+TEST(QueryEngineTest, BooleanQueryMatchesReferencePlan) {
   Database db = RstDatabase();
   ConjunctiveQuery q = Q("q() :- R(x), S(x,y), T(y)");
-  auto expected = PropagationScoreBoolean(db, q);
+  auto expected = ReferenceScores(db, q);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto got = engine.RunBoolean("q() :- R(x), S(x,y), T(y)");
+  auto got = PrepareAndExecute(engine, "q() :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(got.ok());
-  EXPECT_DOUBLE_EQ(*got, *expected);
+  ASSERT_EQ(got->answers.size(), 1u);
+  ExpectSameScores(got->answers, *expected, "boolean");
 }
 
 TEST(QueryEngineTest, OverridesRebindAtoms) {
@@ -140,7 +170,8 @@ TEST(QueryEngineTest, OverridesRebindAtoms) {
   small.AddRow({Value::Int64(2)}, 0.5);
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q(x) :- R(x), S(x,y), T(y)");
-  auto res = engine.Run(q, {{0, &small}});
+  auto res =
+      PrepareAndExecute(engine, q, Bindings().SetAtomTable(0, &small));
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->answers.size(), 1u);
   EXPECT_EQ(res->answers[0].tuple[0], Value::Int64(2));
@@ -156,12 +187,12 @@ TEST(QueryEngineTest, UnknownStringConstantSelectsNothing) {
   t.AddRow({db.Str("alice")}, 0.9);
   (void)db.AddTable(std::move(t));
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto hit = engine.Run("q() :- Person('alice')");
+  auto hit = PrepareAndExecute(engine, "q() :- Person('alice')");
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   ASSERT_EQ(hit->answers.size(), 1u);
   EXPECT_DOUBLE_EQ(hit->answers[0].score, 0.9);
   // 'bob' was never interned: parse succeeds read-only, matches no tuple.
-  auto miss = engine.Run("q() :- Person('bob')");
+  auto miss = PrepareAndExecute(engine, "q() :- Person('bob')");
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
   EXPECT_TRUE(miss->answers.empty());
 }
@@ -175,7 +206,7 @@ TEST(QueryEngineTest, ConcurrentQueriesOverSharedEngine) {
   QueryEngine engine(db);
   ConjunctiveQuery q = MakeChainQuery(3);
 
-  auto baseline = engine.Run(q);
+  auto baseline = PrepareAndExecute(engine, q);
   ASSERT_TRUE(baseline.ok());
 
   constexpr int kThreads = 8;
@@ -185,7 +216,7 @@ TEST(QueryEngineTest, ConcurrentQueriesOverSharedEngine) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
-        auto r = engine.Run(q);
+        auto r = PrepareAndExecute(engine, q);
         if (!r.ok() || r->answers.size() != baseline->answers.size()) {
           ++failures[t];
           continue;

@@ -27,6 +27,7 @@ namespace {
 using testing_util::AddTable;
 using testing_util::BuildSinglePlan;
 using testing_util::ChunkCapOverride;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 using testing_util::SinglePlanOptions;
 
@@ -306,7 +307,7 @@ TEST(SafePlanTest, HierarchicalDifferentialAgainstExactInference) {
     if (!IsHierarchical(q)) continue;
     Database db = RandomDatabaseFor(q, &rng, ispec);
     QueryEngine engine = QueryEngine::Borrow(db);
-    auto res = engine.Run(q);
+    auto res = PrepareAndExecute(engine, q);
     ASSERT_TRUE(res.ok()) << q.ToString();
     EXPECT_TRUE(res->exact) << q.ToString();
     auto plans = EnumerateMinimalPlans(q);
@@ -356,7 +357,7 @@ TEST(SafePlanTest, ChunkSeamDifferential) {
     ASSERT_TRUE(db.AddTable(std::move(s)).ok());
   }
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto res = engine.Run(q);
+  auto res = PrepareAndExecute(engine, q);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->exact);
 
@@ -389,7 +390,7 @@ TEST(SafePlanTest, SafeSubqueryInsideUnsafeQuery) {
   Rng rng(2718);
   Database db = RandomDatabaseFor(q, &rng);
   QueryEngine engine = QueryEngine::Borrow(db);
-  auto a = engine.Run(q);
+  auto a = PrepareAndExecute(engine, q);
   ASSERT_TRUE(a.ok());
   auto is_safe = IsSafeQuery(q, none);
   ASSERT_TRUE(is_safe.ok());
@@ -422,7 +423,7 @@ TEST(SafePlanTest, EngineMatchesReferencePlanOnRandomQueries) {
     ConjunctiveQuery q = RandomQuery(&rng, qspec);
     Database db = RandomDatabaseFor(q, &rng);
     QueryEngine engine = QueryEngine::Borrow(db);
-    auto a = engine.Run(q);
+    auto a = PrepareAndExecute(engine, q);
     ASSERT_TRUE(a.ok()) << q.ToString();
     auto sk = SchemaKnowledge::FromSnapshot(q, db.snapshot());
     ASSERT_TRUE(sk.ok()) << q.ToString();
@@ -521,7 +522,7 @@ TEST(SafePlanTest, TelemetryExportsThroughPrometheus) {
   AddTable(&db, "R", 2, {{{0, 0}, 0.5}});
   AddTable(&db, "S", 1, {{{0}, 0.4}});
   QueryEngine engine = QueryEngine::Borrow(db);
-  ASSERT_TRUE(engine.Run("q(x) :- R(x,y), S(y)").ok());
+  ASSERT_TRUE(PrepareAndExecute(engine, "q(x) :- R(x,y), S(y)").ok());
   std::string prom = engine.metrics().PrometheusText();
   EXPECT_NE(prom.find("dissodb_engine_safe_plan_routed"), std::string::npos);
   EXPECT_NE(prom.find("dissodb_engine_safe_plan_unsafe_residue"),

@@ -67,7 +67,7 @@ TEST(SchedulerTest, RunAllExecutesEveryTask) {
 }
 
 TEST(SchedulerTest, NestedParallelForInsideRunAllDoesNotDeadlock) {
-  // The RunBatch shape: query tasks saturate the pool, each fanning out
+  // The ExecuteBatch shape: query tasks saturate the pool, each fanning out
   // morsels on the same pool. Work-sharing (callers claim morsels too)
   // must keep this live even with a single pool thread.
   Scheduler pool(1);

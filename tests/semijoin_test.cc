@@ -6,6 +6,7 @@
 
 #include "src/common/hash.h"
 #include "src/dissociation/propagation.h"
+#include "src/engine/query_engine.h"
 #include "src/exec/bloom.h"
 #include "src/exec/semijoin.h"
 #include "src/workload/random_instance.h"
@@ -15,6 +16,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::PrepareAndExecute;
 using testing_util::Q;
 
 TEST(SemiJoinTest, RemovesDanglingTuples) {
@@ -136,8 +138,10 @@ TEST(SemiJoinTest, PreservesAnswersAndScoresOnRandomInstances) {
     plain.opt3_semijoin_reduction = false;
     PropagationOptions with_sj;
     with_sj.opt3_semijoin_reduction = true;
-    auto a = PropagationScore(db, q, plain);
-    auto b = PropagationScore(db, q, with_sj);
+    QueryEngine plain_engine = QueryEngine::Borrow(db, {.propagation = plain});
+    QueryEngine sj_engine = QueryEngine::Borrow(db, {.propagation = with_sj});
+    auto a = PrepareAndExecute(plain_engine, q);
+    auto b = PrepareAndExecute(sj_engine, q);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a->answers.size(), b->answers.size()) << q.ToString();

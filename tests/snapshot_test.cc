@@ -367,8 +367,11 @@ TEST(SnapshotTest, StaleResultEntriesAreSweptOnCommitUnlessSnapshotHeld) {
   QueryEngine engine = QueryEngine::Borrow(db);
   ConjunctiveQuery q = Q("q() :- R(x), S(x,y), T(y)");
 
-  auto r1 = engine.RunBatch(std::vector<ConjunctiveQuery>{q, q});
-  ASSERT_TRUE(r1.ok());
+  auto prepared = engine.Prepare(q);
+  ASSERT_TRUE(prepared.ok());
+  for (const auto& r : engine.ExecuteBatch({*prepared, *prepared})) {
+    ASSERT_TRUE(r.ok());
+  }
   ASSERT_GT(engine.stats().result_cache_entries, 0u);
 
   // A held snapshot of the cached version keeps its entries alive through

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/engine/query_engine.h"
 #include "src/query/cq.h"
 #include "src/query/parser.h"
 #include "src/storage/columnar.h"
@@ -54,6 +55,16 @@ inline void AddTable(Database* db, const std::string& name, int arity,
   }
   auto r = db->AddTable(std::move(t));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+}
+
+/// Prepare + Execute: compiles `query` (datalog text or a parsed query) on
+/// `engine` and executes it once with `bindings`.
+template <class Query>
+Result<QueryResult> PrepareAndExecute(QueryEngine& engine, const Query& query,
+                                      const Bindings& bindings = {}) {
+  auto prepared = engine.Prepare(query);
+  if (!prepared.ok()) return prepared.status();
+  return engine.Execute(*prepared, bindings);
 }
 
 /// The VarMask of named variables in q.
