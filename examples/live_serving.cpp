@@ -12,6 +12,7 @@
 // Build & run:  ./live_serving
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <thread>
 
@@ -76,8 +77,8 @@ int main() {
     if (!pin.ok() || !live.ok() || !async.ok()) return 1;
     const Snapshot now = db.snapshot();
     std::printf(
-        "round %d | pinned top: u=%lld %.6f (stable) | live@v%llu top: "
-        "u=%lld %.6f (%zu answers)\n",
+        "round %d | pinned top: u=%" PRId64 " %.6f (stable) | live@v%llu "
+        "top: u=%" PRId64 " %.6f (%zu answers)\n",
         round, pin->answers[0].tuple[0].AsInt64(), pin->answers[0].score,
         static_cast<unsigned long long>(now.version()),
         live->answers[0].tuple[0].AsInt64(), live->answers[0].score,
@@ -94,11 +95,11 @@ int main() {
   EngineStats s = engine.stats();
   std::printf(
       "\nafter serving: version %llu, result cache %zu entries "
-      "(%zu delta-maintained across append-only commits, %zu swept, "
-      "%zu version-stale evictions), oldest live snapshot v%llu\n",
+      "(%zu delta-maintained across append-only commits, %zu swept), "
+      "oldest live snapshot v%llu\n",
       static_cast<unsigned long long>(db.version()),
       s.result_cache_entries, s.result_cache_delta_maintained,
-      s.result_cache_swept, s.result_cache_stale_evictions,
+      s.result_cache_swept,
       static_cast<unsigned long long>(db.OldestLiveSnapshotVersion()));
   // Scheduler telemetry: queue-wait and run-time histograms per task class
   // ("query" = pooled executions), the raw data for tail-latency work.

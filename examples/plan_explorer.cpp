@@ -208,11 +208,10 @@ int main(int argc, char** argv) {
                 s.plan_cache_hits, s.plan_cache_misses, s.canonical_remaps,
                 s.canonical_remap_hits);
     std::printf("  result cache:       %zu hits, %zu misses, %zu in-flight "
-                "waits, %zu evictions (%zu version-stale sweeps), "
-                "%zu entries\n",
+                "waits, %zu evictions, %zu entries\n",
                 s.result_cache_hits, s.result_cache_misses,
                 s.result_cache_in_flight_waits, s.result_cache_evictions,
-                s.result_cache_stale_evictions, s.result_cache_entries);
+                s.result_cache_entries);
     std::printf("  commit pipeline:    %zu entries delta-maintained across "
                 "append-only commits, %zu swept\n",
                 s.result_cache_delta_maintained, s.result_cache_swept);

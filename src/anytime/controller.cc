@@ -194,7 +194,7 @@ Result<AnytimeOutput> RunAnytime(const AnytimeInput& in,
     }
     auto evaluated =
         EvaluatePlans(in.snap, q, *in.compiled, in.overrides, in.scheduler,
-                      /*result_cache=*/nullptr, /*delta_recipes=*/false, lane2,
+                      /*result_cache=*/nullptr, lane2,
                       in.trace, bounds_span.id());
     if (!evaluated.ok()) return evaluated.status();
     out.nodes_evaluated = evaluated->nodes_evaluated;

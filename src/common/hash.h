@@ -4,8 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 namespace dissodb {
 
@@ -21,23 +19,6 @@ inline uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Hashes a contiguous range of integer-like values.
-template <typename It>
-size_t HashRange(It begin, It end) {
-  size_t seed = 0x51ed270b;
-  for (It it = begin; it != end; ++it) {
-    HashCombine(&seed, static_cast<size_t>(Mix64(static_cast<uint64_t>(*it))));
-  }
-  return seed;
-}
-
-template <typename T>
-struct VectorHash {
-  size_t operator()(const std::vector<T>& v) const {
-    return HashRange(v.begin(), v.end());
-  }
-};
 
 }  // namespace dissodb
 

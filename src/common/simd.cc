@@ -1,26 +1,20 @@
 #include "src/common/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace dissodb {
 namespace simd {
 
 namespace {
 
-bool DetectAvx2() {
+/// Startup decision, computed once; the test override only narrows it.
+bool StartupAvx2() {
 #if DISSODB_SIMD_COMPILED
-  if (std::getenv("DISSODB_DISABLE_SIMD") != nullptr) return false;
-  return __builtin_cpu_supports("avx2");
+  static const bool available = __builtin_cpu_supports("avx2");
+  return available;
 #else
   return false;
 #endif
-}
-
-/// Startup decision, computed once; the test override only narrows it.
-bool StartupAvx2() {
-  static const bool available = DetectAvx2();
-  return available;
 }
 
 std::atomic<bool>& TestOverrideOff() {
@@ -29,29 +23,6 @@ std::atomic<bool>& TestOverrideOff() {
 }
 
 }  // namespace
-
-namespace {
-
-std::atomic<int>& GatherOverride() {
-  static std::atomic<int> v{-1};  // -1 none, 0 forced off, 1 forced on
-  return v;
-}
-
-}  // namespace
-
-bool Avx2Available() { return StartupAvx2(); }
-
-bool UseHardwareGather() {
-  if (!UseAvx2()) return false;
-  const int ov = GatherOverride().load(std::memory_order_relaxed);
-  if (ov >= 0) return ov != 0;
-  static const bool opt_in = std::getenv("DISSODB_SIMD_GATHER") != nullptr;
-  return opt_in;
-}
-
-void SetHardwareGatherForTesting(bool enabled) {
-  GatherOverride().store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 bool UseAvx2() {
   return StartupAvx2() && !TestOverrideOff().load(std::memory_order_relaxed);

@@ -1,29 +1,26 @@
 // Runtime SIMD dispatch for the operator hot paths.
 //
-// The vectorized kernels (AVX2 batch hashing, selection-vector gathers,
-// fused probability accumulation) live next to their scalar reference
-// implementations and are selected per call through UseAvx2(). Three
-// independent gates compose:
+// The vectorized kernels (AVX2 batch hashing, fused probability
+// accumulation) live next to their scalar reference implementations and
+// are selected per call through UseAvx2(). Three independent gates
+// compose:
 //
 //   - Compile time: the DISSODB_SIMD CMake option (default ON). When OFF,
-//     DISSODB_DISABLE_SIMD_BUILD is defined, no intrinsics are compiled,
-//     and UseAvx2() is constant-false — the scalar-fallback CI job builds
-//     this way (plus UBSan) so the reference path stays a complete build.
-//   - Startup: the DISSODB_DISABLE_SIMD environment variable forces the
-//     scalar path in a SIMD-capable binary (differential oracle runs),
-//     and the CPUID check keeps non-AVX2 machines on the scalar path.
+//     DISSODB_SCALAR_BUILD is defined, no intrinsics are compiled, and
+//     UseAvx2() is constant-false — the scalar-fallback CI job builds this
+//     way (plus UBSan) so the reference path stays a complete build.
+//   - Startup: the CPUID check keeps non-AVX2 machines on the scalar path.
 //   - Test: SetSimdEnabledForTesting() flips dispatch mid-process so
 //     differential tests can run both paths in one binary.
 //
-// Contract: hashing and gathers are bit-exact between paths (integer
-// lanes); the fused probability accumulation is allowed a documented ULP
-// tolerance (see ProjectIndependent) but is deterministic run-to-run —
-// lane assignment and reduction order are fixed, never data- or
-// thread-dependent.
+// Contract: hashing is bit-exact between paths (integer lanes); the fused
+// probability accumulation is allowed a documented ULP tolerance (see
+// ProjectIndependent) but is deterministic run-to-run — lane assignment
+// and reduction order are fixed, never data- or thread-dependent.
 #ifndef DISSODB_COMMON_SIMD_H_
 #define DISSODB_COMMON_SIMD_H_
 
-#if !defined(DISSODB_DISABLE_SIMD_BUILD) && defined(__x86_64__) && \
+#if !defined(DISSODB_SCALAR_BUILD) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define DISSODB_SIMD_COMPILED 1
 #else
@@ -34,34 +31,14 @@ namespace dissodb {
 namespace simd {
 
 /// True iff the AVX2 kernels are compiled in, the CPU supports them, and
-/// neither DISSODB_DISABLE_SIMD nor a test override forces scalar.
-/// A relaxed atomic load — cheap enough to consult once per span/batch
-/// (never per element).
+/// no test override forces scalar. A relaxed atomic load — cheap enough
+/// to consult once per span/batch (never per element).
 bool UseAvx2();
 
 /// Forces dispatch for differential tests: `false` pins the scalar
 /// reference path; `true` restores the startup decision (which may still
-/// be scalar on non-AVX2 hardware or under DISSODB_DISABLE_SIMD).
+/// be scalar on non-AVX2 hardware).
 void SetSimdEnabledForTesting(bool enabled);
-
-/// The startup decision itself (compiled + CPU + env), independent of any
-/// test override. Tests use this to know whether a SIMD-vs-scalar
-/// comparison is actually exercising two different paths.
-bool Avx2Available();
-
-/// Hardware-gather (vpgatherqq) dispatch for selection-vector gathers.
-/// Off by default even with AVX2: on Skylake-derived servers the Downfall
-/// (GDS) microcode mitigation makes hardware gathers several times slower
-/// than a prefetched scalar loop, so the fast default is scalar and the
-/// vector kernel is opt-in via DISSODB_SIMD_GATHER=1 for unaffected CPUs.
-/// Requires UseAvx2() — the AVX2 gates above still apply.
-bool UseHardwareGather();
-
-/// Forces the hardware-gather decision for differential tests (the kernel
-/// must stay correct even where it is not the default): `true`/`false`
-/// overrides, and tests restore the startup decision by re-running with
-/// the opposite flag around the scalar capture.
-void SetHardwareGatherForTesting(bool enabled);
 
 }  // namespace simd
 }  // namespace dissodb

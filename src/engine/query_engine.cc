@@ -141,8 +141,8 @@ void QueryEngine::OnCommit(const CommitInfo& info) {
   if (info.append_only && info.appended_rows > 0) {
     m_commit_append_ns_per_row_->Record(info.commit_ns / info.appended_rows);
   }
-  if (info.append_only && opts_.delta_maintain_results &&
-      opts_.delta_maintain_limit > 0 && result_cache_ != nullptr) {
+  if (info.append_only && opts_.delta_maintain_limit > 0 &&
+      result_cache_ != nullptr) {
     MaintainCacheEntries(info);
   }
   SweepStaleResults();
@@ -175,10 +175,7 @@ void QueryEngine::MaintainCacheEntries(const CommitInfo& info) {
                        std::move(m->recipe));
     ++maintained;
   }
-  if (maintained > 0) {
-    result_cache_->NoteDeltaMaintained(maintained);
-    m_delta_maintained_->Add(maintained);
-  }
+  if (maintained > 0) m_delta_maintained_->Add(maintained);
 }
 
 void QueryEngine::SweepStaleResults() {
@@ -520,8 +517,8 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
     obs::ScopedSpan eval_span(trace, "evaluate", root);
     auto evaluated = EvaluatePlans(
         snap, *exec_q, *impl.compiled, effective, scheduler,
-        use_result_cache ? result_cache_.get() : nullptr,
-        opts_.delta_maintain_results, /*lane2=*/{}, trace, eval_span.id());
+        use_result_cache ? result_cache_.get() : nullptr, /*lane2=*/{},
+        trace, eval_span.id());
     if (!evaluated.ok()) return evaluated.status();
     result.nodes_evaluated = evaluated->nodes_evaluated;
     result.result_cache_hits = evaluated->result_cache_hits;
@@ -786,8 +783,7 @@ EngineStats QueryEngine::stats() const {
     s.result_cache_misses = rc.misses;
     s.result_cache_in_flight_waits = rc.in_flight_waits;
     s.result_cache_evictions = rc.evictions;
-    s.result_cache_stale_evictions = rc.stale_evictions;
-    s.result_cache_delta_maintained = rc.delta_maintained;
+    s.result_cache_delta_maintained = m_delta_maintained_->Value();
     s.result_cache_swept = m_swept_->Value();
     s.result_cache_entries = rc.entries;
   }

@@ -86,15 +86,14 @@ struct EngineOptions {
   /// Max cached Opt. 3 semi-join reductions, keyed by (executed query,
   /// database version, binding tags); 0 disables reduction reuse.
   size_t reduction_cache_capacity = 64;
-  /// Delta-maintain hot result-cache entries across append-only commits:
-  /// instead of sweeping an entry the commit made stale, re-evaluate its
-  /// subplan over just the appended rows and republish the merged relation
-  /// at the new version (bit-identical to a from-scratch evaluation; see
-  /// src/serve/delta_maintenance.h). Non-append commits and unsupported
-  /// plan shapes fall back to the ordinary sweep.
-  bool delta_maintain_results = true;
-  /// Max entries rolled forward per commit, hottest (most recently used)
-  /// first; the rest fall to the sweep.
+  /// Delta-maintain up to this many hot result-cache entries per
+  /// append-only commit, hottest (most recently used) first: instead of
+  /// sweeping an entry the commit made stale, re-evaluate its subplan over
+  /// just the appended rows and republish the merged relation at the new
+  /// version (bit-identical to a from-scratch evaluation; see
+  /// src/serve/delta_maintenance.h). The rest, non-append commits and
+  /// unsupported plan shapes fall to the ordinary sweep; 0 turns
+  /// maintenance off.
   size_t delta_maintain_limit = 64;
   /// Worker threads for Submit / batches / morsel-parallel operators;
   /// 0 = hardware concurrency. The pool starts lazily on first use.
@@ -127,14 +126,12 @@ struct EngineStats {
   /// instead of duplicating it (in-flight dedup).
   size_t result_cache_in_flight_waits = 0;
   size_t result_cache_evictions = 0;
-  /// Entries swept at commit time because their version is older than the
-  /// oldest live snapshot (no execution can ever request them again).
-  size_t result_cache_stale_evictions = 0;
   /// Entries rolled forward to the new version by delta maintenance after
   /// an append-only commit (served as hits instead of recomputed).
   size_t result_cache_delta_maintained = 0;
-  /// Entries dropped by the commit-time sweep (same count the
-  /// engine.result_cache.swept counter exports).
+  /// Entries swept at commit time because their version is older than the
+  /// oldest live snapshot, so no execution can ever request them again
+  /// (same count the engine.result_cache.swept counter exports).
   size_t result_cache_swept = 0;
   size_t result_cache_entries = 0;
   size_t reduction_cache_hits = 0;    ///< Opt. 3 reductions served cached

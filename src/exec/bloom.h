@@ -43,12 +43,6 @@ class BlockedBloomFilter {
            (block[Word2(h)] & Bit2(h)) != 0;
   }
 
-  /// Fetches the key's block into cache ahead of MayContain; the filter
-  /// usually fits in L2, so a short lookahead suffices.
-  void Prefetch(uint64_t h) const { __builtin_prefetch(BlockFor(h), 0, 1); }
-
-  size_t num_blocks() const { return block_mask_ + 1; }
-
  private:
   // Block from the high 32 bits; word/bit indices from disjoint slices of
   // the low bits (FlatHashIndex buckets on the low bits too, but a Mix64-

@@ -156,7 +156,7 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
   // entry (we lead), touches no overridden atoms, and the root has a
   // maintainable shape. Decided up front so the projection branch can
   // capture its raw accumulators.
-  const bool want_recipe = delta_recipes_ && !lead.resolved &&
+  const bool want_recipe = !lead.resolved &&
                            (PlanAtomSet(plan) & override_atoms_) == 0 &&
                            DeltaMaintainableShape(plan);
   std::vector<double> recipe_acc;
@@ -367,7 +367,7 @@ Result<Rel> EvaluatePlansSeparately(
 Result<EvaluatedPlans> EvaluatePlans(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const CompiledPlans& compiled, const AtomOverrides& overrides,
-    Scheduler* scheduler, ResultCache* result_cache, bool delta_recipes,
+    Scheduler* scheduler, ResultCache* result_cache,
     const std::vector<WeightsPtr>& lane2, obs::TraceContext* trace,
     uint32_t trace_parent) {
   if (compiled.single_plan != nullptr) {
@@ -375,10 +375,7 @@ Result<EvaluatedPlans> EvaluatePlans(
     for (const auto& [idx, ov] : overrides) {
       ev.SetAtomTable(idx, ov.table, ov.tag);
     }
-    if (result_cache != nullptr) {
-      ev.SetResultCache(result_cache, snap.version());
-      ev.EnableDeltaRecipes(delta_recipes);
-    }
+    ev.SetResultCache(result_cache, snap.version());
     ev.SetScheduler(scheduler);
     ev.SetLane2Weights(lane2);
     if (trace != nullptr) ev.SetTrace(trace, trace_parent);

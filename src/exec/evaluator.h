@@ -76,7 +76,12 @@ class PlanEvaluator {
   /// Attaches the workload-shared result cache. `db_version` must be the
   /// version of the snapshot (Snapshot::version()) the evaluation runs
   /// against; entries are stored and matched under that stamp, so a held
-  /// snapshot keeps hitting its own entries across later commits.
+  /// snapshot keeps hitting its own entries across later commits. Entries
+  /// this evaluator publishes for maintainable root shapes —
+  /// project(scan), project(join(scan, scan)), join(scan, scan), no
+  /// overridden atoms, non-boolean projections — carry a DeltaRecipe so the
+  /// serving layer can roll them forward across append-only commits (see
+  /// src/serve/delta_maintenance.h).
   void SetResultCache(ResultCache* cache, uint64_t db_version) {
     result_cache_ = cache;
     db_version_ = db_version;
@@ -94,14 +99,6 @@ class PlanEvaluator {
   void SetLane2Weights(std::vector<WeightsPtr> lane2) {
     lane2_ = std::move(lane2);
   }
-
-  /// When enabled (and a result cache is attached), entries this evaluator
-  /// publishes for maintainable root shapes — project(scan),
-  /// project(join(scan, scan)), join(scan, scan), no overridden atoms,
-  /// non-boolean projections — carry a DeltaRecipe so the serving layer
-  /// can roll them forward across append-only commits (see
-  /// src/serve/delta_maintenance.h).
-  void EnableDeltaRecipes(bool on) { delta_recipes_ = on; }
 
   /// Attaches a trace context: every Evaluate call opens one span (named
   /// by node kind, scans by relation) under `parent`, annotated with row
@@ -166,7 +163,6 @@ class PlanEvaluator {
   ChunkedScanStats scan_stats_;
   ResultCache* result_cache_ = nullptr;
   uint64_t db_version_ = 0;
-  bool delta_recipes_ = false;
   Scheduler* scheduler_ = nullptr;
   std::vector<WeightsPtr> lane2_;  ///< empty: single-lane evaluation
   obs::TraceContext* trace_ = nullptr;
@@ -207,14 +203,14 @@ struct EvaluatedPlans {
 /// through one PlanEvaluator, or every minimal plan through
 /// EvaluatePlansSeparately, over `snap` with `overrides` (atom indices of
 /// `q`). A null `scheduler` runs sequentially. `result_cache` (single plan
-/// only; nullptr = none) exchanges subplans under snap.version(), with
-/// delta recipes when `delta_recipes`. A non-empty `lane2` turns on score
+/// only; nullptr = none) exchanges subplans, with their delta recipes,
+/// under snap.version(). A non-empty `lane2` turns on score
 /// lane 2; with a result cache too, evaluation fails with InvalidArgument.
 /// Spans go under `trace_parent` when `trace` is non-null.
 Result<EvaluatedPlans> EvaluatePlans(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const CompiledPlans& compiled, const AtomOverrides& overrides,
-    Scheduler* scheduler, ResultCache* result_cache, bool delta_recipes,
+    Scheduler* scheduler, ResultCache* result_cache,
     const std::vector<WeightsPtr>& lane2, obs::TraceContext* trace,
     uint32_t trace_parent);
 

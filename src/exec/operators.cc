@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 
@@ -385,18 +384,13 @@ struct JoinBuildIndex {
 };
 
 /// Join probes consult a build-side Bloom filter before touching the slot
-/// table (same DISSODB_DISABLE_BLOOM escape hatch as the semi-join
-/// reduction). The filter is worth a probe-side pre-check only while it
+/// table. The filter is worth a probe-side pre-check only while it
 /// actually rejects: each probe_range call watches the reject rate over
 /// its first blocks and drops the filter for the rest of the range when
 /// most probes pass anyway (high-hit-rate joins), keeping the overhead a
 /// bounded prefix. Consulting or dropping the filter never changes which
 /// chains are walked, so output is unaffected.
-bool JoinBloomEnabled() {
-  static const bool enabled = std::getenv("DISSODB_DISABLE_BLOOM") == nullptr;
-  return enabled;
-}
-
+///
 /// Probes checked before the reject-rate verdict, and the rate (in
 /// eighths) below which the filter is dropped: a rejected probe saves a
 /// slot-table miss (~3x the cost of the filter check), so the filter pays
@@ -493,7 +487,7 @@ Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
   // DRAM miss per probe. Built sequentially from the already-computed
   // build hashes; gated like the prefetches (tiny builds fit in cache).
   std::unique_ptr<BlockedBloomFilter> bloom;
-  if (want_prefetch && JoinBloomEnabled()) {
+  if (want_prefetch) {
     bloom = std::make_unique<BlockedBloomFilter>(bn);
     for (size_t r = 0; r < bn; ++r) bloom->Add(bh[r]);
   }

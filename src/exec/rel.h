@@ -34,8 +34,6 @@ class Rel : public ColumnarRows {
  public:
   explicit Rel(std::vector<VarId> vars);
 
-  static Rel ForMask(VarMask mask) { return Rel(MaskToVars(mask)); }
-
   /// Zero-copy constructor: adopts existing columns (one per var, ascending
   /// var order), a score column and an optional lane-2 column without
   /// copying payloads.

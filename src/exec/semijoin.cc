@@ -1,10 +1,7 @@
 #include "src/exec/semijoin.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -22,19 +19,7 @@ namespace {
 /// Build-side row count at which a reduction pair gets a blocked Bloom
 /// pre-filter in front of the hash-index probes. Below it the index is
 /// cache-resident and the filter is pure overhead.
-std::atomic<size_t>& BloomMinBuildRows() {
-  static std::atomic<size_t> threshold{[] {
-    if (std::getenv("DISSODB_DISABLE_BLOOM") != nullptr) {
-      return std::numeric_limits<size_t>::max();
-    }
-    if (const char* s = std::getenv("DISSODB_BLOOM_MIN_ROWS")) {
-      const long long v = std::atoll(s);
-      if (v >= 0) return static_cast<size_t>(v);
-    }
-    return size_t{4096};
-  }()};
-  return threshold;
-}
+constexpr size_t kBloomMinBuildRows = 4096;
 
 /// Positions (column indices) of the variables `vars` in atom `atom_idx`,
 /// using the first occurrence of each variable.
@@ -182,9 +167,8 @@ std::vector<uint32_t> SemiJoinSelect(const Table& ta,
   // no possible partner pays one filter cache line instead of an index
   // walk. No false negatives, so the surviving selection is identical
   // with or without it.
-  const size_t bloom_min = BloomMinBuildRows().load(std::memory_order_relaxed);
   std::unique_ptr<BlockedBloomFilter> bloom;
-  if (bn >= bloom_min) {
+  if (bn >= kBloomMinBuildRows) {
     bloom = std::make_unique<BlockedBloomFilter>(bn);
     for (uint64_t h : bh) bloom->Add(h);
     if (stats) ++stats->bloom_filters_built;
@@ -307,10 +291,6 @@ std::vector<Table> ReduceResolved(std::vector<AtomInput> inputs,
 }
 
 }  // namespace
-
-void SetSemiJoinBloomMinRowsForTesting(size_t rows) {
-  BloomMinBuildRows().store(rows, std::memory_order_relaxed);
-}
 
 Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,

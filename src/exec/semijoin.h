@@ -16,8 +16,8 @@
 //     is set. Dense integer ids and dictionary-coded strings qualify.
 //   - hashed: every other pair (doubles, wide or zero-straddling integers,
 //     multi-column keys, mixed-type columns) hashes both sides, indexes b,
-//     and probes a, with a blocked Bloom pre-filter in front of large
-//     build sides.
+//     and probes a, with a blocked Bloom pre-filter in front of build
+//     sides of at least 4096 rows.
 // Both keep exactly the rows of a whose key equals some key of b, in
 // ascending order.
 #ifndef DISSODB_EXEC_SEMIJOIN_H_
@@ -68,12 +68,6 @@ Result<std::vector<Table>> SemiJoinReduce(
     const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides = {},
     SemiJoinStats* stats = nullptr);
-
-/// Overrides the build-side row count at which reductions add a Bloom
-/// pre-filter (default 4096; env DISSODB_BLOOM_MIN_ROWS overrides the
-/// default, DISSODB_DISABLE_BLOOM disables the filter entirely). Tests use
-/// 1 to force filters onto tiny inputs and SIZE_MAX to force them off.
-void SetSemiJoinBloomMinRowsForTesting(size_t rows);
 
 }  // namespace dissodb
 

@@ -83,13 +83,6 @@ VarMask ConjunctiveQuery::AllVarsMask() const {
   return m;
 }
 
-int ConjunctiveQuery::AtomIndexForRelation(const std::string& name) const {
-  for (int i = 0; i < num_atoms(); ++i) {
-    if (atoms_[i].relation == name) return i;
-  }
-  return -1;
-}
-
 std::string ConjunctiveQuery::ToString() const {
   std::string out = name_ + "(";
   for (size_t i = 0; i < head_vars_.size(); ++i) {

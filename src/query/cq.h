@@ -96,9 +96,6 @@ class ConjunctiveQuery {
   /// Existential variables: AllVars minus head.
   VarMask EVarMask() const { return AllVarsMask() & ~HeadMask(); }
 
-  /// Index of the atom using relation `name`, or -1.
-  int AtomIndexForRelation(const std::string& name) const;
-
   /// Renders "q(z) :- R(z,x), S(x,y)" (string constants print as 'str#k'
   /// unless a pool-aware printer is used).
   std::string ToString() const;

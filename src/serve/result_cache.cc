@@ -137,15 +137,6 @@ size_t ResultCache::EvictOlderThan(uint64_t min_live_version) {
   return swept;
 }
 
-void ResultCache::Clear() {
-  std::lock_guard lock(mu_);
-  map_.clear();
-  lru_.clear();
-  min_entry_version_ = ~uint64_t{0};
-  // In-flight computations are left to their leaders: Complete/Abandon
-  // still finds (or tolerates missing) entries and waiters still wake.
-}
-
 std::vector<ResultCache::MaintainCandidate> ResultCache::CollectMaintainable(
     uint64_t version, size_t limit) const {
   std::vector<MaintainCandidate> out;
@@ -166,11 +157,6 @@ std::vector<ResultCache::MaintainCandidate> ResultCache::CollectMaintainable(
   return out;
 }
 
-void ResultCache::NoteDeltaMaintained(size_t n) {
-  std::lock_guard lock(mu_);
-  delta_maintained_ += n;
-}
-
 ResultCacheStats ResultCache::stats() const {
   std::lock_guard lock(mu_);
   ResultCacheStats s;
@@ -179,7 +165,6 @@ ResultCacheStats ResultCache::stats() const {
   s.in_flight_waits = in_flight_waits_;
   s.evictions = evictions_;
   s.stale_evictions = stale_evictions_;
-  s.delta_maintained = delta_maintained_;
   s.entries = map_.size();
   return s;
 }

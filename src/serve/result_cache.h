@@ -46,9 +46,6 @@ struct ResultCacheStats {
   /// versions no held snapshot can request anymore). Also counted in
   /// `evictions`.
   size_t stale_evictions = 0;
-  /// Entries republished at a newer version by delta maintenance instead
-  /// of being recomputed (see NoteDeltaMaintained).
-  size_t delta_maintained = 0;
   size_t entries = 0;
 };
 
@@ -117,10 +114,6 @@ class ResultCache {
   std::vector<MaintainCandidate> CollectMaintainable(uint64_t version,
                                                      size_t limit) const;
 
-  /// Counts `n` entries as delta-maintained (stats().delta_maintained).
-  void NoteDeltaMaintained(size_t n);
-
-  void Clear();
   ResultCacheStats stats() const;
   size_t capacity() const { return capacity_; }
 
@@ -164,7 +157,6 @@ class ResultCache {
   size_t in_flight_waits_ = 0;
   size_t evictions_ = 0;
   size_t stale_evictions_ = 0;
-  size_t delta_maintained_ = 0;
 };
 
 }  // namespace dissodb

@@ -78,15 +78,6 @@ void Scheduler::WorkerLoop() {
   }
 }
 
-void Scheduler::Submit(std::function<void()> fn, const char* task_class) {
-  const uint64_t now = obs::NowNanos();
-  {
-    std::lock_guard lock(mu_);
-    queue_.push_back(QueuedTask{std::move(fn), now, MetricsFor(task_class)});
-  }
-  cv_.notify_one();
-}
-
 void Scheduler::Submit(std::function<void()> fn, const char* task_class,
                        std::shared_ptr<const CancelToken> token,
                        std::function<void()> done) {

@@ -87,9 +87,8 @@ class Scheduler {
   /// Enqueues `fn` for execution on some pool thread. `task_class` labels
   /// the queue-wait / run-time histograms the task records into; reuse a
   /// small set of stable names ("query", "helper", default "task").
-  void Submit(std::function<void()> fn, const char* task_class = "task");
-
-  /// Cancellable Submit: `fn` is skipped (never invoked) when `token` is
+  ///
+  /// With a `token`, `fn` is skipped (never invoked) when the token is
   /// already cancelled at the moment the task would start — counted in
   /// scheduler.tasks_cancelled instead of the run histogram. `done`, when
   /// non-null, is invoked exactly once either way (after `fn` returns and
@@ -97,8 +96,8 @@ class Scheduler {
   /// controller can join on a round of cancellable tasks without futures
   /// that a skip would leave unresolved, and a caller woken by `done` sees
   /// the task in the telemetry.
-  void Submit(std::function<void()> fn, const char* task_class,
-              std::shared_ptr<const CancelToken> token,
+  void Submit(std::function<void()> fn, const char* task_class = "task",
+              std::shared_ptr<const CancelToken> token = nullptr,
               std::function<void()> done = nullptr);
 
   /// Tasks skipped because their token was cancelled before they started.

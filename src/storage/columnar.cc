@@ -66,8 +66,8 @@ std::vector<const uint64_t*> ChunkBases(const Column& c) {
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels (runtime-dispatched; see src/common/simd.h). Every kernel is
-// elementwise-exact against its scalar fallback: hashing and gathering are
-// pure integer lane arithmetic, and the zone-map min/max is order-free.
+// elementwise-exact against its scalar fallback: hashing is pure integer
+// lane arithmetic.
 // ---------------------------------------------------------------------------
 
 /// Low 64 bits of a 64x64 multiply by the constant `c`, per lane. AVX2 has
@@ -134,97 +134,19 @@ __attribute__((target("avx2"))) void HashCombineAvx2(const uint64_t* bits,
   }
 }
 
-/// out[k] = bases[sel[k] >> shift][sel[k] & mask], 4 lanes at a time. Two
-/// chained hardware gathers: first the per-chunk base pointers (a tiny,
-/// cache-resident table), then the payloads themselves via absolute
-/// addresses (null base, scale 1) — which makes the kernel indifferent to
-/// how the selection scatters across chunks.
-__attribute__((target("avx2"))) void GatherBitsAvx2(
-    const uint64_t* const* bases, uint32_t shift, uint64_t mask,
-    const uint32_t* sel, size_t n, uint64_t* out) {
-  const __m256i maskv = _mm256_set1_epi64x(static_cast<int64_t>(mask));
-  const __m128i shiftv = _mm_cvtsi32_si128(static_cast<int>(shift));
-  size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i s32 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + k));
-    const __m256i s = _mm256_cvtepu32_epi64(s32);
-    const __m256i ci = _mm256_srl_epi64(s, shiftv);
-    const __m256i local = _mm256_and_si256(s, maskv);
-    const __m256i base = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(bases), ci, 8);
-    const __m256i addr =
-        _mm256_add_epi64(base, _mm256_slli_epi64(local, 3));
-    const __m256i v = _mm256_i64gather_epi64(
-        static_cast<const long long*>(nullptr), addr, 1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), v);
-  }
-  for (; k < n; ++k) {
-    const uint32_t r = sel[k];
-    out[k] = bases[r >> shift][r & mask];
-  }
-}
-
-/// Merges the unsigned min/max of data[0..n) into *mn_io / *mx_io. AVX2
-/// lacks unsigned 64-bit min/max; flip the sign bit and compare signed.
-/// Min/max are order-free, so lane accumulation is exact.
-__attribute__((target("avx2"))) void MinMaxU64Avx2(const uint64_t* data,
-                                                   size_t n, uint64_t* mn_io,
-                                                   uint64_t* mx_io) {
-  uint64_t mn = *mn_io;
-  uint64_t mx = *mx_io;
-  size_t k = 0;
-  if (n >= 4) {
-    const __m256i sign =
-        _mm256_set1_epi64x(static_cast<int64_t>(0x8000000000000000ULL));
-    __m256i mnv = _mm256_set1_epi64x(-1);
-    __m256i mxv = _mm256_setzero_si256();
-    for (; k + 4 <= n; k += 4) {
-      const __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + k));
-      const __m256i vs = _mm256_xor_si256(v, sign);
-      mnv = _mm256_blendv_epi8(
-          mnv, v, _mm256_cmpgt_epi64(_mm256_xor_si256(mnv, sign), vs));
-      mxv = _mm256_blendv_epi8(
-          mxv, v, _mm256_cmpgt_epi64(vs, _mm256_xor_si256(mxv, sign)));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mnv);
-    for (uint64_t l : lanes) mn = std::min(mn, l);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mxv);
-    for (uint64_t l : lanes) mx = std::max(mx, l);
-  }
-  for (; k < n; ++k) {
-    mn = std::min(mn, data[k]);
-    mx = std::max(mx, data[k]);
-  }
-  *mn_io = mn;
-  *mx_io = mx;
-}
-
 #endif  // DISSODB_SIMD_COMPILED
 
 /// Gathers `n` payloads selected by `sel` into `out` and merges their
-/// min/max into *mn_io / *mx_io (zone-map maintenance). All paths produce
-/// bit-identical payloads and zone maps.
+/// min/max into *mn_io / *mx_io (zone-map maintenance).
 ///
-/// The default path is a scalar loop with a fixed software-prefetch
-/// lookahead: the selection is random-access into a source that usually
-/// exceeds L2, and issuing the load address kGatherLookahead elements
-/// early overlaps the misses. The vpgatherqq kernel is dispatched only
-/// under simd::UseHardwareGather() — measured on GDS-mitigated Xeons the
-/// hardware gather is ~3x slower than this loop, so it is opt-in for
-/// unaffected CPUs rather than the AVX2 default.
+/// A scalar loop with a fixed software-prefetch lookahead: the selection
+/// is random-access into a source that usually exceeds L2, and issuing the
+/// load address kGatherLookahead elements early overlaps the misses.
+/// Hardware gathers (AVX2 vpgatherqq) measured 1.6-6.5x slower than this
+/// loop at every size tried, so there is no vector path.
 void GatherWithZoneMap(const uint64_t* const* bases, uint32_t shift,
                        uint64_t mask, const uint32_t* sel, size_t n,
                        uint64_t* out, uint64_t* mn_io, uint64_t* mx_io) {
-#if DISSODB_SIMD_COMPILED
-  if (n >= 8 && simd::UseHardwareGather()) {
-    GatherBitsAvx2(bases, shift, mask, sel, n, out);
-    MinMaxU64Avx2(out, n, mn_io, mx_io);
-    return;
-  }
-#endif
   uint64_t mn = *mn_io;
   uint64_t mx = *mx_io;
   constexpr size_t kGatherLookahead = 16;

@@ -149,10 +149,6 @@ class Column {
   std::span<const uint64_t> ChunkBits(size_t ci) const {
     return chunks_[ci]->bits;
   }
-  /// Empty iff the chunk (and column) is type-uniform.
-  std::span<const uint8_t> ChunkTags(size_t ci) const {
-    return chunks_[ci]->tags;
-  }
   uint64_t ChunkMinBits(size_t ci) const { return chunks_[ci]->min_bits; }
   uint64_t ChunkMaxBits(size_t ci) const { return chunks_[ci]->max_bits; }
   /// The shared chunk handle (zone maps, sharing tests, NUMA/spill hooks).

@@ -31,7 +31,6 @@ class Table : public ColumnarRows {
   }
 
   const RelationSchema& schema() const { return schema_; }
-  RelationSchema* mutable_schema() { return &schema_; }
 
   int arity() const { return schema_.arity(); }
 

@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/exec/operators.h"
 #include "src/exec/semijoin.h"
+#include "src/serve/scheduler.h"
 #include "src/workload/random_instance.h"
 #include "src/workload/tpch.h"
 #include "tests/reference_ops.h"
@@ -32,19 +33,28 @@ using testing_util::ToRef;
 
 constexpr int kInstances = 120;
 
-/// Random relation over `vars` with values in [1, domain] and U[0,1] scores.
-Rel RandomRel(Rng* rng, const std::vector<VarId>& vars, size_t max_rows,
-              int64_t domain) {
+/// Exactly `rows` rows over `vars`; column c is drawn from [1, domains[c]]
+/// and scores from U[0,1].
+Rel SizedRel(Rng* rng, const std::vector<VarId>& vars, size_t rows,
+             const std::vector<int64_t>& domains) {
   Rel out(vars);
-  size_t rows = rng->NextBounded(max_rows + 1);
   std::vector<Value> row(vars.size());
   for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < vars.size(); ++c) {
-      row[c] = Value::Int64(1 + static_cast<int64_t>(rng->NextBounded(domain)));
+      row[c] = Value::Int64(
+          1 + static_cast<int64_t>(rng->NextBounded(domains[c])));
     }
     out.AddRow(row, rng->NextDouble());
   }
   return out;
+}
+
+/// Random relation over `vars` with up to `max_rows` rows, values in
+/// [1, domain] and U[0,1] scores.
+Rel RandomRel(Rng* rng, const std::vector<VarId>& vars, size_t max_rows,
+              int64_t domain) {
+  const size_t rows = rng->NextBounded(max_rows + 1);
+  return SizedRel(rng, vars, rows, std::vector<int64_t>(vars.size(), domain));
 }
 
 /// Random sorted variable subset of 0..pool_size-1 with `count` members.
@@ -81,6 +91,27 @@ TEST(DifferentialTest, HashJoinMatchesNestedLoopReference) {
     Rel joined = HashJoin(a, b);
     ExpectSameRelation(ToRef(joined), RefJoin(ToRef(a), ToRef(b)),
                        "join seed " + std::to_string(seed));
+  }
+}
+
+TEST(DifferentialTest, BloomFilteredHashJoinMatchesReference) {
+  // The join puts a Bloom filter in front of build sides of at least 4096
+  // rows, and drops it after 8192 probes when it rejects fewer than 3 in
+  // 8. A 4500-row build side over 1024 keys, probed by 9000 rows, covers
+  // both regimes: probe keys spread over 10x the build's keys mostly
+  // dangle, so the filter stays on; probe keys over the build's keys
+  // almost all match, so the filter is dropped.
+  constexpr int64_t kBuildKeys = 1024;
+  Scheduler pool(4);
+  for (int64_t probe_keys : {10 * kBuildKeys, kBuildKeys}) {
+    Rng rng(6000 + probe_keys);
+    Rel build = SizedRel(&rng, {0, 1}, 4500, {1000, kBuildKeys});
+    Rel probe = SizedRel(&rng, {1, 2}, 9000, {probe_keys, 1000});
+    const RefRel want = RefJoin(ToRef(build), ToRef(probe));
+    const std::string context = "probe keys " + std::to_string(probe_keys);
+    ExpectSameRelation(ToRef(HashJoin(build, probe)), want, context);
+    ExpectSameRelation(ToRef(HashJoin(build, probe, &pool)), want,
+                       context + ", 4 threads");
   }
 }
 
@@ -401,11 +432,13 @@ enum class Matches { kSome, kNone };
 /// Reduces `query` over R (`r_rows` rows of `r_gen`) and S (`s_rows` rows
 /// of `s_gen`) for a few seeds. Each result must equal the reference, every
 /// pair must take `path`, and the reduction must keep some rows and drop
-/// others over the seeds (kSome) or empty every table (kNone).
+/// others over the seeds (kSome) or empty every table (kNone). When
+/// `bloom` is given, the seeds' Bloom counters are added to it.
 void ExpectReductionOnPath(const std::string& query, int arity, size_t r_rows,
                            const KeyGen& r_gen, size_t s_rows,
                            const KeyGen& s_gen, SemiJoinPath path,
-                           Matches matches, const std::string& context) {
+                           Matches matches, const std::string& context,
+                           SemiJoinStats* bloom = nullptr) {
   const ConjunctiveQuery q = Q(query);
   size_t kept = 0;
   size_t dropped = 0;
@@ -431,6 +464,10 @@ void ExpectReductionOnPath(const std::string& query, int arity, size_t r_rows,
     for (size_t i = 0; i < stats.rows_after.size(); ++i) {
       kept += stats.rows_after[i];
       dropped += stats.rows_before[i] - stats.rows_after[i];
+    }
+    if (bloom != nullptr) {
+      bloom->bloom_filters_built += stats.bloom_filters_built;
+      bloom->bloom_probes_skipped += stats.bloom_probes_skipped;
     }
   }
   if (matches == Matches::kSome) {
@@ -494,6 +531,16 @@ TEST(DenseSemiJoinTest, HashedKeysMatchReference) {
   ExpectReductionOnPath(kOneVarQuery, 1, 48, IntKeys(0, int64_t{1} << 23), 24,
                         IntKeys(0, int64_t{1} << 23), SemiJoinPath::kHashed,
                         Matches::kSome, "wide ints");
+  // The same on 6000 and 5000 rows: build sides of at least 4096 rows get
+  // a Bloom filter, and the half of either side's keys the other side
+  // lacks is rejected by it.
+  SemiJoinStats bloom;
+  ExpectReductionOnPath(kOneVarQuery, 1, 6000, IntKeys(0, int64_t{1} << 23),
+                        5000, IntKeys(32, int64_t{1} << 23),
+                        SemiJoinPath::kHashed, Matches::kSome,
+                        "wide ints, Bloom-sized", &bloom);
+  EXPECT_GE(bloom.bloom_filters_built, 1u);
+  EXPECT_GT(bloom.bloom_probes_skipped, 0u);
   // Keys on both sides of zero: the unsigned range covers almost 2^64.
   const KeyGen straddle = OneKey([](Rng* rng, Database*, size_t row) {
     const int64_t v = 1 + static_cast<int64_t>(rng->NextBounded(32));

@@ -408,36 +408,6 @@ TEST(SimdDifferentialTest, HashCombineRangeMatchesScalarAcrossChunkSeams) {
   }
 }
 
-TEST(SimdDifferentialTest, GatheredHardwareKernelMatchesScalar) {
-  ChunkCapOverride cap(8);
-  Rel in = RandomBinaryRel(0, 1, 43, 1'000'000, 9);  // 6 chunks
-  const Column& src = *in.col(1);
-  // Out-of-order, duplicated, seam-crossing selection at a lane-odd size.
-  std::vector<uint32_t> sel;
-  for (uint32_t k = 0; k < 37; ++k) sel.push_back((k * 19 + 5) % 43);
-  sel.push_back(7);
-  sel.push_back(7);
-
-  simd::SetHardwareGatherForTesting(false);
-  Column scalar = Column::Gathered(src, sel);
-  simd::SetHardwareGatherForTesting(true);
-  Column hw = Column::Gathered(src, sel);
-  simd::SetHardwareGatherForTesting(false);
-
-  ASSERT_EQ(scalar.size(), sel.size());
-  ASSERT_EQ(hw.size(), sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    ASSERT_EQ(hw.RawBits(i), scalar.RawBits(i)) << "i=" << i;
-    ASSERT_EQ(hw.RawBits(i), src.RawBits(sel[i])) << "i=" << i;
-  }
-  // Zone maps are rebuilt by the gather and must agree exactly too.
-  ASSERT_EQ(hw.num_chunks(), scalar.num_chunks());
-  for (size_t ci = 0; ci < hw.num_chunks(); ++ci) {
-    EXPECT_EQ(hw.ChunkMinBits(ci), scalar.ChunkMinBits(ci)) << "chunk " << ci;
-    EXPECT_EQ(hw.ChunkMaxBits(ci), scalar.ChunkMaxBits(ci)) << "chunk " << ci;
-  }
-}
-
 TEST(SimdDifferentialTest, HashJoinMatchesScalarBitForBit) {
   // Big enough to engage the prefetched + Bloom-filtered probe path and
   // the partitioned build; seeded so most probes miss (Bloom stays on).

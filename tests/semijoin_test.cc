@@ -18,6 +18,7 @@ namespace {
 using testing_util::AddTable;
 using testing_util::PrepareAndExecute;
 using testing_util::Q;
+using testing_util::WideKeyBloomDatabase;
 
 TEST(SemiJoinTest, RemovesDanglingTuples) {
   auto q = Q("q() :- R(x), S(x,y), T(y)");
@@ -206,64 +207,19 @@ TEST(BlockedBloomFilterTest, RejectsMostDisjointProbes) {
   EXPECT_LT(passed, probes * 15 / 100);
 }
 
-TEST(SemiJoinTest, BloomFilterDoesNotChangeReduction) {
-  Rng rng(79);
-  RandomQuerySpec qspec;
-  qspec.max_atoms = 4;
-  qspec.max_vars = 4;
-  for (int trial = 0; trial < 20; ++trial) {
-    ConjunctiveQuery q = RandomQuery(&rng, qspec);
-    Database db = RandomDatabaseFor(q, &rng);
-
-    SetSemiJoinBloomMinRowsForTesting(SIZE_MAX);
-    SemiJoinStats off_stats;
-    auto off = SemiJoinReduce(db.snapshot(), q, {}, &off_stats);
-    SetSemiJoinBloomMinRowsForTesting(1);
-    SemiJoinStats on_stats;
-    auto on = SemiJoinReduce(db.snapshot(), q, {}, &on_stats);
-    SetSemiJoinBloomMinRowsForTesting(4096);  // restore the default
-
-    ASSERT_TRUE(off.ok());
-    ASSERT_TRUE(on.ok());
-    EXPECT_EQ(off_stats.bloom_filters_built, 0u);
-    EXPECT_EQ(off_stats.bloom_probes_skipped, 0u);
-    ASSERT_EQ(off->size(), on->size());
-    for (size_t t = 0; t < off->size(); ++t) {
-      const Table& a = (*off)[t];
-      const Table& b = (*on)[t];
-      ASSERT_EQ(a.NumRows(), b.NumRows()) << q.ToString() << " table " << t;
-      for (size_t r = 0; r < a.NumRows(); ++r) {
-        for (int c = 0; c < a.NumCols(); ++c) {
-          ASSERT_EQ(a.At(r, c), b.At(r, c)) << q.ToString();
-        }
-        ASSERT_EQ(a.Weight(r), b.Weight(r)) << q.ToString();
-      }
-    }
-  }
-}
-
-TEST(SemiJoinTest, ForcedBloomFiltersReportStats) {
-  // Keys spread wider than the dense path's 2^22 range, so every pair is
-  // hashed and gets the forced filter.
-  constexpr int64_t k = int64_t{1} << 23;
+TEST(SemiJoinTest, BloomFiltersReportStats) {
+  // Build sides of 5000 rows get filters; half the probes dangle.
   auto q = Q("q() :- R(x), S(x,y), T(y)");
-  Database db;
-  AddTable(&db, "R", 1, {{{1 * k}, 0.5}, {{2 * k}, 0.5}, {{9 * k}, 0.5}});
-  AddTable(&db, "S", 2,
-           {{{1 * k, 4 * k}, 0.5},
-            {{2 * k, 5 * k}, 0.5},
-            {{3 * k, 6 * k}, 0.5}});
-  AddTable(&db, "T", 1, {{{4 * k}, 0.5}, {{7 * k}, 0.5}});
-  SetSemiJoinBloomMinRowsForTesting(1);
+  Database db = WideKeyBloomDatabase();
   SemiJoinStats stats;
   auto reduced = SemiJoinReduce(db.snapshot(), q, {}, &stats);
-  SetSemiJoinBloomMinRowsForTesting(4096);
   ASSERT_TRUE(reduced.ok());
-  // Same reduction as RemovesDanglingTuples, now through the filters.
-  EXPECT_EQ((*reduced)[0].NumRows(), 1u);
-  EXPECT_EQ((*reduced)[1].NumRows(), 1u);
-  EXPECT_EQ((*reduced)[2].NumRows(), 1u);
+  EXPECT_EQ((*reduced)[0].NumRows(), 1250u);
+  EXPECT_EQ((*reduced)[1].NumRows(), 1250u);
+  EXPECT_EQ((*reduced)[2].NumRows(), 1250u);
+  EXPECT_EQ(stats.dense_semijoins, 0u);
   EXPECT_GT(stats.bloom_filters_built, 0u);
+  EXPECT_GT(stats.bloom_probes_skipped, 0u);
 }
 
 }  // namespace

@@ -378,13 +378,13 @@ TEST(SnapshotTest, StaleResultEntriesAreSweptOnCommitUnlessSnapshotHeld) {
   // a commit (they are still servable for executions pinned to it).
   Snapshot held = db.snapshot();
   db.ScaleProbabilities(0.9);
-  EXPECT_EQ(engine.stats().result_cache_stale_evictions, 0u);
+  EXPECT_EQ(engine.stats().result_cache_swept, 0u);
   EXPECT_GT(engine.stats().result_cache_entries, 0u);
 
   // Dropping the snapshot and committing again sweeps them.
   held = Snapshot();
   db.ScaleProbabilities(0.9);
-  EXPECT_GT(engine.stats().result_cache_stale_evictions, 0u);
+  EXPECT_GT(engine.stats().result_cache_swept, 0u);
   EXPECT_EQ(engine.stats().result_cache_entries, 0u);
 }
 

@@ -57,6 +57,31 @@ inline void AddTable(Database* db, const std::string& name, int arity,
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
+/// R(x), S(x,y), T(y) with 5000 rows each, so reductions clear the
+/// semi-join's 4096-row Bloom rule. Keys are multiples of 2^23, wider than
+/// the dense path's 2^22 range, so every pair is hashed. In units of 2^23,
+/// half the keys of every pair dangle:
+///   R(x):   x in [0, 5000)
+///   S(x,y): (i + 2500, i) for i in [0, 5000)
+///   T(y):   y in [1250, 6250)
+/// Only x in [3750, 5000) and y in [1250, 2500) join all the way, so 1250
+/// rows of each relation survive the reduction.
+inline Database WideKeyBloomDatabase() {
+  constexpr int64_t k = int64_t{1} << 23;
+  constexpr int64_t n = 5000;
+  std::vector<std::pair<std::vector<int64_t>, double>> r, s, t;
+  for (int64_t i = 0; i < n; ++i) {
+    r.push_back({{i * k}, 0.5});
+    s.push_back({{(i + 2500) * k, i * k}, 0.5});
+    t.push_back({{(i + 1250) * k}, 0.5});
+  }
+  Database db;
+  AddTable(&db, "R", 1, r);
+  AddTable(&db, "S", 2, s);
+  AddTable(&db, "T", 1, t);
+  return db;
+}
+
 /// Prepare + Execute: compiles `query` (datalog text or a parsed query) on
 /// `engine` and executes it once with `bindings`.
 template <class Query>

@@ -30,6 +30,7 @@ using testing_util::Canonical;
 using testing_util::Q;
 using testing_util::RefJoin;
 using testing_util::ToRef;
+using testing_util::WideKeyBloomDatabase;
 
 Database RstDatabase() {
   Database db;
@@ -488,31 +489,16 @@ TEST(EngineTraceTest, SampledTracingRecordsOneInN) {
   EXPECT_EQ(engine.stats().traces_recorded, 3u);
 }
 
-/// RstDatabase with every key times 2^23: wider than the dense semi-join
-/// range, so every reduction pair is hashed and can get a Bloom filter.
-Database WideKeyRstDatabase() {
-  constexpr int64_t k = int64_t{1} << 23;
-  Database db;
-  AddTable(&db, "R", 1, {{{1 * k}, 0.7}, {{2 * k}, 0.5}});
-  AddTable(&db, "S", 2,
-           {{{1 * k, 10 * k}, 0.9}, {{1 * k, 20 * k}, 0.4},
-            {{2 * k, 20 * k}, 0.8}});
-  AddTable(&db, "T", 1, {{{10 * k}, 0.6}, {{20 * k}, 0.3}});
-  return db;
-}
-
 TEST(EngineTraceTest, SemiJoinSpanAndBloomStatsFlowIntoEngineStats) {
-  // Satellite: the reduction's Bloom counters used to be dropped per-call;
-  // they must now land in EngineStats and on the semijoin-reduce span.
-  SetSemiJoinBloomMinRowsForTesting(1);
-  Database db = WideKeyRstDatabase();
+  // The reduction's Bloom counters land in EngineStats and on the
+  // semijoin-reduce span. The 5000-row build sides get filters.
+  Database db = WideKeyBloomDatabase();
   EngineOptions opts;
   opts.propagation.opt3_semijoin_reduction = true;
   QueryEngine engine = QueryEngine::Borrow(db, opts);
   auto prepared = engine.Prepare("q(x) :- R(x), S(x,y), T(y)");
   ASSERT_TRUE(prepared.ok());
   auto res = engine.Execute(*prepared, Bindings().EnableTrace());
-  SetSemiJoinBloomMinRowsForTesting(4096);  // restore the default
   ASSERT_TRUE(res.ok());
 
   EngineStats stats = engine.stats();
