@@ -4,6 +4,10 @@
 // aggregate.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <tuple>
+
 #include "bench/bench_common.h"
 
 using namespace dissodb;        // NOLINT
@@ -11,14 +15,18 @@ using namespace dissodb::bench; // NOLINT
 
 namespace {
 
-Database* ChainDb(int k, size_t n) {
-  static std::map<std::pair<int, size_t>, std::unique_ptr<Database>> cache;
-  auto key = std::make_pair(k, n);
+/// A size-n k-chain database; `domain` 0 auto-tunes the value domain (about
+/// 3e10 at 1M rows, so joins and groupings over it hash their keys).
+Database* ChainDb(int k, size_t n, int64_t domain = 0) {
+  static std::map<std::tuple<int, size_t, int64_t>, std::unique_ptr<Database>>
+      cache;
+  auto key = std::make_tuple(k, n, domain);
   auto it = cache.find(key);
   if (it == cache.end()) {
     ChainSpec spec;
     spec.k = k;
     spec.n = n;
+    spec.domain = domain;
     spec.seed = 999;
     it = cache.emplace(key, std::make_unique<Database>(MakeChainDatabase(spec)))
              .first;
@@ -167,8 +175,8 @@ double MeasureScanMs(size_t n) {
   });
 }
 
-double MeasureJoinMs(size_t n) {
-  Database* db = ChainDb(2, n);
+double TimeJoinMs(size_t n, int64_t domain) {
+  Database* db = ChainDb(2, n, domain);
   const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
   auto left = ScanAtom(snap, q, 0);
@@ -179,8 +187,8 @@ double MeasureJoinMs(size_t n) {
   });
 }
 
-double MeasureProjectMs(size_t n) {
-  Database* db = ChainDb(2, n);
+double TimeProjectMs(size_t n, int64_t domain) {
+  Database* db = ChainDb(2, n, domain);
   const Snapshot snap = db->snapshot();
   ConjunctiveQuery q = MakeChainQuery(2);
   auto rel = ScanAtom(snap, q, 0);
@@ -189,6 +197,19 @@ double MeasureProjectMs(size_t n) {
     Rel out = ProjectIndependent(*rel, keep);
     benchmark::DoNotOptimize(out.NumRows());
   });
+}
+
+double MeasureJoinMs(size_t n) { return TimeJoinMs(n, 0); }
+double MeasureProjectMs(size_t n) { return TimeProjectMs(n, 0); }
+
+// Keys over [1, n/4]: the join key and the grouping key pass the dense
+// rule, so these time the head-array join and the direct-address grouping.
+// The join emits about 4n rows.
+double MeasureDenseJoinMs(size_t n) {
+  return TimeJoinMs(n, static_cast<int64_t>(n / 4));
+}
+double MeasureDenseProjectMs(size_t n) {
+  return TimeProjectMs(n, static_cast<int64_t>(n / 4));
 }
 
 double MeasureSemiJoinMs(size_t n) {
@@ -229,6 +250,12 @@ void CaptureJson() {
                     OpCase{"project_independent", 1000000, MeasureProjectMs},
                     OpCase{"hash_join", 100000, MeasureJoinMs},
                     OpCase{"project_independent", 100000, MeasureProjectMs},
+                    OpCase{"hash_join_dense", 1000000, MeasureDenseJoinMs},
+                    OpCase{"hash_join_dense", 100000, MeasureDenseJoinMs},
+                    OpCase{"project_independent_dense", 1000000,
+                           MeasureDenseProjectMs},
+                    OpCase{"project_independent_dense", 100000,
+                           MeasureDenseProjectMs},
                     OpCase{"semijoin_reduce", 100000, MeasureSemiJoinMs},
                     OpCase{"project_boolean", 1000000,
                            MeasureProjectBooleanMs}}) {

@@ -215,9 +215,15 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
       // Virtual (dissociated) variables may appear in the node's head but
       // not in the materialized child; project onto what exists.
       VarMask keep = plan->head & (*child)->var_mask();
+      bool dense = false;
       result = std::make_shared<const Rel>(ProjectIndependent(
           **child, keep, scheduler_,
-          want_recipe && keep != 0 ? &recipe_acc : nullptr));
+          want_recipe && keep != 0 ? &recipe_acc : nullptr, &dense));
+      // A Boolean projection folds every row into one group: no grouping.
+      if (trace_ != nullptr && keep != 0) {
+        trace_->Annotate(span, "grouping",
+                         dense ? std::string("dense") : std::string("hash"));
+      }
       break;
     }
     case PlanNode::Kind::kJoin: {
@@ -245,7 +251,9 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
       }
       used[first] = true;
       std::shared_ptr<const Rel> current = inputs[first];
-      std::string probe_cols;  // traced: one entry per HashJoin step
+      // Traced: one entry per HashJoin step.
+      std::string index;
+      std::string probe_cols;
       for (size_t step = 1; step < inputs.size(); ++step) {
         int best = -1;
         bool best_shares = false;
@@ -260,15 +268,20 @@ Result<std::shared_ptr<const Rel>> PlanEvaluator::EvaluateUncached(
           }
         }
         used[best] = true;
-        bool reused = false;
+        JoinPath path;
         current = std::make_shared<const Rel>(
-            HashJoin(*current, *inputs[best], scheduler_, &reused));
+            HashJoin(*current, *inputs[best], scheduler_, &path));
         if (trace_ != nullptr) {
-          if (!probe_cols.empty()) probe_cols += ',';
-          probe_cols += reused ? "reused" : "gathered";
+          if (!probe_cols.empty()) {
+            index += ',';
+            probe_cols += ',';
+          }
+          index += path.dense_index ? "dense" : "hash";
+          probe_cols += path.probe_cols_reused ? "reused" : "gathered";
         }
       }
       if (!probe_cols.empty()) {
+        trace_->Annotate(span, "index", std::move(index));
         trace_->Annotate(span, "probe_cols", std::move(probe_cols));
       }
       result = current;

@@ -1,4 +1,5 @@
-// Flat open-addressing hash index for the vectorized operators.
+// Flat open-addressing hash index for the vectorized operators, and its
+// direct-address counterpart for keys in a narrow range (DenseKeyIndex).
 //
 // One backing allocation, power-of-two capacity, linear probing. A slot
 // stores a 32-bit tag (the high hash bits; the low bits picked the
@@ -35,6 +36,7 @@
 #ifndef DISSODB_EXEC_HASH_TABLE_H_
 #define DISSODB_EXEC_HASH_TABLE_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -164,6 +166,47 @@ class FlatHashIndex {
   size_t mask_;
   internal::IndexScratch::Buf buf_;
   Slot* slots_;
+};
+
+/// Direct-address counterpart of FlatHashIndex for one type-uniform key
+/// column whose payloads lie in [lo, lo + width] (DenseIndexRangeFor): the
+/// slot at offset v - lo holds the chain head (or group id) of payload v.
+/// Equal payloads share a slot and distinct payloads never do, so callers
+/// neither hash nor compare keys. Same scratch recycling and one-memset
+/// initialization as FlatHashIndex.
+class DenseKeyIndex {
+ public:
+  static constexpr uint32_t kNil = FlatHashIndex::kNil;
+
+  DenseKeyIndex(uint64_t lo, uint64_t width) : lo_(lo), width_(width) {
+    const size_t bytes = (width + 1) * sizeof(uint32_t);
+    buf_ = internal::IndexScratch::Acquire(bytes);
+    slots_ = reinterpret_cast<uint32_t*>(buf_.mem.get());
+    std::memset(slots_, 0xFF, bytes);
+  }
+
+  ~DenseKeyIndex() { internal::IndexScratch::Release(std::move(buf_)); }
+
+  DenseKeyIndex(const DenseKeyIndex&) = delete;
+  DenseKeyIndex& operator=(const DenseKeyIndex&) = delete;
+
+  /// Slot of payload `v`, which must lie in the range.
+  uint32_t& At(uint64_t v) {
+    assert(v - lo_ <= width_);  // zone maps are exact
+    return slots_[v - lo_];
+  }
+
+  /// Slot of payload `v`, or kNil when `v` lies outside the range.
+  uint32_t Find(uint64_t v) const {
+    const uint64_t off = v - lo_;
+    return off <= width_ ? slots_[off] : kNil;
+  }
+
+ private:
+  uint64_t lo_;
+  uint64_t width_;
+  internal::IndexScratch::Buf buf_;
+  uint32_t* slots_;
 };
 
 }  // namespace dissodb

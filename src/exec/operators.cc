@@ -5,6 +5,8 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "src/common/hash.h"
 #include "src/common/simd.h"
@@ -449,36 +451,92 @@ JoinBuildIndex BuildJoinIndex(std::span<const uint64_t> bh,
   return index;
 }
 
-}  // namespace
+/// The (build row, probe row) pairs of a join, in output order.
+struct JoinPairs {
+  std::vector<uint32_t> build;
+  std::vector<uint32_t> probe;
+};
 
-Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler,
-             bool* probe_cols_reused) {
-  const bool build_left = left.NumRows() <= right.NumRows();
-  return HashJoinBuildProbe(build_left ? left : right,
-                            build_left ? right : left, scheduler,
-                            probe_cols_reused);
+/// Runs `probe_range(lo, hi, &build_rows, &probe_rows)` over probe rows
+/// [0, pn): in row-range morsels on the pool when there is one and the
+/// probe is large, else in one call. Each morsel fills its own pair
+/// buffers; concatenating them in morsel order reproduces the sequential
+/// probe-row order exactly.
+template <typename ProbeRange>
+JoinPairs ProbeMorsels(size_t pn, Scheduler* scheduler,
+                       ProbeRange probe_range) {
+  JoinPairs out;
+  if (scheduler != nullptr && pn >= 2 * kMorselRows) {
+    const size_t num_morsels = (pn + kMorselRows - 1) / kMorselRows;
+    std::vector<std::vector<uint32_t>> mb(num_morsels), mp(num_morsels);
+    scheduler->ParallelFor(0, pn, kMorselRows, [&](size_t lo, size_t hi) {
+      const size_t k = lo / kMorselRows;
+      probe_range(lo, hi, &mb[k], &mp[k]);
+    });
+    size_t total = 0;
+    for (const auto& v : mb) total += v.size();
+    out.build.reserve(total);
+    out.probe.reserve(total);
+    for (size_t k = 0; k < num_morsels; ++k) {
+      out.build.insert(out.build.end(), mb[k].begin(), mb[k].end());
+      out.probe.insert(out.probe.end(), mp[k].begin(), mp[k].end());
+    }
+  } else {
+    out.build.reserve(pn);
+    out.probe.reserve(pn);
+    probe_range(0, pn, &out.build, &out.probe);
+  }
+  return out;
 }
 
-Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
-                       Scheduler* scheduler, bool* probe_cols_reused) {
-  VarMask shared = build.var_mask() & probe.var_mask();
-  std::vector<int> build_key, probe_key;
-  for (VarId v : MaskToVars(shared)) {
-    build_key.push_back(build.ColIndex(v));
-    probe_key.push_back(probe.ColIndex(v));
+/// Dense join: build rows chained in ascending order from a direct-address
+/// head array over `range`, so each chain lists its rows in descending
+/// order, as the hash path's chains do. A probe reads its key payload,
+/// skips values outside the range and walks the chain: equal payloads are
+/// equal keys on type-uniform columns of one type, so nothing is hashed or
+/// compared.
+JoinPairs DenseJoinPairs(const Column& bk, const Column& pk, DenseRange range,
+                         Scheduler* scheduler) {
+  DenseKeyIndex heads(range.lo, range.width);
+  std::vector<uint32_t> next(bk.size());
+  uint32_t r = 0;
+  for (size_t ci = 0; ci < bk.num_chunks(); ++ci) {
+    for (uint64_t v : bk.ChunkBits(ci)) {
+      uint32_t& head = heads.At(v);
+      next[r] = head;
+      head = r++;
+    }
   }
+  const size_t cap = pk.chunk_capacity();
+  return ProbeMorsels(pk.size(), scheduler,
+                      [&](size_t lo, size_t hi, std::vector<uint32_t>* bs,
+                          std::vector<uint32_t>* ps) {
+    for (size_t ci = lo / cap; ci < pk.num_chunks(); ++ci) {
+      const size_t begin = pk.ChunkBegin(ci);
+      if (begin >= hi) break;
+      const std::span<const uint64_t> bits = pk.ChunkBits(ci);
+      const size_t end = std::min(hi, begin + bits.size());
+      for (size_t pr = std::max(lo, begin); pr < end; ++pr) {
+        for (uint32_t br = heads.Find(bits[pr - begin]);
+             br != DenseKeyIndex::kNil; br = next[br]) {
+          bs->push_back(br);
+          ps->push_back(static_cast<uint32_t>(pr));
+        }
+      }
+    }
+  });
+}
 
-  // Build: flat table(s) over the batch-hashed build keys (hashing fans
-  // out in chunk-aligned morsels); duplicate keys chain through `next`.
+/// Hash join: flat table(s) over the batch-hashed build keys (hashing fans
+/// out in chunk-aligned morsels; duplicate keys chain through `next`),
+/// probed with the batch-hashed probe keys and real key comparisons.
+JoinPairs HashJoinPairs(const Rel& build, std::span<const int> build_key,
+                        const Rel& probe, std::span<const int> probe_key,
+                        Scheduler* scheduler) {
   const size_t bn = build.NumRows();
   HashVector bh = HashKeyColumns(build, build_key, scheduler);
   JoinBuildIndex index = BuildJoinIndex(bh, scheduler);
-
-  // Probe: batch-hash, then emit matching (build, probe) row pairs. Each
-  // morsel fills its own pair buffers; concatenating them in morsel order
-  // reproduces the sequential probe-row order exactly.
   HashVector ph = HashKeyColumns(probe, probe_key, scheduler);
-  const size_t pn = probe.NumRows();
   const Column* build_key0 =
       build_key.empty() ? nullptr : &*build.col(build_key[0]);
   const bool want_prefetch = bn >= kPrefetchMinBuildRows;
@@ -491,8 +549,9 @@ Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
     bloom = std::make_unique<BlockedBloomFilter>(bn);
     for (size_t r = 0; r < bn; ++r) bloom->Add(bh[r]);
   }
-  auto probe_range = [&](size_t lo, size_t hi, std::vector<uint32_t>* bs,
-                         std::vector<uint32_t>* ps) {
+  return ProbeMorsels(probe.NumRows(), scheduler,
+                      [&](size_t lo, size_t hi, std::vector<uint32_t>* bs,
+                          std::vector<uint32_t>* ps) {
     if (want_prefetch) {
       // Per block: Bloom-filter the block's rows into a survivor list,
       // prefetch the survivors' home slots, resolve chain heads
@@ -555,36 +614,52 @@ Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
         ps->push_back(static_cast<uint32_t>(pr));
       }
     }
-  };
+  });
+}
 
-  std::vector<uint32_t> build_sel, probe_sel;
-  if (scheduler != nullptr && pn >= 2 * kMorselRows) {
-    const size_t num_morsels = (pn + kMorselRows - 1) / kMorselRows;
-    std::vector<std::vector<uint32_t>> mb(num_morsels), mp(num_morsels);
-    scheduler->ParallelFor(0, pn, kMorselRows, [&](size_t lo, size_t hi) {
-      const size_t k = lo / kMorselRows;
-      probe_range(lo, hi, &mb[k], &mp[k]);
-    });
-    size_t total = 0;
-    for (const auto& v : mb) total += v.size();
-    build_sel.reserve(total);
-    probe_sel.reserve(total);
-    for (size_t k = 0; k < num_morsels; ++k) {
-      build_sel.insert(build_sel.end(), mb[k].begin(), mb[k].end());
-      probe_sel.insert(probe_sel.end(), mp[k].begin(), mp[k].end());
-    }
-  } else {
-    build_sel.reserve(pn);
-    probe_sel.reserve(pn);
-    probe_range(0, pn, &build_sel, &probe_sel);
+}  // namespace
+
+Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler,
+             JoinPath* path) {
+  const bool build_left = left.NumRows() <= right.NumRows();
+  return HashJoinBuildProbe(build_left ? left : right,
+                            build_left ? right : left, scheduler, path);
+}
+
+Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
+                       Scheduler* scheduler, JoinPath* path) {
+  VarMask shared = build.var_mask() & probe.var_mask();
+  std::vector<int> build_key, probe_key;
+  for (VarId v : MaskToVars(shared)) {
+    build_key.push_back(build.ColIndex(v));
+    probe_key.push_back(probe.ColIndex(v));
   }
+  const size_t pn = probe.NumRows();
+
+  // Dense path: one key column, both sides type-uniform with one type (so
+  // equal raw bits mean equal keys, exactly as KeysEqual), and a build
+  // column narrow enough for a head array over the rows of the join.
+  std::optional<DenseRange> dense;
+  if (build_key.size() == 1) {
+    const Column& bk = *build.col(build_key[0]);
+    const Column& pk = *probe.col(probe_key[0]);
+    if (pk.uniform() && pk.type() == bk.type()) {
+      dense = DenseIndexRangeFor(bk, build.NumRows() + pn);
+    }
+  }
+  JoinPairs pairs =
+      dense ? DenseJoinPairs(*build.col(build_key[0]),
+                             *probe.col(probe_key[0]), *dense, scheduler)
+            : HashJoinPairs(build, build_key, probe, probe_key, scheduler);
+  const std::vector<uint32_t>& build_sel = pairs.build;
+  const std::vector<uint32_t>& probe_sel = pairs.probe;
 
   // Every probe row matched exactly once (probe_sel is 0..pn-1): the
   // output rows are the probe rows in order, so every probe column is
   // already an output column.
   bool reuse = pn > 0 && probe_sel.size() == pn;
   for (size_t i = 0; reuse && i < pn; ++i) reuse = probe_sel[i] == i;
-  if (probe_cols_reused != nullptr) *probe_cols_reused = reuse;
+  if (path != nullptr) *path = JoinPath{dense.has_value(), reuse};
 
   // Assemble output columns by gathering from the source side (one
   // independent task per gathered column and score lane when a scheduler
@@ -744,18 +819,107 @@ void GroupAllRows(const Rel& in, std::span<const int> key_pos,
       [](size_t t) { return static_cast<uint32_t>(t); }, init, update, out);
 }
 
-/// Shared grouping loop for both projection flavors: batch-hash the key
-/// columns, group, and fold scores per group. With a scheduler and a large
-/// input, rows are partitioned by hash prefix and grouped per partition in
-/// parallel; every row of a group lands in the same partition (the
-/// partition is a function of the key hash) and partitions keep rows
-/// ascending, so re-sorting the merged groups by representative row
-/// reproduces the sequential first-occurrence group order and fold order
-/// exactly.
+/// Dense grouping over one type-uniform key column whose payloads lie in
+/// `range`: a row's group id is read from a direct-address array at offset
+/// v - lo and assigned at the group's first row, so groups come out in
+/// first-occurrence order and each group's scores fold in row order, in
+/// every lane, exactly as the hash kernel's do. `kTwoLanes` must say
+/// whether `in` has a lane 2.
+template <bool kTwoLanes, typename Init, typename Update>
+void GroupDenseKernel(const Rel& in, const Column& key, DenseRange range,
+                      Init init, Update update, Groups* out) {
+  assert(out->rep.empty() && out->acc.empty() && out->acc2.empty());
+  DenseKeyIndex group_of(range.lo, range.width);
+  // Sized for the most groups the rows or the range allow, written by
+  // index and trimmed at the end, as in GroupRowsKernel.
+  const size_t max_groups =
+      std::min<uint64_t>(key.size(), range.width + 1);
+  out->rep.resize(max_groups);
+  out->acc.reserve(max_groups);
+  if constexpr (kTwoLanes) out->acc2.reserve(max_groups);
+  const WeightColumn::View w = in.weights()->view();
+  [[maybe_unused]] const WeightColumn::View w2 = in.Lane2OrScores().view();
+  uint32_t num_groups = 0;
+  uint32_t r = 0;
+  for (size_t ci = 0; ci < key.num_chunks(); ++ci) {
+    for (uint64_t v : key.ChunkBits(ci)) {
+      uint32_t& g = group_of.At(v);
+      if (g == DenseKeyIndex::kNil) {
+        g = num_groups++;
+        out->rep[g] = r;
+        out->acc.push_back(init(w[r]));
+        if constexpr (kTwoLanes) out->acc2.push_back(init(w2[r]));
+      } else {
+        out->acc[g] = update(out->acc[g], w[r]);
+        if constexpr (kTwoLanes) out->acc2[g] = update(out->acc2[g], w2[r]);
+      }
+      ++r;
+    }
+  }
+  out->rep.resize(num_groups);
+}
+
+/// Hash grouping with a scheduler: rows are partitioned by hash prefix and
+/// grouped per partition in parallel. Every row of a group lands in the
+/// same partition (the partition is a function of the key hash) and
+/// partitions keep rows ascending, so re-sorting the merged groups by
+/// representative row reproduces the sequential first-occurrence group
+/// order and fold order exactly.
+template <typename Init, typename Update>
+void GroupPartitioned(const Rel& in, std::span<const int> key_pos,
+                      std::span<const uint64_t> h, Scheduler* scheduler,
+                      Init init, Update update, Groups* out) {
+  const bool two_lanes = in.lane2() != nullptr;
+  HashPartitions parts = PartitionByHashPrefix(h);
+  std::vector<Groups> part(kNumPartitions);
+  scheduler->ParallelFor(0, kNumPartitions, 1, [&](size_t lo, size_t hi) {
+    for (size_t p = lo; p < hi; ++p) {
+      std::span<const uint32_t> rows(parts.rows.data() + parts.offsets[p],
+                                     parts.offsets[p + 1] - parts.offsets[p]);
+      GroupRows(in, key_pos, h, rows, init, update, &part[p]);
+    }
+  });
+  // Merge: representatives are distinct rows, so sorting (representative,
+  // position) keys restores the global first-occurrence order of the
+  // sequential scan; each lane's accumulators follow their group through
+  // its position in the concatenated partition lists.
+  size_t total_groups = 0;
+  for (const Groups& g : part) total_groups += g.rep.size();
+  std::vector<uint64_t> order;
+  std::vector<double> flat_acc, flat_acc2;
+  order.reserve(total_groups);
+  flat_acc.reserve(total_groups);
+  if (two_lanes) flat_acc2.reserve(total_groups);
+  for (const Groups& g : part) {
+    for (size_t k = 0; k < g.rep.size(); ++k) {
+      order.push_back(uint64_t{g.rep[k]} << 32 | flat_acc.size());
+      flat_acc.push_back(g.acc[k]);
+      if (two_lanes) flat_acc2.push_back(g.acc2[k]);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  out->rep.reserve(total_groups);
+  out->acc.reserve(total_groups);
+  if (two_lanes) out->acc2.reserve(total_groups);
+  for (uint64_t key : order) {
+    const uint32_t pos = static_cast<uint32_t>(key);
+    out->rep.push_back(static_cast<uint32_t>(key >> 32));
+    out->acc.push_back(flat_acc[pos]);
+    if (two_lanes) out->acc2.push_back(flat_acc2[pos]);
+  }
+}
+
+/// Shared grouping loop for both projection flavors: group the rows by the
+/// kept columns and fold scores per group. One kept column that passes
+/// DenseIndexRangeFor is grouped through a direct-address array; other
+/// keys are batch-hashed and grouped sequentially, or per hash partition
+/// in parallel with a scheduler and a large input. Every path yields the
+/// same groups, in first-occurrence order, with the same fold order.
 template <typename Init, typename Update, typename Finalize>
 Rel ProjectImpl(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
                 Init init, Update update, Finalize finalize,
-                std::vector<double>* raw_acc_out = nullptr) {
+                std::vector<double>* raw_acc_out = nullptr,
+                bool* dense_grouping = nullptr) {
   assert((keep_mask & ~in.var_mask()) == 0);
   std::vector<VarId> keep_vars = MaskToVars(keep_mask);
   std::vector<int> key_pos;
@@ -763,50 +927,26 @@ Rel ProjectImpl(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
   for (VarId v : keep_vars) key_pos.push_back(in.ColIndex(v));
 
   const size_t n = in.NumRows();
-  HashVector h = HashKeyColumns(in, key_pos, scheduler);
   const bool two_lanes = in.lane2() != nullptr;
+  std::optional<DenseRange> dense;
+  if (key_pos.size() == 1) dense = DenseIndexRangeFor(*in.col(key_pos[0]), n);
+  if (dense_grouping != nullptr) *dense_grouping = dense.has_value();
 
   Groups groups;
-  if (scheduler != nullptr && n >= 2 * kMorselRows) {
-    HashPartitions parts = PartitionByHashPrefix(h);
-    std::vector<Groups> part(kNumPartitions);
-    scheduler->ParallelFor(0, kNumPartitions, 1, [&](size_t lo, size_t hi) {
-      for (size_t p = lo; p < hi; ++p) {
-        std::span<const uint32_t> rows(parts.rows.data() + parts.offsets[p],
-                                       parts.offsets[p + 1] - parts.offsets[p]);
-        GroupRows(in, key_pos, h, rows, init, update, &part[p]);
-      }
-    });
-    // Merge: representatives are distinct rows, so sorting (representative,
-    // position) keys restores the global first-occurrence order of the
-    // sequential scan; each lane's accumulators follow their group through
-    // its position in the concatenated partition lists.
-    size_t total_groups = 0;
-    for (const Groups& g : part) total_groups += g.rep.size();
-    std::vector<uint64_t> order;
-    std::vector<double> flat_acc, flat_acc2;
-    order.reserve(total_groups);
-    flat_acc.reserve(total_groups);
-    if (two_lanes) flat_acc2.reserve(total_groups);
-    for (const Groups& g : part) {
-      for (size_t k = 0; k < g.rep.size(); ++k) {
-        order.push_back(uint64_t{g.rep[k]} << 32 | flat_acc.size());
-        flat_acc.push_back(g.acc[k]);
-        if (two_lanes) flat_acc2.push_back(g.acc2[k]);
-      }
-    }
-    std::sort(order.begin(), order.end());
-    groups.rep.reserve(total_groups);
-    groups.acc.reserve(total_groups);
-    if (two_lanes) groups.acc2.reserve(total_groups);
-    for (uint64_t key : order) {
-      const uint32_t pos = static_cast<uint32_t>(key);
-      groups.rep.push_back(static_cast<uint32_t>(key >> 32));
-      groups.acc.push_back(flat_acc[pos]);
-      if (two_lanes) groups.acc2.push_back(flat_acc2[pos]);
+  if (dense) {
+    const Column& key = *in.col(key_pos[0]);
+    if (two_lanes) {
+      GroupDenseKernel<true>(in, key, *dense, init, update, &groups);
+    } else {
+      GroupDenseKernel<false>(in, key, *dense, init, update, &groups);
     }
   } else {
-    GroupAllRows(in, key_pos, h, init, update, &groups);
+    HashVector h = HashKeyColumns(in, key_pos, scheduler);
+    if (scheduler != nullptr && n >= 2 * kMorselRows) {
+      GroupPartitioned(in, key_pos, h, scheduler, init, update, &groups);
+    } else {
+      GroupAllRows(in, key_pos, h, init, update, &groups);
+    }
   }
 
   std::vector<ColumnPtr> cols;
@@ -912,7 +1052,7 @@ double BooleanScore(const WeightColumn& w) {
 }  // namespace
 
 Rel ProjectIndependent(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
-                       std::vector<double>* raw_acc_out) {
+                       std::vector<double>* raw_acc_out, bool* dense_grouping) {
   const size_t n = in.NumRows();
   if (keep_mask == 0 && n > 0) {
     // Boolean projection: every row folds into the single empty-tuple
@@ -933,7 +1073,7 @@ Rel ProjectIndependent(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
   return ProjectImpl(
       in, keep_mask, scheduler, [](double s) { return 1.0 - s; },
       [](double acc, double s) { return acc * (1.0 - s); },
-      [](double acc) { return 1.0 - acc; }, raw_acc_out);
+      [](double acc) { return 1.0 - acc; }, raw_acc_out, dense_grouping);
 }
 
 Rel ProjectDistinct(const Rel& in, VarMask keep_mask, Scheduler* scheduler) {

@@ -92,15 +92,35 @@ Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
                          int atom_idx, size_t begin_row,
                          Scheduler* scheduler = nullptr);
 
+/// Which paths a join took, for trace annotations.
+struct JoinPath {
+  /// The build side was indexed by a direct-address head array over its
+  /// key range instead of a hash index.
+  bool dense_index = false;
+  /// The output shares the probe's columns instead of gathering them.
+  bool probe_cols_reused = false;
+};
+
 /// Natural hash join; scores multiply, lane by lane. The smaller input
-/// builds, the other probes; output rows come in probe-row order.
+/// builds, the other probes; output rows come in probe-row order, and each
+/// probe row's matches in descending build-row order.
 ///
-/// With a scheduler and a large enough input, the build side is partitioned
-/// by hash prefix (one flat index per partition, built in parallel) and the
-/// probe side is split into row-range morsels fanned out on the pool. The
-/// parallel path emits rows in exactly the sequential order (morsel outputs
-/// concatenate in probe-row order; per-partition chains preserve the global
-/// insertion order), so results are bit-identical either way.
+/// Dense keys: when the join key is one column, both key columns are
+/// type-uniform with one type, and the build column passes
+/// DenseIndexRangeFor over the build plus probe rows, the build rows are
+/// chained from a direct-address head array over the column's zone-map
+/// range. Probes then read each key payload, skip values outside the range
+/// and walk the chain, with no hashing, key comparison or Bloom filter.
+/// Every other join hashes its keys. Both paths emit the same pairs in the
+/// same order.
+///
+/// With a scheduler and a large enough input, the hash build is
+/// partitioned by hash prefix (one flat index per partition, built in
+/// parallel) and the probe side is split into row-range morsels fanned out
+/// on the pool. The parallel path emits rows in exactly the sequential
+/// order (morsel outputs concatenate in probe-row order; per-partition
+/// chains preserve the global insertion order), so results are
+/// bit-identical either way.
 ///
 /// Probe-column reuse: when every probe row matches exactly one build row,
 /// the output rows are the probe rows in order, so the output shares every
@@ -108,37 +128,45 @@ Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
 /// payload) instead of gathering it; only build-only variables and the
 /// scores are assembled. Columns are copy-on-write, so the sharing is as
 /// safe as a zero-copy scan's.
+///
+/// `path` (here and on HashJoinBuildProbe), if given, receives which index
+/// the build used and whether the output shares the probe's columns.
 Rel HashJoin(const Rel& left, const Rel& right, Scheduler* scheduler = nullptr,
-             bool* probe_cols_reused = nullptr);
+             JoinPath* path = nullptr);
 
 /// HashJoin with the build/probe roles pinned by the caller instead of
 /// chosen by size. Delta maintenance joins a tiny appended probe delta
 /// against the unchanged build side; letting the size heuristic flip the
 /// roles would change the output row order and break bit-identity with the
 /// from-scratch join, which probes the full (old + delta) side.
-/// `probe_cols_reused` (here and on HashJoin), if given, receives whether
-/// the output shares the probe's columns.
 Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
                        Scheduler* scheduler = nullptr,
-                       bool* probe_cols_reused = nullptr);
+                       JoinPath* path = nullptr);
 
 /// Projection with duplicate elimination onto `keep_mask` (must be a subset
 /// of the input variables); scores combine independently:
-/// s(group) = 1 - prod(1 - s_i), in each lane.
+/// s(group) = 1 - prod(1 - s_i), in each lane. Groups come out in
+/// first-occurrence order, and each group's scores fold in row order.
 ///
-/// With a scheduler and a large enough input, rows are partitioned by key
-/// hash prefix and each partition is grouped independently; groups are then
-/// re-sorted by global first-occurrence row, reproducing the sequential
-/// group order and fold order bit-for-bit.
+/// Dense keys: when the kept variables are one column that passes
+/// DenseIndexRangeFor over the input rows, a row's group id is read from a
+/// direct-address array over the column's zone-map range, assigned at the
+/// group's first row. Other keys are hashed: with a scheduler and a large
+/// enough input, rows are partitioned by key hash prefix and each partition
+/// is grouped independently; groups are then re-sorted by global
+/// first-occurrence row, reproducing the sequential group order and fold
+/// order bit-for-bit. All paths produce the same groups and score bits.
 ///
 /// `raw_acc_out`, if given, receives the per-group complement products
 /// before finalization (acc_g = prod(1 - s_i)); delta maintenance stores
 /// them so appended rows can continue each group's sequential fold exactly
 /// where the from-scratch evaluation would. Only populated on the grouped
-/// path (keep_mask != 0 or empty input).
+/// path (keep_mask != 0 or empty input). `dense_grouping`, if given,
+/// receives whether the grouped path took the dense array.
 Rel ProjectIndependent(const Rel& in, VarMask keep_mask,
                        Scheduler* scheduler = nullptr,
-                       std::vector<double>* raw_acc_out = nullptr);
+                       std::vector<double>* raw_acc_out = nullptr,
+                       bool* dense_grouping = nullptr);
 
 /// Deterministic projection: distinct rows, scores forced to 1.
 Rel ProjectDistinct(const Rel& in, VarMask keep_mask,

@@ -133,7 +133,6 @@ size_t ResultCache::EvictOlderThan(uint64_t min_live_version) {
   }
   min_entry_version_ = map_.empty() ? ~uint64_t{0} : new_min;
   evictions_ += swept;
-  stale_evictions_ += swept;
   return swept;
 }
 
@@ -164,7 +163,6 @@ ResultCacheStats ResultCache::stats() const {
   s.misses = misses_;
   s.in_flight_waits = in_flight_waits_;
   s.evictions = evictions_;
-  s.stale_evictions = stale_evictions_;
   s.entries = map_.size();
   return s;
 }

@@ -41,11 +41,8 @@ struct ResultCacheStats {
   size_t hits = 0;
   size_t misses = 0;  ///< leader acquisitions, i.e. actual computations
   size_t in_flight_waits = 0;  ///< requests that waited on a leader instead
-  size_t evictions = 0;  ///< capacity evictions + stale-version discards
-  /// Entries proactively swept by EvictOlderThan (commit-time sweep of
-  /// versions no held snapshot can request anymore). Also counted in
-  /// `evictions`.
-  size_t stale_evictions = 0;
+  /// Capacity evictions, stale-version discards and EvictOlderThan sweeps.
+  size_t evictions = 0;
   size_t entries = 0;
 };
 
@@ -96,8 +93,9 @@ class ResultCache {
   /// Sweeps every entry whose version is below `min_live_version` (the
   /// oldest version any held snapshot still pins — such entries can never
   /// be requested again, but would otherwise linger until LRU pressure).
-  /// The serving layer calls this from the database's commit hook. Returns
-  /// the number of entries swept (also surfaced as stats().stale_evictions).
+  /// The serving layer calls this from the database's commit hook and
+  /// counts the return value, the number of entries swept, as
+  /// engine.result_cache.swept; stats().evictions includes them.
   size_t EvictOlderThan(uint64_t min_live_version);
 
   /// One entry eligible for delta maintenance: computed at the requested
@@ -156,7 +154,6 @@ class ResultCache {
   size_t misses_ = 0;
   size_t in_flight_waits_ = 0;
   size_t evictions_ = 0;
-  size_t stale_evictions_ = 0;
 };
 
 }  // namespace dissodb

@@ -508,7 +508,11 @@ bool KeysEqual(const ColumnarRows& a, size_t ra, std::span<const int> ka,
   return true;
 }
 
-std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows) {
+namespace {
+
+/// Payload range of a type-uniform, non-empty column below kDenseMaxRange,
+/// read off its zone maps.
+std::optional<DenseRange> NarrowZoneMapRange(const Column& col) {
   if (!col.uniform() || col.size() == 0) return std::nullopt;
   uint64_t lo = ~uint64_t{0};
   uint64_t hi = 0;
@@ -516,11 +520,26 @@ std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows) {
     lo = std::min(lo, col.ChunkMinBits(ci));
     hi = std::max(hi, col.ChunkMaxBits(ci));
   }
-  const uint64_t width = hi - lo;
-  if (width >= kDenseMaxRange || width / 64 + 1 > kDenseMaxWordsPerRow * rows) {
+  if (hi - lo >= kDenseMaxRange) return std::nullopt;
+  return DenseRange{lo, hi - lo};
+}
+
+}  // namespace
+
+std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows) {
+  std::optional<DenseRange> range = NarrowZoneMapRange(col);
+  if (range && range->width / 64 + 1 > kDenseMaxWordsPerRow * rows) {
     return std::nullopt;
   }
-  return DenseRange{lo, width};
+  return range;
+}
+
+std::optional<DenseRange> DenseIndexRangeFor(const Column& col, size_t rows) {
+  std::optional<DenseRange> range = NarrowZoneMapRange(col);
+  if (range && range->width + 1 > kDenseMaxSlotsPerRow * rows) {
+    return std::nullopt;
+  }
+  return range;
 }
 
 }  // namespace dissodb

@@ -529,6 +529,18 @@ inline constexpr uint64_t kDenseMaxWordsPerRow = 1;
 /// distinct counts.
 std::optional<DenseRange> DenseRangeFor(const Column& col, size_t rows);
 
+/// Four-byte slots a direct-address index may hold per row it serves: at
+/// most 16 bytes per row, the least a FlatHashIndex spends per row it
+/// indexes (at least two eight-byte slots).
+inline constexpr uint64_t kDenseMaxSlotsPerRow = 4;
+
+/// The range of `col` when a direct-address array with one four-byte slot
+/// per value in the range can replace a hash index over its values:
+/// type-uniform, non-empty, a zone-map range below kDenseMaxRange, and at
+/// most kDenseMaxSlotsPerRow slots per row of the `rows` the array serves.
+/// The rule for the dense join build and dense grouping.
+std::optional<DenseRange> DenseIndexRangeFor(const Column& col, size_t rows);
+
 }  // namespace dissodb
 
 #endif  // DISSODB_STORAGE_COLUMNAR_H_

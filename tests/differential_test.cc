@@ -29,7 +29,9 @@ using testing_util::RefJoin;
 using testing_util::RefMinMerge;
 using testing_util::RefProject;
 using testing_util::RefRel;
+using testing_util::RefSortJoin;
 using testing_util::ToRef;
+using testing_util::kWideKeyStride;
 
 constexpr int kInstances = 120;
 
@@ -45,6 +47,19 @@ Rel SizedRel(Rng* rng, const std::vector<VarId>& vars, size_t rows,
           1 + static_cast<int64_t>(rng->NextBounded(domains[c])));
     }
     out.AddRow(row, rng->NextDouble());
+  }
+  return out;
+}
+
+/// `r` with every value multiplied by `stride` (all-integer relations).
+Rel Strided(const Rel& r, int64_t stride) {
+  Rel out(r.vars());
+  std::vector<Value> row(r.arity());
+  for (size_t i = 0; i < r.NumRows(); ++i) {
+    for (int c = 0; c < r.arity(); ++c) {
+      row[c] = Value::Int64(r.At(i, c).AsInt64() * stride);
+    }
+    out.AddRow(row, r.Score(i));
   }
   return out;
 }
@@ -67,6 +82,17 @@ std::vector<VarId> RandomVars(Rng* rng, int pool_size, int count) {
   all.resize(count);
   std::sort(all.begin(), all.end());
   return all;
+}
+
+/// `got` equals `want` row for row, in order, with the same score bits.
+void ExpectSameRowForRow(const RefRel& got, const RefRel& want,
+                         const std::string& context) {
+  ASSERT_EQ(got.vars, want.vars) << context;
+  ASSERT_EQ(got.rows.size(), want.rows.size()) << context;
+  for (size_t i = 0; i < got.rows.size(); ++i) {
+    ASSERT_EQ(got.rows[i], want.rows[i]) << context << " row " << i;
+    ASSERT_EQ(got.scores[i], want.scores[i]) << context << " row " << i;
+  }
 }
 
 void ExpectSameRelation(const RefRel& got, const RefRel& want,
@@ -100,18 +126,51 @@ TEST(DifferentialTest, BloomFilteredHashJoinMatchesReference) {
   // 8. A 4500-row build side over 1024 keys, probed by 9000 rows, covers
   // both regimes: probe keys spread over 10x the build's keys mostly
   // dangle, so the filter stays on; probe keys over the build's keys
-  // almost all match, so the filter is dropped.
+  // almost all match, so the filter is dropped. Wide keys keep the join
+  // hashed.
   constexpr int64_t kBuildKeys = 1024;
   Scheduler pool(4);
   for (int64_t probe_keys : {10 * kBuildKeys, kBuildKeys}) {
     Rng rng(6000 + probe_keys);
-    Rel build = SizedRel(&rng, {0, 1}, 4500, {1000, kBuildKeys});
-    Rel probe = SizedRel(&rng, {1, 2}, 9000, {probe_keys, 1000});
+    Rel build = Strided(SizedRel(&rng, {0, 1}, 4500, {1000, kBuildKeys}),
+                        kWideKeyStride);
+    Rel probe = Strided(SizedRel(&rng, {1, 2}, 9000, {probe_keys, 1000}),
+                        kWideKeyStride);
     const RefRel want = RefJoin(ToRef(build), ToRef(probe));
     const std::string context = "probe keys " + std::to_string(probe_keys);
-    ExpectSameRelation(ToRef(HashJoin(build, probe)), want, context);
+    JoinPath path;
+    ExpectSameRelation(ToRef(HashJoin(build, probe, nullptr, &path)), want,
+                       context);
+    EXPECT_FALSE(path.dense_index) << context;
     ExpectSameRelation(ToRef(HashJoin(build, probe, &pool)), want,
                        context + ", 4 threads");
+  }
+}
+
+TEST(DifferentialTest, MorselParallelJoinMatchesSortJoinReference) {
+  // The probe fans out in morsels only from 32768 probe rows, where the
+  // nested-loop reference would compare ~10^9 row pairs. 45000 probe rows
+  // against 20000 build rows: probe keys over [1, 40000], build keys over
+  // [1, 30000], so most probes miss and the rest match one or more rows.
+  // Narrow keys take the dense build; wide keys take the partitioned hash
+  // build under the pool, with a Bloom filter that stays on.
+  Scheduler pool(4);
+  for (int64_t stride : {int64_t{1}, kWideKeyStride}) {
+    Rng rng(6100);
+    Rel build =
+        Strided(SizedRel(&rng, {0, 1}, 20'000, {1000, 30'000}), stride);
+    Rel probe =
+        Strided(SizedRel(&rng, {1, 2}, 45'000, {40'000, 1000}), stride);
+    const RefRel want = RefSortJoin(ToRef(build), ToRef(probe));
+    EXPECT_GT(want.rows.size(), 0u);
+    for (Scheduler* s : {static_cast<Scheduler*>(nullptr), &pool}) {
+      const std::string context = "stride " + std::to_string(stride) +
+                                  (s != nullptr ? ", 4 threads" : "");
+      JoinPath path;
+      Rel got = HashJoinBuildProbe(build, probe, s, &path);
+      EXPECT_EQ(path.dense_index, stride == 1) << context;
+      ExpectSameRowForRow(ToRef(got), want, context);
+    }
   }
 }
 
@@ -603,6 +662,189 @@ TEST(DenseSemiJoinTest, NoMatchCasesMatchReference) {
   ExpectReductionOnPath(kOneVarQuery, 1, 48, ints, 0, ints,
                         SemiJoinPath::kHashed, Matches::kNone,
                         "empty build side");
+}
+
+// --- Dense vs hashed joins and groupings -----------------------------------
+//
+// A join whose key is one column, type-uniform with one type on both sides
+// and narrow on the build side, chains build rows from a head array; a
+// projection onto one such column groups through a direct-address array.
+// Each case checks the operators against the references, in one lane and
+// in two, and checks through the operators' path reports which path ran.
+
+/// One key value per row.
+using ValueGen = std::function<Value(Rng*, size_t row)>;
+
+/// Integers in [lo, lo + count).
+ValueGen IntsFrom(int64_t lo, int64_t count) {
+  return [lo, count](Rng* rng, size_t) {
+    return Value::Int64(lo + static_cast<int64_t>(rng->NextBounded(count)));
+  };
+}
+
+/// Dictionary codes in [0, count).
+ValueGen CodesBelow(int64_t count) {
+  return [count](Rng* rng, size_t) {
+    return Value::StringCode(static_cast<int64_t>(rng->NextBounded(count)));
+  };
+}
+
+/// Integers in [0, 64) with every third row a dictionary code in [0, 4):
+/// the column is not type-uniform, and both types keep matches.
+Value MixedValue(Rng* rng, size_t row) {
+  if (row % 3 == 2) {
+    return Value::StringCode(static_cast<int64_t>(rng->NextBounded(4)));
+  }
+  return Value::Int64(static_cast<int64_t>(rng->NextBounded(64)));
+}
+
+/// `rows` rows over the two variables `vars`: `vars[key_col]` drawn by
+/// `key`, the other from [1, 8]. U[0,1] scores, and with `two_lanes` a
+/// second U[0,1] lane.
+Rel KeyedRel(Rng* rng, const std::vector<VarId>& vars, int key_col,
+             size_t rows, const ValueGen& key, bool two_lanes) {
+  Rel lane1(vars);
+  std::vector<Value> row(2);
+  for (size_t r = 0; r < rows; ++r) {
+    row[key_col] = key(rng, r);
+    row[1 - key_col] =
+        Value::Int64(1 + static_cast<int64_t>(rng->NextBounded(8)));
+    lane1.AddRow(row, rng->NextDouble());
+  }
+  if (!two_lanes) return lane1;
+  auto lane2 = std::make_shared<WeightColumn>();
+  for (size_t r = 0; r < rows; ++r) lane2->Append(rng->NextDouble());
+  return Rel::FromColumns(vars, {lane1.col(0), lane1.col(1)},
+                          lane1.weights(), rows, std::move(lane2));
+}
+
+/// The reference relation of `r`'s lane 2.
+RefRel Lane2Ref(const Rel& r) {
+  RefRel out = ToRef(r);
+  for (size_t i = 0; i < out.scores.size(); ++i) {
+    out.scores[i] = r.Lane2OrScores()[i];
+  }
+  return out;
+}
+
+enum class IndexPath { kDense, kHashed };
+
+/// Joins B(x,y) (`build_rows` rows, y drawn by `build_key`) as the build
+/// side with P(y,z) (`probe_rows` rows, y drawn by `probe_key`) over a few
+/// seeds, in one lane and in two. Each join must take `path` and match
+/// RefJoin in every lane and RefSortJoin row for row; over the seeds the
+/// joins emit some rows (kSome) or none (kNone).
+void ExpectJoinOnPath(size_t build_rows, const ValueGen& build_key,
+                      size_t probe_rows, const ValueGen& probe_key,
+                      IndexPath path, Matches matches,
+                      const std::string& context) {
+  size_t emitted = 0;
+  for (bool two_lanes : {false, true}) {
+    for (int seed = 0; seed < 4; ++seed) {
+      Rng rng(9300 + seed);
+      Rel build = KeyedRel(&rng, {0, 1}, 1, build_rows, build_key, two_lanes);
+      Rel probe = KeyedRel(&rng, {1, 2}, 0, probe_rows, probe_key, two_lanes);
+      const std::string where = context + (two_lanes ? ", two lanes" : "") +
+                                " seed " + std::to_string(seed);
+      JoinPath jp;
+      Rel out = HashJoinBuildProbe(build, probe, nullptr, &jp);
+      EXPECT_EQ(jp.dense_index, path == IndexPath::kDense) << where;
+      ExpectSameRelation(ToRef(out), RefJoin(ToRef(build), ToRef(probe)),
+                         where);
+      ExpectSameRowForRow(ToRef(out), RefSortJoin(ToRef(build), ToRef(probe)),
+                          where);
+      if (two_lanes) {
+        ASSERT_NE(out.lane2(), nullptr) << where;
+        ExpectSameRelation(Lane2Ref(out),
+                           RefJoin(Lane2Ref(build), Lane2Ref(probe)), where);
+      }
+      emitted += out.NumRows();
+    }
+  }
+  if (matches == Matches::kSome) {
+    EXPECT_GT(emitted, 0u) << context;
+  } else {
+    EXPECT_EQ(emitted, 0u) << context;
+  }
+}
+
+/// Groups `rows` rows of R(x,y) by x (drawn by `key`) over a few seeds, in
+/// one lane and in two, with both projections. Each grouping must take
+/// `path` and match RefProject row for row, in first-occurrence order with
+/// the same score bits.
+void ExpectGroupingOnPath(size_t rows, const ValueGen& key, IndexPath path,
+                          const std::string& context) {
+  for (bool two_lanes : {false, true}) {
+    for (int seed = 0; seed < 4; ++seed) {
+      Rng rng(9400 + seed);
+      Rel in = KeyedRel(&rng, {0, 1}, 0, rows, key, two_lanes);
+      const std::string where = context + (two_lanes ? ", two lanes" : "") +
+                                " seed " + std::to_string(seed);
+      bool dense = path != IndexPath::kDense;
+      Rel out = ProjectIndependent(in, MaskOf(0), nullptr, nullptr, &dense);
+      EXPECT_EQ(dense, path == IndexPath::kDense) << where;
+      ExpectSameRowForRow(ToRef(out), RefProject(ToRef(in), MaskOf(0), true),
+                          where);
+      if (two_lanes) {
+        ASSERT_NE(out.lane2(), nullptr) << where;
+        ExpectSameRowForRow(Lane2Ref(out),
+                            RefProject(Lane2Ref(in), MaskOf(0), true), where);
+      }
+      ExpectSameRowForRow(ToRef(ProjectDistinct(in, MaskOf(0))),
+                          RefProject(ToRef(in), MaskOf(0), false),
+                          where + ", distinct");
+    }
+  }
+}
+
+/// The dense cases, then the cases the rule sends to the hash path.
+void ExpectJoinAndGroupingCases(const std::string& context) {
+  // Probe keys reach below and above the build's range [100, 164).
+  ExpectJoinOnPath(48, IntsFrom(100, 64), 64, IntsFrom(80, 104),
+                   IndexPath::kDense, Matches::kSome,
+                   context + " narrow ints");
+  // Negative integers sit at the top of the unsigned raw-bit order; their
+  // offsets from the minimum stay small, and positive probes lie outside.
+  ExpectJoinOnPath(48, IntsFrom(-64, 64), 64, IntsFrom(-80, 96),
+                   IndexPath::kDense, Matches::kSome,
+                   context + " negative ints");
+  ExpectJoinOnPath(48, CodesBelow(64), 64, CodesBelow(80), IndexPath::kDense,
+                   Matches::kSome, context + " strings");
+  // The same raw bits on both sides, but an integer never equals a string.
+  ExpectJoinOnPath(48, IntsFrom(0, 8), 64, CodesBelow(8), IndexPath::kHashed,
+                   Matches::kNone, context + " int build, string probe");
+  ExpectJoinOnPath(48, MixedValue, 64, MixedValue, IndexPath::kHashed,
+                   Matches::kSome, context + " mixed-type columns");
+  ExpectJoinOnPath(48, IntsFrom(0, 64), 64, MixedValue, IndexPath::kHashed,
+                   Matches::kSome, context + " mixed-type probe column");
+
+  ExpectGroupingOnPath(96, IntsFrom(100, 64), IndexPath::kDense,
+                       context + " narrow ints");
+  ExpectGroupingOnPath(96, IntsFrom(-64, 64), IndexPath::kDense,
+                       context + " negative ints");
+  ExpectGroupingOnPath(96, CodesBelow(64), IndexPath::kDense,
+                       context + " strings");
+  ExpectGroupingOnPath(96, MixedValue, IndexPath::kHashed,
+                       context + " mixed-type column");
+  // A range below 2^22 whose array (2^21 + 1 slots) dwarfs the six rows.
+  ExpectGroupingOnPath(
+      6,
+      [](Rng* rng, size_t row) {
+        return Value::Int64(row == 0 ? int64_t{1} << 21
+                                     : static_cast<int64_t>(rng->NextBounded(4)));
+      },
+      IndexPath::kHashed, context + " wide range, few rows");
+}
+
+TEST(DenseJoinAndGroupingTest, MatchReferences) {
+  ExpectJoinAndGroupingCases("");
+}
+
+TEST(DenseJoinAndGroupingTest, DenseRangeSpansSeveralZoneMaps) {
+  // 8-row chunks: each key range is the union of several chunks' zone
+  // maps, and probes walk chunk spans across seams.
+  ChunkCapOverride cap(8);
+  ExpectJoinAndGroupingCases("8-row chunks");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::kWideKeyStride;
 using testing_util::Q;
 using testing_util::Vars;
 
@@ -196,15 +197,18 @@ TEST(RelTest, ColIndexBinarySearch) {
 // ones: same rows, same order, same floating-point fold order.
 // ---------------------------------------------------------------------------
 
+/// Keys are drawn from [0, domain) and multiplied by `stride`. The draws
+/// do not depend on the stride, so two strides give the same relation up
+/// to a relabelling of the values.
 Rel RandomBinaryRel(VarId a, VarId b, size_t rows, int64_t domain,
-                    uint64_t seed) {
+                    uint64_t seed, int64_t stride = 1) {
   Rng rng(seed);
   Rel r(std::vector<VarId>{a, b});
   r.Reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
     std::vector<Value> row = {
-        Value::Int64(rng.NextInt(0, domain - 1)),
-        Value::Int64(rng.NextInt(0, domain - 1))};
+        Value::Int64(rng.NextInt(0, domain - 1) * stride),
+        Value::Int64(rng.NextInt(0, domain - 1) * stride)};
     r.AddRow(row, 0.05 + 0.9 * rng.NextDouble());
   }
   return r;
@@ -221,27 +225,90 @@ void ExpectBitIdentical(const Rel& a, const Rel& b) {
   }
 }
 
+/// `dense`, computed over keys v, equals `wide`, computed over the same
+/// relations with keys v * kWideKeyStride: the same rows in the same order,
+/// with the same score bits.
+void ExpectBitIdenticalUpToStride(const Rel& dense, const Rel& wide) {
+  ASSERT_EQ(dense.NumRows(), wide.NumRows());
+  ASSERT_EQ(dense.vars(), wide.vars());
+  for (size_t r = 0; r < dense.NumRows(); ++r) {
+    for (int c = 0; c < dense.arity(); ++c) {
+      ASSERT_EQ(dense.At(r, c).AsInt64() * kWideKeyStride,
+                wide.At(r, c).AsInt64())
+          << "row " << r << " col " << c;
+    }
+    ASSERT_EQ(dense.Score(r), wide.Score(r)) << "row " << r;
+  }
+}
+
 TEST(ParallelOperatorsTest, HashJoinMatchesSequentialBitForBit) {
   // Large enough to trip both the partitioned build (>= 16Ki rows) and the
-  // morsel-parallel probe (>= 32Ki rows).
-  Rel left = RandomBinaryRel(0, 1, 36'000, 18'000, 41);
-  Rel right = RandomBinaryRel(1, 2, 40'000, 18'000, 42);
+  // morsel-parallel probe (>= 32Ki rows); wide keys keep it hashed.
+  Rel left = RandomBinaryRel(0, 1, 36'000, 18'000, 41, kWideKeyStride);
+  Rel right = RandomBinaryRel(1, 2, 40'000, 18'000, 42, kWideKeyStride);
 
-  Rel sequential = HashJoin(left, right);
+  JoinPath path;
+  Rel sequential = HashJoin(left, right, nullptr, &path);
+  EXPECT_FALSE(path.dense_index);
   Scheduler pool(4);
-  Rel parallel = HashJoin(left, right, &pool);
+  Rel parallel = HashJoin(left, right, &pool, &path);
+  EXPECT_FALSE(path.dense_index);
   EXPECT_GT(sequential.NumRows(), 0u);
   ExpectBitIdentical(sequential, parallel);
   EXPECT_GT(pool.tasks_executed(), 1u);
 }
 
-TEST(ParallelOperatorsTest, ProjectIndependentMatchesSequentialBitForBit) {
-  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43);
-  Rel sequential = ProjectIndependent(in, MaskOf(0));
+TEST(ParallelOperatorsTest, DenseHashJoinMatchesSequentialAndHashedBitForBit) {
+  // The same draws with narrow keys: the build chains rows from a head
+  // array and the probe still fans out in morsels. Pairs come out as the
+  // hash path emits them over the wide keys.
+  Rel left = RandomBinaryRel(0, 1, 36'000, 18'000, 41);
+  Rel right = RandomBinaryRel(1, 2, 40'000, 18'000, 42);
+
+  JoinPath path;
+  Rel sequential = HashJoin(left, right, nullptr, &path);
+  EXPECT_TRUE(path.dense_index);
   Scheduler pool(4);
-  Rel parallel = ProjectIndependent(in, MaskOf(0), &pool);
+  Rel parallel = HashJoin(left, right, &pool, &path);
+  EXPECT_TRUE(path.dense_index);
   EXPECT_GT(sequential.NumRows(), 0u);
   ExpectBitIdentical(sequential, parallel);
+  EXPECT_GT(pool.tasks_executed(), 1u);
+  ExpectBitIdenticalUpToStride(
+      sequential,
+      HashJoin(RandomBinaryRel(0, 1, 36'000, 18'000, 41, kWideKeyStride),
+               RandomBinaryRel(1, 2, 40'000, 18'000, 42, kWideKeyStride)));
+}
+
+TEST(ParallelOperatorsTest, ProjectIndependentMatchesSequentialBitForBit) {
+  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43, kWideKeyStride);
+  bool dense = true;
+  Rel sequential = ProjectIndependent(in, MaskOf(0), nullptr, nullptr, &dense);
+  EXPECT_FALSE(dense);
+  Scheduler pool(4);
+  Rel parallel = ProjectIndependent(in, MaskOf(0), &pool, nullptr, &dense);
+  EXPECT_FALSE(dense);
+  EXPECT_GT(sequential.NumRows(), 0u);
+  ExpectBitIdentical(sequential, parallel);
+}
+
+TEST(ParallelOperatorsTest, DenseProjectIndependentMatchesHashedBitForBit) {
+  // The same draws with narrow keys: groups come from a direct-address
+  // array, with or without a scheduler, and match the sequential and the
+  // partition-parallel hash groupings over the wide keys.
+  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43);
+  Rel wide = RandomBinaryRel(0, 1, 50'000, 700, 43, kWideKeyStride);
+  Scheduler pool(4);
+  bool dense = false;
+  Rel sequential = ProjectIndependent(in, MaskOf(0), nullptr, nullptr, &dense);
+  EXPECT_TRUE(dense);
+  Rel pooled = ProjectIndependent(in, MaskOf(0), &pool, nullptr, &dense);
+  EXPECT_TRUE(dense);
+  EXPECT_GT(sequential.NumRows(), 0u);
+  ExpectBitIdentical(sequential, pooled);
+  ExpectBitIdenticalUpToStride(sequential, ProjectIndependent(wide, MaskOf(0)));
+  ExpectBitIdenticalUpToStride(sequential,
+                               ProjectIndependent(wide, MaskOf(0), &pool));
 }
 
 TEST(ParallelOperatorsTest, ProjectDistinctMatchesSequentialBitForBit) {
@@ -411,8 +478,9 @@ TEST(SimdDifferentialTest, HashCombineRangeMatchesScalarAcrossChunkSeams) {
 TEST(SimdDifferentialTest, HashJoinMatchesScalarBitForBit) {
   // Big enough to engage the prefetched + Bloom-filtered probe path and
   // the partitioned build; seeded so most probes miss (Bloom stays on).
-  Rel left = RandomBinaryRel(0, 1, 36'000, 200'000, 51);
-  Rel right = RandomBinaryRel(1, 2, 40'000, 200'000, 52);
+  // Wide keys keep the join hashed.
+  Rel left = RandomBinaryRel(0, 1, 36'000, 200'000, 51, kWideKeyStride);
+  Rel right = RandomBinaryRel(1, 2, 40'000, 200'000, 52, kWideKeyStride);
   Rel vec = HashJoin(left, right);
   ScopedScalarFallback scalar;
   Rel ref = HashJoin(left, right);
@@ -420,7 +488,8 @@ TEST(SimdDifferentialTest, HashJoinMatchesScalarBitForBit) {
 }
 
 TEST(SimdDifferentialTest, KeyedProjectionMatchesScalarBitForBit) {
-  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 53);
+  // Wide keys keep the grouping hashed.
+  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 53, kWideKeyStride);
   Rel vec = ProjectIndependent(in, MaskOf(0));
   ScopedScalarFallback scalar;
   Rel ref = ProjectIndependent(in, MaskOf(0));
@@ -622,18 +691,27 @@ TEST(LaneTest, HashJoinFoldsBothLanesInBothRoleOrders) {
 }
 
 TEST(LaneTest, ParallelHashJoinFoldsBothLanes) {
-  Rel a = WithLane2(RandomBinaryRel(0, 1, 36'000, 18'000, 75), 76);
-  Rel b = WithLane2(RandomBinaryRel(1, 2, 40'000, 18'000, 77), 78);
-  Scheduler pool(4);
-  Rel two = HashJoin(a, b, &pool);
-  ExpectLanes(two, HashJoin(Lane1Only(a), Lane1Only(b)),
-              HashJoin(Lane2Only(a), Lane2Only(b)));
+  // Narrow keys take the dense build, wide keys the partitioned hash build.
+  for (int64_t stride : {int64_t{1}, kWideKeyStride}) {
+    Rel a = WithLane2(RandomBinaryRel(0, 1, 36'000, 18'000, 75, stride), 76);
+    Rel b = WithLane2(RandomBinaryRel(1, 2, 40'000, 18'000, 77, stride), 78);
+    Scheduler pool(4);
+    Rel two = HashJoin(a, b, &pool);
+    ExpectLanes(two, HashJoin(Lane1Only(a), Lane1Only(b)),
+                HashJoin(Lane2Only(a), Lane2Only(b)));
+  }
 }
 
 TEST(LaneTest, GroupedProjectionFoldsBothLanesSequentialAndParallel) {
-  for (size_t cap_size : {size_t{8}, Column::kDefaultChunkCapacity}) {
+  // Narrow keys group through the dense array, wide keys through the hash
+  // kernel and its partition-parallel path.
+  for (auto [cap_size, stride] :
+       {std::pair{size_t{8}, int64_t{1}},
+        std::pair{Column::kDefaultChunkCapacity, int64_t{1}},
+        std::pair{size_t{8}, kWideKeyStride},
+        std::pair{Column::kDefaultChunkCapacity, kWideKeyStride}}) {
     ChunkCapOverride cap(cap_size);
-    Rel in = WithLane2(RandomBinaryRel(0, 1, 40'000, 700, 79), 80);
+    Rel in = WithLane2(RandomBinaryRel(0, 1, 40'000, 700, 79, stride), 80);
     // Sequential path.
     ExpectLanes(ProjectIndependent(in, MaskOf(0)),
                 ProjectIndependent(Lane1Only(in), MaskOf(0)),
@@ -725,9 +803,9 @@ void ExpectJoinMatchesReference(const Rel& out, const Rel& build,
 TEST(ProbeReuseTest, ExactlyOneMatchPerProbeRowSharesProbeColumns) {
   Rel build = MakeRel({0}, {{1}, {2}, {3}});
   Rel probe = MakeRel({0, 1}, {{2, 20}, {1, 10}, {3, 30}, {2, 21}});
-  bool reused = false;
-  Rel out = HashJoinBuildProbe(build, probe, nullptr, &reused);
-  EXPECT_TRUE(reused);
+  JoinPath path;
+  Rel out = HashJoinBuildProbe(build, probe, nullptr, &path);
+  EXPECT_TRUE(path.probe_cols_reused);
   ASSERT_EQ(out.NumRows(), probe.NumRows());
   EXPECT_EQ(out.col(0), probe.col(0));  // the shared key, too
   EXPECT_EQ(out.col(1), probe.col(1));
@@ -736,20 +814,19 @@ TEST(ProbeReuseTest, ExactlyOneMatchPerProbeRowSharesProbeColumns) {
 
 TEST(ProbeReuseTest, UnmatchedOrRepeatedProbeRowsGather) {
   Rel probe = MakeRel({0, 1}, {{2, 20}, {1, 10}, {4, 40}});
-  bool reused = true;
+  JoinPath path;
   // Probe row x=4 has no partner.
   Rel build = MakeRel({0}, {{1}, {2}, {3}});
-  Rel out = HashJoinBuildProbe(build, probe, nullptr, &reused);
-  EXPECT_FALSE(reused);
+  Rel out = HashJoinBuildProbe(build, probe, nullptr, &path);
+  EXPECT_FALSE(path.probe_cols_reused);
   EXPECT_NE(out.col(0), probe.col(0));
   EXPECT_NE(out.col(1), probe.col(1));
   ExpectJoinMatchesReference(out, build, probe);
 
   // Every probe row matches, but x=2 matches twice.
   Rel dup = MakeRel({0, 2}, {{1, 5}, {2, 6}, {2, 7}, {4, 8}});
-  reused = true;
-  out = HashJoinBuildProbe(dup, probe, nullptr, &reused);
-  EXPECT_FALSE(reused);
+  out = HashJoinBuildProbe(dup, probe, nullptr, &path);
+  EXPECT_FALSE(path.probe_cols_reused);
   ASSERT_EQ(out.NumRows(), probe.NumRows() + 1);
   EXPECT_NE(out.col(1), probe.col(1));
   ExpectJoinMatchesReference(out, dup, probe, /*probe_order=*/false);
@@ -758,12 +835,10 @@ TEST(ProbeReuseTest, UnmatchedOrRepeatedProbeRowsGather) {
   // builds), and the former build side's unmatched row forces a gather.
   Rel small = MakeRel({0, 1}, {{2, 20}, {1, 10}});
   Rel large = MakeRel({0}, {{1}, {2}, {3}});
-  reused = false;
-  out = HashJoinBuildProbe(large, small, nullptr, &reused);
-  EXPECT_TRUE(reused);
-  reused = true;
-  out = HashJoin(large, small, nullptr, &reused);
-  EXPECT_FALSE(reused);
+  out = HashJoinBuildProbe(large, small, nullptr, &path);
+  EXPECT_TRUE(path.probe_cols_reused);
+  out = HashJoin(large, small, nullptr, &path);
+  EXPECT_FALSE(path.probe_cols_reused);
   ExpectJoinMatchesReference(out, small, large);
 }
 
@@ -787,9 +862,9 @@ TEST(ProbeReuseTest, MixedChunkGeometriesHashJoinAndProjectBitIdentically) {
   }
   Scheduler pool(4);
   for (Scheduler* s : {static_cast<Scheduler*>(nullptr), &pool}) {
-    bool reused = false;
-    Rel mixed = HashJoinBuildProbe(build, probe_small_chunks, s, &reused);
-    ASSERT_TRUE(reused);
+    JoinPath path;
+    Rel mixed = HashJoinBuildProbe(build, probe_small_chunks, s, &path);
+    ASSERT_TRUE(path.probe_cols_reused);
     EXPECT_EQ(mixed.col(0)->chunk_capacity(), 8u);
     EXPECT_EQ(mixed.col(2)->chunk_capacity(), Column::kDefaultChunkCapacity);
     Rel uniform = HashJoinBuildProbe(build, probe, s);

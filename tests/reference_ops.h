@@ -1,9 +1,11 @@
 // Naive row-at-a-time reference implementations of the relational
 // operators, kept deliberately simple (nested loops, std::map grouping) so
 // the vectorized columnar operators in src/exec can be checked against them
-// on random instances. These mirror the extensional semantics of Def. 4:
-// joins multiply scores, independent projection combines as 1 - prod(1-s),
-// distinct projection forces 1, MinMerge takes per-row minima.
+// on random instances. RefSortJoin sorts and binary-searches instead of
+// nesting loops, for inputs past what the nested loop checks in time.
+// These mirror the extensional semantics of Def. 4: joins multiply scores,
+// independent projection combines as 1 - prod(1-s), distinct projection
+// forces 1, MinMerge takes per-row minima.
 //
 // BuildSinglePlan is the reference for the lifted compiler
 // (src/lift/safe_plan.h): Algorithm 2's single min-plan built by the plain
@@ -105,6 +107,53 @@ inline RefRel RefJoin(const RefRel& a, const RefRel& b) {
       }
       out.rows.push_back(std::move(row));
       out.scores.push_back(a.scores[i] * b.scores[j]);
+    }
+  }
+  return out;
+}
+
+/// Sort-based natural join in O((b + p) log b + output): build rows sorted
+/// by key, each probe row's partners found by binary search. Rows come
+/// ordered by probe row, then by descending build row, which is the order
+/// HashJoinBuildProbe emits, so the two compare row for row. Scores
+/// multiply (build times probe).
+inline RefRel RefSortJoin(const RefRel& build, const RefRel& probe) {
+  VarMask mb = 0, mp = 0;
+  for (VarId v : build.vars) mb |= MaskOf(v);
+  for (VarId v : probe.vars) mp |= MaskOf(v);
+  const std::vector<VarId> shared = MaskToVars(mb & mp);
+  auto key = [&shared](const RefRel& r, size_t i) {
+    std::vector<Value> k;
+    for (VarId v : shared) k.push_back(r.rows[i][RefColIndex(r, v)]);
+    return k;
+  };
+  using Keyed = std::pair<std::vector<Value>, size_t>;  // (key, build row)
+  std::vector<Keyed> sorted;
+  for (size_t i = 0; i < build.rows.size(); ++i) {
+    sorted.emplace_back(key(build, i), i);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Keyed& a, const Keyed& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second > b.second;
+            });
+  RefRel out;
+  out.vars = MaskToVars(mb | mp);
+  for (size_t j = 0; j < probe.rows.size(); ++j) {
+    const std::vector<Value> k = key(probe, j);
+    auto it = std::lower_bound(
+        sorted.begin(), sorted.end(), k,
+        [](const Keyed& e, const std::vector<Value>& k) { return e.first < k; });
+    for (; it != sorted.end() && it->first == k; ++it) {
+      const size_t i = it->second;
+      std::vector<Value> row;
+      for (VarId v : out.vars) {
+        const int cb = RefColIndex(build, v);
+        row.push_back(cb >= 0 ? build.rows[i][cb]
+                              : probe.rows[j][RefColIndex(probe, v)]);
+      }
+      out.rows.push_back(std::move(row));
+      out.scores.push_back(build.scores[i] * probe.scores[j]);
     }
   }
   return out;

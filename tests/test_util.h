@@ -57,9 +57,14 @@ inline void AddTable(Database* db, const std::string& name, int arity,
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
+/// Keys times 2^23 span more than the 2^22 range of the dense semi-join,
+/// join and grouping (kDenseMaxRange), so operators over them hash their
+/// keys.
+inline constexpr int64_t kWideKeyStride = int64_t{1} << 23;
+
 /// R(x), S(x,y), T(y) with 5000 rows each, so reductions clear the
-/// semi-join's 4096-row Bloom rule. Keys are multiples of 2^23, wider than
-/// the dense path's 2^22 range, so every pair is hashed. In units of 2^23,
+/// semi-join's 4096-row Bloom rule. Keys are multiples of kWideKeyStride,
+/// so every pair is hashed. In units of kWideKeyStride,
 /// half the keys of every pair dangle:
 ///   R(x):   x in [0, 5000)
 ///   S(x,y): (i + 2500, i) for i in [0, 5000)
@@ -67,7 +72,7 @@ inline void AddTable(Database* db, const std::string& name, int arity,
 /// Only x in [3750, 5000) and y in [1250, 2500) join all the way, so 1250
 /// rows of each relation survive the reduction.
 inline Database WideKeyBloomDatabase() {
-  constexpr int64_t k = int64_t{1} << 23;
+  constexpr int64_t k = kWideKeyStride;
   constexpr int64_t n = 5000;
   std::vector<std::pair<std::vector<int64_t>, double>> r, s, t;
   for (int64_t i = 0; i < n; ++i) {

@@ -384,6 +384,66 @@ TEST(EngineTraceTest, JoinSpansReportProbeColumnReuse) {
   }
 }
 
+/// The comma-separated entries of `list`.
+std::vector<std::string> SplitCommas(const std::string& list) {
+  std::vector<std::string> out;
+  size_t at = 0;
+  while (true) {
+    const size_t comma = list.find(',', at);
+    out.push_back(list.substr(at, comma - at));
+    if (comma == std::string::npos) return out;
+    at = comma + 1;
+  }
+}
+
+TEST(EngineTraceTest, JoinAndProjectSpansReportDenseOrHashedIndexes) {
+  // R(x), S(x,y), T(y) over one-column keys: narrow keys build head arrays
+  // and group through direct-address arrays; the same shape with keys
+  // times 2^23 hashes both. Every join reports one index entry per step
+  // (as many as probe_cols), and every grouped projection its grouping.
+  Database narrow;
+  {
+    std::vector<std::pair<std::vector<int64_t>, double>> r, s, t;
+    for (int64_t i = 0; i < 64; ++i) {
+      r.push_back({{i}, 0.5});
+      s.push_back({{i, (i * 7) % 64}, 0.5});
+      t.push_back({{i}, 0.5});
+    }
+    AddTable(&narrow, "R", 1, r);
+    AddTable(&narrow, "S", 2, s);
+    AddTable(&narrow, "T", 1, t);
+  }
+  Database wide = WideKeyBloomDatabase();
+  for (const auto& [db, want] :
+       {std::pair<const Database*, std::string>{&narrow, "dense"},
+        std::pair<const Database*, std::string>{&wide, "hash"}}) {
+    QueryEngine engine = QueryEngine::Borrow(*db);
+    auto prepared = engine.Prepare("q(x) :- R(x), S(x,y), T(y)");
+    ASSERT_TRUE(prepared.ok());
+    auto res = engine.Execute(*prepared, Bindings().EnableTrace());
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_NE(res->trace, nullptr);
+    size_t steps = 0;
+    size_t groupings = 0;
+    for (const auto& s : res->trace->spans) {
+      if (s.name == "join" && Arg(s, "reused") == nullptr) {
+        ASSERT_NE(Arg(s, "index"), nullptr);
+        ASSERT_NE(Arg(s, "probe_cols"), nullptr);
+        const std::vector<std::string> index = SplitCommas(*Arg(s, "index"));
+        EXPECT_EQ(index.size(), SplitCommas(*Arg(s, "probe_cols")).size());
+        for (const std::string& step : index) EXPECT_EQ(step, want);
+        steps += index.size();
+      }
+      if (s.name == "project" && Arg(s, "grouping") != nullptr) {
+        EXPECT_EQ(*Arg(s, "grouping"), want);
+        ++groupings;
+      }
+    }
+    EXPECT_GE(steps, 2u) << want;
+    EXPECT_GE(groupings, 1u) << want;
+  }
+}
+
 TEST(EngineTraceTest, AnytimeBoundsSpanReportsLanesAndExponents) {
   Database db;
   AddTable(&db, "R", 2, {{{1, 1}, 0.6}, {{1, 2}, 0.4}, {{2, 2}, 0.8}});
