@@ -20,6 +20,10 @@ namespace dissodb {
 
 namespace {
 
+/// Max cached Opt. 3 semi-join reductions, keyed by (executed query,
+/// database version, binding tags).
+constexpr size_t kReductionCacheCapacity = 64;
+
 /// Cache key: canonical query rendering plus the flags that change the
 /// compiled artifact.
 std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o) {
@@ -120,22 +124,16 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
   if (opts_.result_cache_capacity > 0) {
     result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_capacity);
   }
-  if (opts_.result_cache_capacity > 0 || opts_.reduction_cache_capacity > 0) {
-    // On every commit: record commit telemetry, roll hot cache entries
-    // forward across append-only commits, and sweep version-stale entries
-    // (results and Opt. 3 reductions) — anything older than the oldest
-    // live snapshot can never be requested again. Registering is
-    // const-safe — observing commits mutates no data.
-    commit_hook_token_ = db_->RegisterCommitHook(
-        [this](const CommitInfo& info) { OnCommit(info); });
-  }
+  // On every commit: record commit telemetry, roll hot cache entries
+  // forward across append-only commits, and sweep version-stale entries
+  // (results and Opt. 3 reductions) — anything older than the oldest live
+  // snapshot can never be requested again. Registering is const-safe —
+  // observing commits mutates no data.
+  commit_hook_token_ = db_->RegisterCommitHook(
+      [this](const CommitInfo& info) { OnCommit(info); });
 }
 
-QueryEngine::~QueryEngine() {
-  if (commit_hook_token_ >= 0) {
-    db_->UnregisterCommitHook(commit_hook_token_);
-  }
-}
+QueryEngine::~QueryEngine() { db_->UnregisterCommitHook(commit_hook_token_); }
 
 void QueryEngine::OnCommit(const CommitInfo& info) {
   if (info.append_only && info.appended_rows > 0) {
@@ -657,8 +655,7 @@ Result<std::shared_ptr<const std::vector<Table>>> QueryEngine::GetOrReduce(
     const std::string& key, const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     SemiJoinStats* stats) {
-  const bool cacheable =
-      !key.empty() && opts_.reduction_cache_capacity > 0;
+  const bool cacheable = !key.empty();
   if (cacheable) {
     std::lock_guard lock(reduction_mu_);
     auto it = reduction_cache_.find(key);
@@ -680,7 +677,7 @@ Result<std::shared_ptr<const std::vector<Table>>> QueryEngine::GetOrReduce(
     reduction_lru_.push_front(key);
     reduction_cache_.emplace(
         key, ReductionEntry{tables, snap.version(), reduction_lru_.begin()});
-    if (reduction_cache_.size() > opts_.reduction_cache_capacity) {
+    if (reduction_cache_.size() > kReductionCacheCapacity) {
       reduction_cache_.erase(reduction_lru_.back());
       reduction_lru_.pop_back();
     }

@@ -83,9 +83,6 @@ struct EngineOptions {
   /// Execute never consults it, so single-query timings measure
   /// evaluation, not caching.
   size_t result_cache_capacity = 256;
-  /// Max cached Opt. 3 semi-join reductions, keyed by (executed query,
-  /// database version, binding tags); 0 disables reduction reuse.
-  size_t reduction_cache_capacity = 64;
   /// Delta-maintain up to this many hot result-cache entries per
   /// append-only commit, hottest (most recently used) first: instead of
   /// sweeping an entry the commit made stale, re-evaluate its subplan over
@@ -376,7 +373,8 @@ class QueryEngine {
 
   std::shared_ptr<const Database> db_;
   EngineOptions opts_;
-  /// Registered commit hook (stale-entry sweep); -1 when no result cache.
+  /// Token of the commit hook the constructor registers (delta maintenance
+  /// and stale-entry sweeps of both caches).
   int commit_hook_token_ = -1;
 
   // Compiled-plan cache: true LRU (hits splice to the front).

@@ -106,13 +106,6 @@ class FlatHashIndex {
 
   ~FlatHashIndex() { internal::IndexScratch::Release(std::move(buf_)); }
 
-  FlatHashIndex(FlatHashIndex&& o) noexcept
-      : mask_(o.mask_),
-        buf_(std::move(o.buf_)),
-        slots_(std::exchange(o.slots_, nullptr)) {
-    o.buf_.bytes = 0;
-  }
-  FlatHashIndex& operator=(FlatHashIndex&&) = delete;
   FlatHashIndex(const FlatHashIndex&) = delete;
   FlatHashIndex& operator=(const FlatHashIndex&) = delete;
 

@@ -36,36 +36,6 @@ constexpr size_t kProbeBlock = 64;
 /// costs instruction bandwidth.
 constexpr size_t kPrefetchMinBuildRows = 4096;
 
-/// Hash-prefix partitions for parallel build/grouping (top bits of the key
-/// hash, independent of the low bits FlatHashIndex buckets on).
-constexpr int kPartitionBits = 6;
-constexpr size_t kNumPartitions = size_t{1} << kPartitionBits;
-constexpr int kPartitionShift = 64 - kPartitionBits;
-
-/// Counting-sort layout of rows 0..n-1 by hash prefix: partition p owns
-/// rows[offsets[p] .. offsets[p+1]), ascending within each partition (the
-/// fill pass scans rows in order), which is what keeps the parallel paths
-/// bit-identical to the sequential ones.
-struct HashPartitions {
-  std::vector<uint32_t> rows;
-  std::vector<uint32_t> offsets;  // size kNumPartitions + 1
-};
-
-HashPartitions PartitionByHashPrefix(std::span<const uint64_t> h) {
-  HashPartitions out;
-  out.offsets.assign(kNumPartitions + 1, 0);
-  for (uint64_t v : h) ++out.offsets[(v >> kPartitionShift) + 1];
-  for (size_t p = 1; p <= kNumPartitions; ++p) {
-    out.offsets[p] += out.offsets[p - 1];
-  }
-  out.rows.resize(h.size());
-  std::vector<uint32_t> pos(out.offsets.begin(), out.offsets.end() - 1);
-  for (size_t r = 0; r < h.size(); ++r) {
-    out.rows[pos[h[r] >> kPartitionShift]++] = static_cast<uint32_t>(r);
-  }
-  return out;
-}
-
 }  // namespace
 
 AtomBinding BindAtom(const Atom& atom) {
@@ -159,231 +129,177 @@ void FilterChunk(const Table& t, std::span<const AtomEqCheck> checks,
   }
 }
 
+/// Zone-map rule: a constant check on a type-uniform column rules out chunk
+/// `ci` when the constant has another type or lies outside the chunk's
+/// [min, max] payload range (unsigned order — any total order is sound for
+/// equality). Ruling a chunk out never changes a selection; it only skips
+/// a chunk that cannot match.
+bool ChunkRuledOut(const Table& t, std::span<const AtomEqCheck> checks,
+                   size_t ci) {
+  for (const auto& check : checks) {
+    if (check.other_pos >= 0) continue;
+    const Column& col = *t.col(check.pos);
+    if (!col.uniform()) continue;
+    if (check.constant.type() != col.type()) return true;
+    const uint64_t cbits = check.constant.RawBits();
+    if (cbits < col.ChunkMinBits(ci) || cbits > col.ChunkMaxBits(ci)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// How a scan reads atom `atom_idx`: its table, its distinct variables with
+/// the first table column of each, and the equality checks its constants
+/// and repeated variables impose.
+struct AtomScan {
+  const Table* table;
+  std::vector<VarId> vars;
+  std::vector<int> first_pos;
+  std::vector<AtomEqCheck> checks;
+};
+
+/// Binds the atom to `table`, or to the snapshot's table when null.
+Result<AtomScan> BindScan(const Snapshot& snap, const ConjunctiveQuery& q,
+                          int atom_idx, const Table* table) {
+  const Atom& atom = q.atom(atom_idx);
+  if (table == nullptr) {
+    auto t = snap.GetTable(atom.relation);
+    if (!t.ok()) return t.status();
+    table = *t;
+  }
+  if (table->arity() != atom.arity()) {
+    return Status::InvalidArgument("atom " + atom.relation +
+                                   " arity mismatch with table");
+  }
+  AtomBinding binding = BindAtom(atom);
+  AtomScan scan{table, MaskToVars(q.AtomMask(atom_idx)), {},
+                std::move(binding.checks)};
+  scan.first_pos.reserve(scan.vars.size());
+  for (VarId v : scan.vars) {
+    scan.first_pos.push_back(binding.first_pos_of_var[v]);
+  }
+  return scan;
+}
+
+/// The scan's output over the table rows at or after `begin_row` that pass
+/// every check, in ascending row order, with lane 1's weights (and `lane2`,
+/// if given) gathered by the same selection. Chunk at a time: chunks the
+/// zone maps rule out are skipped, the others filtered — on the pool when
+/// there is one and the rows in range span at least two morsels — and the
+/// per-chunk selections concatenated in chunk order, so the output is the
+/// same with or without a scheduler. `stats`, if given, accumulates the
+/// chunk counters.
+Rel ScanRows(AtomScan scan, size_t begin_row, WeightsPtr lane2,
+             Scheduler* scheduler, ChunkedScanStats* stats) {
+  const Table& t = *scan.table;
+  const size_t n = t.NumRows();
+  std::vector<uint32_t> sel;
+  if (scan.checks.empty()) {
+    sel.resize(n - begin_row);
+    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin_row));
+  } else {
+    // All columns of a table append in lockstep, so they share one chunk
+    // geometry; read it off the first checked column.
+    const Column& layout = *t.col(scan.checks[0].pos);
+    const size_t first_chunk = begin_row / layout.chunk_capacity();
+    const size_t num_chunks = layout.num_chunks();
+    // Fan out over the surviving chunks only: a fully (or mostly) pruned
+    // scan must not spawn tasks for chunks the zone maps already ruled out.
+    std::vector<uint32_t> live;
+    for (size_t ci = first_chunk; ci < num_chunks; ++ci) {
+      if (!ChunkRuledOut(t, scan.checks, ci)) {
+        live.push_back(static_cast<uint32_t>(ci));
+      }
+    }
+    std::vector<std::vector<uint32_t>> chunk_sel(live.size());
+    const bool parallel = scheduler != nullptr && live.size() >= 2 &&
+                          n - begin_row >= 2 * kMorselRows;
+    auto scan_range = [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        FilterChunk(t, scan.checks, live[i], &chunk_sel[i]);
+      }
+    };
+    if (parallel) {
+      scheduler->ParallelFor(0, live.size(), 1, scan_range);
+    } else {
+      scan_range(0, live.size());
+    }
+    size_t total = 0;
+    for (const auto& cs : chunk_sel) total += cs.size();
+    sel.reserve(total);
+    // Only the first chunk can hold rows before `begin_row`.
+    for (const auto& cs : chunk_sel) {
+      sel.insert(sel.end(), std::lower_bound(cs.begin(), cs.end(), begin_row),
+                 cs.end());
+    }
+    if (stats != nullptr) {
+      ++stats->filtered_scans;
+      if (parallel) ++stats->parallel_scans;
+      stats->chunks_scanned += live.size();
+      stats->chunks_pruned += num_chunks - first_chunk - live.size();
+      for (uint32_t ci : live) stats->rows_scanned += layout.ChunkSize(ci);
+      stats->rows_selected += sel.size();
+    }
+  }
+
+  std::vector<ColumnPtr> cols;
+  cols.reserve(scan.first_pos.size());
+  for (int p : scan.first_pos) {
+    cols.push_back(std::make_shared<Column>(
+        Column::Gathered(*t.col(p), sel, scheduler)));
+  }
+  auto scores = std::make_shared<WeightColumn>(
+      WeightColumn::Gathered(*t.weights(), sel, scheduler));
+  if (lane2 != nullptr) {
+    lane2 = std::make_shared<WeightColumn>(
+        WeightColumn::Gathered(*lane2, sel, scheduler));
+  }
+  return Rel::FromColumns(std::move(scan.vars), std::move(cols),
+                          std::move(scores), sel.size(), std::move(lane2));
+}
+
 }  // namespace
 
 Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
                      int atom_idx, const Table* table, Scheduler* scheduler,
                      ChunkedScanStats* stats, WeightsPtr lane2) {
-  if (table == nullptr) {
-    auto t = snap.GetTable(q.atom(atom_idx).relation);
-    if (!t.ok()) return t.status();
-    table = *t;
-  }
-  const Atom& atom = q.atom(atom_idx);
-  if (table->arity() != atom.arity()) {
-    return Status::InvalidArgument("atom " + atom.relation +
-                                   " arity mismatch with table");
-  }
-  if (lane2 != nullptr && lane2->size() != table->NumRows()) {
-    return Status::InvalidArgument("lane-2 weights of atom " + atom.relation +
+  auto bound = BindScan(snap, q, atom_idx, table);
+  if (!bound.ok()) return bound.status();
+  AtomScan& scan = *bound;
+  const size_t n = scan.table->NumRows();
+  if (lane2 != nullptr && lane2->size() != n) {
+    return Status::InvalidArgument("lane-2 weights of atom " +
+                                   q.atom(atom_idx).relation +
                                    " do not match its table's rows");
   }
-  // First column position of each distinct variable, plus equality checks
-  // for repeated variables and constants.
-  std::vector<VarId> vars = MaskToVars(q.AtomMask(atom_idx));
-  AtomBinding binding = BindAtom(atom);
-  std::vector<int> first_pos(vars.size(), -1);
-  for (size_t i = 0; i < vars.size(); ++i) {
-    first_pos[i] = binding.first_pos_of_var[vars[i]];
+  if (!scan.checks.empty()) {
+    return ScanRows(std::move(scan), 0, std::move(lane2), scheduler, stats);
   }
-  const std::vector<AtomEqCheck>& checks = binding.checks;
-
-  const size_t n = table->NumRows();
-  if (checks.empty()) {
-    // Unfiltered scan: reference the table's columns and probabilities
-    // zero-copy (the dominant case — most atoms have no selections).
-    std::vector<ColumnPtr> cols;
-    cols.reserve(vars.size());
-    for (size_t i = 0; i < vars.size(); ++i) {
-      cols.push_back(table->col(first_pos[i]));
-    }
-    return Rel::FromColumns(std::move(vars), std::move(cols),
-                            table->weights(), n, std::move(lane2));
-  }
-
-  // Filtered scan, chunk at a time. All columns of a table append in
-  // lockstep, so they share one chunk geometry; read it off the first
-  // checked column.
-  const Column& layout = *table->col(checks[0].pos);
-  const size_t num_chunks = layout.num_chunks();
-
-  // Zone-map pruning: a constant check on a type-uniform column rules out
-  // every chunk whose [min, max] payload range (unsigned order — any total
-  // order is sound for equality) excludes the constant.
-  std::vector<uint8_t> prune(num_chunks, 0);
-  for (const auto& check : checks) {
-    if (check.other_pos >= 0) continue;
-    const Column& col = *table->col(check.pos);
-    if (!col.uniform()) continue;
-    if (n > 0 && check.constant.type() != col.type()) {
-      prune.assign(num_chunks, 1);  // type mismatch: nothing can match
-      break;
-    }
-    const uint64_t cbits = check.constant.RawBits();
-    for (size_t ci = 0; ci < num_chunks; ++ci) {
-      if (cbits < col.ChunkMinBits(ci) || cbits > col.ChunkMaxBits(ci)) {
-        prune[ci] = 1;
-      }
-    }
-  }
-
-  // Fan out over the surviving chunks only: a fully (or mostly) pruned scan
-  // must not spawn tasks for — or even iterate — chunks the zone maps
-  // already ruled out.
-  std::vector<uint32_t> live;
-  live.reserve(num_chunks);
-  for (size_t ci = 0; ci < num_chunks; ++ci) {
-    if (!prune[ci]) live.push_back(static_cast<uint32_t>(ci));
-  }
-
-  // One selection vector per surviving chunk; concatenating them in chunk
-  // order reproduces the ascending sequential selection exactly.
-  std::vector<std::vector<uint32_t>> chunk_sel(num_chunks);
-  const bool parallel =
-      scheduler != nullptr && live.size() >= 2 && n >= 2 * kMorselRows;
-  auto scan_range = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const size_t ci = live[i];
-      FilterChunk(*table, checks, ci, &chunk_sel[ci]);
-    }
-  };
-  if (parallel) {
-    scheduler->ParallelFor(0, live.size(), 1, scan_range);
-  } else if (!live.empty()) {
-    scan_range(0, live.size());
-  }
-
-  size_t total = 0;
-  for (const auto& cs : chunk_sel) total += cs.size();
-  std::vector<uint32_t> sel;
-  sel.reserve(total);
-  for (const auto& cs : chunk_sel) sel.insert(sel.end(), cs.begin(), cs.end());
-
-  if (stats != nullptr) {
-    ++stats->filtered_scans;
-    if (parallel) ++stats->parallel_scans;
-    for (size_t ci = 0; ci < num_chunks; ++ci) {
-      if (prune[ci]) {
-        ++stats->chunks_pruned;
-      } else {
-        ++stats->chunks_scanned;
-        stats->rows_scanned += layout.ChunkSize(ci);
-      }
-    }
-    stats->rows_selected += total;
-  }
-
+  // Unfiltered scan: reference the table's columns and probabilities
+  // zero-copy (the dominant case — most atoms have no selections).
   std::vector<ColumnPtr> cols;
-  cols.reserve(vars.size());
-  for (size_t i = 0; i < vars.size(); ++i) {
-    cols.push_back(std::make_shared<Column>(
-        Column::Gathered(*table->col(first_pos[i]), sel, scheduler)));
-  }
-  auto scores = std::make_shared<WeightColumn>(
-      WeightColumn::Gathered(*table->weights(), sel, scheduler));
-  if (lane2 != nullptr) {
-    lane2 = std::make_shared<WeightColumn>(
-        WeightColumn::Gathered(*lane2, sel, scheduler));
-  }
-  return Rel::FromColumns(std::move(vars), std::move(cols), std::move(scores),
-                          sel.size(), std::move(lane2));
+  cols.reserve(scan.first_pos.size());
+  for (int p : scan.first_pos) cols.push_back(scan.table->col(p));
+  return Rel::FromColumns(std::move(scan.vars), std::move(cols),
+                          scan.table->weights(), n, std::move(lane2));
 }
 
 Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
                          int atom_idx, size_t begin_row,
                          Scheduler* scheduler) {
-  auto t = snap.GetTable(q.atom(atom_idx).relation);
-  if (!t.ok()) return t.status();
-  const Table* table = *t;
-  const Atom& atom = q.atom(atom_idx);
-  if (table->arity() != atom.arity()) {
-    return Status::InvalidArgument("atom " + atom.relation +
-                                   " arity mismatch with table");
-  }
-  const size_t n = table->NumRows();
-  if (begin_row > n) {
+  auto bound = BindScan(snap, q, atom_idx, nullptr);
+  if (!bound.ok()) return bound.status();
+  if (begin_row > bound->table->NumRows()) {
     return Status::InvalidArgument("delta scan begins past table " +
-                                   atom.relation);
+                                   q.atom(atom_idx).relation);
   }
-  std::vector<VarId> vars = MaskToVars(q.AtomMask(atom_idx));
-  AtomBinding binding = BindAtom(atom);
-  std::vector<int> first_pos(vars.size(), -1);
-  for (size_t i = 0; i < vars.size(); ++i) {
-    first_pos[i] = binding.first_pos_of_var[vars[i]];
-  }
-  const std::vector<AtomEqCheck>& checks = binding.checks;
-
-  // Selection = the ascending full-scan selection restricted to the
-  // appended suffix; only chunks overlapping [begin_row, n) are touched.
-  std::vector<uint32_t> sel;
-  if (checks.empty()) {
-    sel.resize(n - begin_row);
-    for (size_t r = begin_row; r < n; ++r) {
-      sel[r - begin_row] = static_cast<uint32_t>(r);
-    }
-  } else if (begin_row < n) {
-    const Column& layout = *table->col(checks[0].pos);
-    const size_t cap = layout.chunk_capacity();
-    const size_t num_chunks = layout.num_chunks();
-    for (size_t ci = begin_row / cap; ci < num_chunks; ++ci) {
-      // Same zone-map pruning as the full scan (pruning never changes the
-      // selection, it only skips chunks that cannot match).
-      bool pruned = false;
-      for (const auto& check : checks) {
-        if (check.other_pos >= 0) continue;
-        const Column& col = *table->col(check.pos);
-        if (!col.uniform()) continue;
-        if (check.constant.type() != col.type()) {
-          pruned = true;
-          break;
-        }
-        const uint64_t cbits = check.constant.RawBits();
-        if (cbits < col.ChunkMinBits(ci) || cbits > col.ChunkMaxBits(ci)) {
-          pruned = true;
-          break;
-        }
-      }
-      if (pruned) continue;
-      std::vector<uint32_t> chunk_sel;
-      FilterChunk(*table, checks, ci, &chunk_sel);
-      for (uint32_t r : chunk_sel) {
-        if (r >= begin_row) sel.push_back(r);
-      }
-    }
-  }
-
-  std::vector<ColumnPtr> cols;
-  cols.reserve(vars.size());
-  for (size_t i = 0; i < vars.size(); ++i) {
-    cols.push_back(std::make_shared<Column>(
-        Column::Gathered(*table->col(first_pos[i]), sel, scheduler)));
-  }
-  auto scores = std::make_shared<WeightColumn>(
-      WeightColumn::Gathered(*table->weights(), sel, scheduler));
-  return Rel::FromColumns(std::move(vars), std::move(cols), std::move(scores),
-                          sel.size());
+  // The ascending full-scan selection restricted to the appended suffix;
+  // only chunks overlapping [begin_row, n) are touched.
+  return ScanRows(std::move(*bound), begin_row, nullptr, scheduler, nullptr);
 }
 
 namespace {
-
-/// Build-side index: either one flat table (sequential build) or one per
-/// hash-prefix partition (parallel build). Chains run through the shared
-/// `next` array; per-partition chains preserve the global ascending
-/// insertion order, so probes see build rows in the same (descending)
-/// order either way.
-struct JoinBuildIndex {
-  std::vector<FlatHashIndex> parts;
-  std::vector<uint32_t> next;
-  bool partitioned = false;
-
-  uint32_t Find(uint64_t h) const {
-    return parts[partitioned ? (h >> kPartitionShift) : 0].Find(h);
-  }
-
-  void Prefetch(uint64_t h) const {
-    parts[partitioned ? (h >> kPartitionShift) : 0].PrefetchSlot(h);
-  }
-};
 
 /// Join probes consult a build-side Bloom filter before touching the slot
 /// table. The filter is worth a probe-side pre-check only while it
@@ -399,57 +315,6 @@ struct JoinBuildIndex {
 /// for itself down to roughly three rejects in eight.
 constexpr size_t kBloomAdaptProbes = 8192;
 constexpr size_t kBloomMinRejectEighths = 3;
-
-JoinBuildIndex BuildJoinIndex(std::span<const uint64_t> bh,
-                              Scheduler* scheduler) {
-  const size_t bn = bh.size();
-  JoinBuildIndex index;
-  index.next.resize(bn);
-  // Insert-side lookahead: each HeadFor lands on a random slot of a table
-  // that exceeds L2 for large builds, so fetch the slot line (exclusive) a
-  // fixed distance ahead. Purely overlaps misses; insertion order — and
-  // therefore every chain — is unchanged.
-  constexpr size_t kBuildLookahead = 16;
-  if (scheduler == nullptr || bn < kMorselRows) {
-    index.parts.emplace_back(bn);
-    FlatHashIndex& part = index.parts[0];
-    const bool prefetch = bn >= kPrefetchMinBuildRows;
-    for (size_t r = 0; r < bn; ++r) {
-      if (prefetch && r + kBuildLookahead < bn) {
-        part.PrefetchSlotWrite(bh[r + kBuildLookahead]);
-      }
-      uint32_t& head = part.HeadFor(bh[r]);
-      index.next[r] = head;
-      head = static_cast<uint32_t>(r);
-    }
-    return index;
-  }
-
-  index.partitioned = true;
-  HashPartitions parts = PartitionByHashPrefix(bh);
-  index.parts.reserve(kNumPartitions);
-  for (size_t p = 0; p < kNumPartitions; ++p) {
-    index.parts.emplace_back(parts.offsets[p + 1] - parts.offsets[p]);
-  }
-  scheduler->ParallelFor(0, kNumPartitions, 1, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      FlatHashIndex& part = index.parts[p];
-      const uint32_t begin = parts.offsets[p];
-      const uint32_t end = parts.offsets[p + 1];
-      const bool prefetch = end - begin >= kPrefetchMinBuildRows;
-      for (uint32_t i = begin; i < end; ++i) {
-        if (prefetch && i + kBuildLookahead < end) {
-          part.PrefetchSlotWrite(bh[parts.rows[i + kBuildLookahead]]);
-        }
-        const uint32_t r = parts.rows[i];
-        uint32_t& head = part.HeadFor(bh[r]);
-        index.next[r] = head;
-        head = r;
-      }
-    }
-  });
-  return index;
-}
 
 /// The (build row, probe row) pairs of a join, in output order.
 struct JoinPairs {
@@ -527,19 +392,34 @@ JoinPairs DenseJoinPairs(const Column& bk, const Column& pk, DenseRange range,
   });
 }
 
-/// Hash join: flat table(s) over the batch-hashed build keys (hashing fans
-/// out in chunk-aligned morsels; duplicate keys chain through `next`),
-/// probed with the batch-hashed probe keys and real key comparisons.
+/// Hash join: one flat table over the batch-hashed build keys (hashing fans
+/// out in chunk-aligned morsels), probed with the batch-hashed probe keys
+/// and real key comparisons. Build rows are chained in ascending order
+/// through `next`, so each chain lists its rows in descending order.
 JoinPairs HashJoinPairs(const Rel& build, std::span<const int> build_key,
                         const Rel& probe, std::span<const int> probe_key,
                         Scheduler* scheduler) {
   const size_t bn = build.NumRows();
   HashVector bh = HashKeyColumns(build, build_key, scheduler);
-  JoinBuildIndex index = BuildJoinIndex(bh, scheduler);
+  FlatHashIndex index(bn);
+  std::vector<uint32_t> next(bn);
+  const bool want_prefetch = bn >= kPrefetchMinBuildRows;
+  // Insert-side lookahead: each HeadFor lands on a random slot of a table
+  // that exceeds L2 for large builds, so fetch the slot line (exclusive) a
+  // fixed distance ahead. Purely overlaps misses; insertion order — and
+  // therefore every chain — is unchanged.
+  constexpr size_t kBuildLookahead = 16;
+  for (size_t r = 0; r < bn; ++r) {
+    if (want_prefetch && r + kBuildLookahead < bn) {
+      index.PrefetchSlotWrite(bh[r + kBuildLookahead]);
+    }
+    uint32_t& head = index.HeadFor(bh[r]);
+    next[r] = head;
+    head = static_cast<uint32_t>(r);
+  }
   HashVector ph = HashKeyColumns(probe, probe_key, scheduler);
   const Column* build_key0 =
       build_key.empty() ? nullptr : &*build.col(build_key[0]);
-  const bool want_prefetch = bn >= kPrefetchMinBuildRows;
   // Build-side Bloom filter for probe pre-checks: the filter array is ~10
   // bits/key (cache-resident) while the slot table it short-circuits is a
   // DRAM miss per probe. Built sequentially from the already-computed
@@ -583,19 +463,19 @@ JoinPairs HashJoinPairs(const Rel& build, std::span<const int> build_key,
             sur[s++] = static_cast<uint32_t>(pr);
           }
         }
-        for (size_t k = 0; k < s; ++k) index.Prefetch(ph[sur[k]]);
+        for (size_t k = 0; k < s; ++k) index.PrefetchSlot(ph[sur[k]]);
         for (size_t k = 0; k < s; ++k) {
           const uint32_t head = index.Find(ph[sur[k]]);
           heads[k] = head;
           if (head != FlatHashIndex::kNil) {
-            __builtin_prefetch(&index.next[head], 0, 1);
+            __builtin_prefetch(&next[head], 0, 1);
             if (build_key0 != nullptr) build_key0->PrefetchRaw(head);
           }
         }
         for (size_t k = 0; k < s; ++k) {
           const size_t pr = sur[k];
           for (uint32_t br = heads[k]; br != FlatHashIndex::kNil;
-               br = index.next[br]) {
+               br = next[br]) {
             if (!KeysEqual(build, br, build_key, probe, pr, probe_key)) {
               continue;
             }
@@ -608,7 +488,7 @@ JoinPairs HashJoinPairs(const Rel& build, std::span<const int> build_key,
     }
     for (size_t pr = lo; pr < hi; ++pr) {
       for (uint32_t br = index.Find(ph[pr]); br != FlatHashIndex::kNil;
-           br = index.next[br]) {
+           br = next[br]) {
         if (!KeysEqual(build, br, build_key, probe, pr, probe_key)) continue;
         bs->push_back(br);
         ps->push_back(static_cast<uint32_t>(pr));
@@ -728,22 +608,18 @@ struct Groups {
   std::vector<double> acc2;
 };
 
-/// Sequential grouping kernel shared by both projection flavors and both
-/// (sequential / partition-parallel) paths: assign each row of `rows` to a
-/// group via a flat index (groups with equal hashes chain; real key
-/// comparison on the input columns) and fold scores per group, in every
-/// lane, into the empty `out`. `rows` must be ascending so the per-group
-/// fold order matches a full sequential scan. `row_at(t)` maps loop
-/// position to input row id; the two instantiations are the identity
-/// (sequential full-input path, no row-index vector to allocate or stream)
-/// and a subscript into a partition's row list. `kTwoLanes` must say
-/// whether `in` has a lane 2; the single-lane instantiation carries no
-/// lane-2 work in its loop.
-template <bool kTwoLanes, typename RowAt, typename Init, typename Update>
+/// Hash grouping kernel shared by both projection flavors: assign each row
+/// of `in`, in row order, to a group via a flat index over the row hashes
+/// `h` (groups with equal hashes chain; real key comparison on the input
+/// columns) and fold scores per group, in every lane, into the empty `out`.
+/// `kTwoLanes` must say whether `in` has a lane 2; the single-lane
+/// instantiation carries no lane-2 work in its loop.
+template <bool kTwoLanes, typename Init, typename Update>
 void GroupRowsKernel(const Rel& in, std::span<const int> key_pos,
-                     std::span<const uint64_t> h, size_t nr, RowAt row_at,
-                     Init init, Update update, Groups* out) {
+                     std::span<const uint64_t> h, Init init, Update update,
+                     Groups* out) {
   assert(out->rep.empty() && out->acc.empty() && out->acc2.empty());
+  const size_t nr = h.size();
   FlatHashIndex index(nr);
   // Near-distinct keys create a group per row. The group arrays are sized
   // for that worst case up front (uninitialized), written by index and
@@ -763,9 +639,9 @@ void GroupRowsKernel(const Rel& in, std::span<const int> key_pos,
   uint32_t num_groups = 0;
   for (size_t t = 0; t < nr; ++t) {
     if (prefetch && t + kGroupLookahead < nr) {
-      index.PrefetchSlotWrite(h[row_at(t + kGroupLookahead)]);
+      index.PrefetchSlotWrite(h[t + kGroupLookahead]);
     }
-    const uint32_t r = row_at(t);
+    const uint32_t r = static_cast<uint32_t>(t);
     uint32_t& head = index.HeadFor(h[r]);
     uint32_t g = head;
     while (g != FlatHashIndex::kNil &&
@@ -785,38 +661,6 @@ void GroupRowsKernel(const Rel& in, std::span<const int> key_pos,
     }
   }
   out->rep.resize(num_groups);
-}
-
-/// GroupRowsKernel instantiated for `in`'s lane count.
-template <typename RowAt, typename Init, typename Update>
-void GroupRowsImpl(const Rel& in, std::span<const int> key_pos,
-                   std::span<const uint64_t> h, size_t nr, RowAt row_at,
-                   Init init, Update update, Groups* out) {
-  if (in.lane2() != nullptr) {
-    GroupRowsKernel<true>(in, key_pos, h, nr, row_at, init, update, out);
-  } else {
-    GroupRowsKernel<false>(in, key_pos, h, nr, row_at, init, update, out);
-  }
-}
-
-template <typename Init, typename Update>
-void GroupRows(const Rel& in, std::span<const int> key_pos,
-               std::span<const uint64_t> h, std::span<const uint32_t> rows,
-               Init init, Update update, Groups* out) {
-  GroupRowsImpl(
-      in, key_pos, h, rows.size(), [rows](size_t t) { return rows[t]; },
-      init, update, out);
-}
-
-/// Identity variant (rows 0..n-1 in order): the full sequential grouping
-/// path, with no materialized row-index vector.
-template <typename Init, typename Update>
-void GroupAllRows(const Rel& in, std::span<const int> key_pos,
-                  std::span<const uint64_t> h, Init init, Update update,
-                  Groups* out) {
-  GroupRowsImpl(
-      in, key_pos, h, h.size(),
-      [](size_t t) { return static_cast<uint32_t>(t); }, init, update, out);
 }
 
 /// Dense grouping over one type-uniform key column whose payloads lie in
@@ -859,62 +703,12 @@ void GroupDenseKernel(const Rel& in, const Column& key, DenseRange range,
   out->rep.resize(num_groups);
 }
 
-/// Hash grouping with a scheduler: rows are partitioned by hash prefix and
-/// grouped per partition in parallel. Every row of a group lands in the
-/// same partition (the partition is a function of the key hash) and
-/// partitions keep rows ascending, so re-sorting the merged groups by
-/// representative row reproduces the sequential first-occurrence group
-/// order and fold order exactly.
-template <typename Init, typename Update>
-void GroupPartitioned(const Rel& in, std::span<const int> key_pos,
-                      std::span<const uint64_t> h, Scheduler* scheduler,
-                      Init init, Update update, Groups* out) {
-  const bool two_lanes = in.lane2() != nullptr;
-  HashPartitions parts = PartitionByHashPrefix(h);
-  std::vector<Groups> part(kNumPartitions);
-  scheduler->ParallelFor(0, kNumPartitions, 1, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      std::span<const uint32_t> rows(parts.rows.data() + parts.offsets[p],
-                                     parts.offsets[p + 1] - parts.offsets[p]);
-      GroupRows(in, key_pos, h, rows, init, update, &part[p]);
-    }
-  });
-  // Merge: representatives are distinct rows, so sorting (representative,
-  // position) keys restores the global first-occurrence order of the
-  // sequential scan; each lane's accumulators follow their group through
-  // its position in the concatenated partition lists.
-  size_t total_groups = 0;
-  for (const Groups& g : part) total_groups += g.rep.size();
-  std::vector<uint64_t> order;
-  std::vector<double> flat_acc, flat_acc2;
-  order.reserve(total_groups);
-  flat_acc.reserve(total_groups);
-  if (two_lanes) flat_acc2.reserve(total_groups);
-  for (const Groups& g : part) {
-    for (size_t k = 0; k < g.rep.size(); ++k) {
-      order.push_back(uint64_t{g.rep[k]} << 32 | flat_acc.size());
-      flat_acc.push_back(g.acc[k]);
-      if (two_lanes) flat_acc2.push_back(g.acc2[k]);
-    }
-  }
-  std::sort(order.begin(), order.end());
-  out->rep.reserve(total_groups);
-  out->acc.reserve(total_groups);
-  if (two_lanes) out->acc2.reserve(total_groups);
-  for (uint64_t key : order) {
-    const uint32_t pos = static_cast<uint32_t>(key);
-    out->rep.push_back(static_cast<uint32_t>(key >> 32));
-    out->acc.push_back(flat_acc[pos]);
-    if (two_lanes) out->acc2.push_back(flat_acc2[pos]);
-  }
-}
-
 /// Shared grouping loop for both projection flavors: group the rows by the
 /// kept columns and fold scores per group. One kept column that passes
 /// DenseIndexRangeFor is grouped through a direct-address array; other
-/// keys are batch-hashed and grouped sequentially, or per hash partition
-/// in parallel with a scheduler and a large input. Every path yields the
-/// same groups, in first-occurrence order, with the same fold order.
+/// keys are batch-hashed (in morsels on the pool, when there is one) and
+/// grouped by the sequential hash kernel. Both paths yield the same groups,
+/// in first-occurrence order, with the same fold order.
 template <typename Init, typename Update, typename Finalize>
 Rel ProjectImpl(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
                 Init init, Update update, Finalize finalize,
@@ -942,10 +736,10 @@ Rel ProjectImpl(const Rel& in, VarMask keep_mask, Scheduler* scheduler,
     }
   } else {
     HashVector h = HashKeyColumns(in, key_pos, scheduler);
-    if (scheduler != nullptr && n >= 2 * kMorselRows) {
-      GroupPartitioned(in, key_pos, h, scheduler, init, update, &groups);
+    if (two_lanes) {
+      GroupRowsKernel<true>(in, key_pos, h, init, update, &groups);
     } else {
-      GroupAllRows(in, key_pos, h, init, update, &groups);
+      GroupRowsKernel<false>(in, key_pos, h, init, update, &groups);
     }
   }
 

@@ -82,12 +82,12 @@ Result<Rel> ScanAtom(const Snapshot& snap, const ConjunctiveQuery& q,
                      ChunkedScanStats* stats = nullptr,
                      WeightsPtr lane2 = nullptr);
 
-/// Delta scan: ScanAtom restricted to table rows >= `begin_row`. Applies
-/// the same constant / repeated-variable checks, so the emitted rows are
-/// exactly the suffix of the full scan's ascending selection that falls in
-/// the appended range — the semi-naive delta of an append-only commit.
-/// Cost is proportional to the chunks overlapping the appended rows, not
-/// the table.
+/// Delta scan: ScanAtom restricted to table rows >= `begin_row`. It runs
+/// the same checks, zone-map rule, chunk filter and gathers, so the emitted
+/// rows are exactly the suffix of the full scan's ascending selection that
+/// falls in the appended range — the semi-naive delta of an append-only
+/// commit. Cost is proportional to the chunks overlapping the appended
+/// rows, not the table.
 Result<Rel> ScanAtomTail(const Snapshot& snap, const ConjunctiveQuery& q,
                          int atom_idx, size_t begin_row,
                          Scheduler* scheduler = nullptr);
@@ -111,16 +111,14 @@ struct JoinPath {
 /// chained from a direct-address head array over the column's zone-map
 /// range. Probes then read each key payload, skip values outside the range
 /// and walk the chain, with no hashing, key comparison or Bloom filter.
-/// Every other join hashes its keys. Both paths emit the same pairs in the
-/// same order.
+/// Every other join hashes its keys into one flat index. Both paths emit
+/// the same pairs in the same order.
 ///
-/// With a scheduler and a large enough input, the hash build is
-/// partitioned by hash prefix (one flat index per partition, built in
-/// parallel) and the probe side is split into row-range morsels fanned out
-/// on the pool. The parallel path emits rows in exactly the sequential
-/// order (morsel outputs concatenate in probe-row order; per-partition
-/// chains preserve the global insertion order), so results are
-/// bit-identical either way.
+/// The build is sequential. With a scheduler and a large enough input, key
+/// hashing fans out in chunk-aligned morsels, the probe side is split into
+/// row-range morsels, and the output columns are gathered as separate
+/// tasks, all on the pool. Morsel outputs concatenate in probe-row order,
+/// so results are bit-identical either way.
 ///
 /// Probe-column reuse: when every probe row matches exactly one build row,
 /// the output rows are the probe rows in order, so the output shares every
@@ -151,11 +149,10 @@ Rel HashJoinBuildProbe(const Rel& build, const Rel& probe,
 /// Dense keys: when the kept variables are one column that passes
 /// DenseIndexRangeFor over the input rows, a row's group id is read from a
 /// direct-address array over the column's zone-map range, assigned at the
-/// group's first row. Other keys are hashed: with a scheduler and a large
-/// enough input, rows are partitioned by key hash prefix and each partition
-/// is grouped independently; groups are then re-sorted by global
-/// first-occurrence row, reproducing the sequential group order and fold
-/// order bit-for-bit. All paths produce the same groups and score bits.
+/// group's first row. Other keys are hashed and grouped through one flat
+/// index. Grouping is sequential on both paths; a scheduler, with a large
+/// enough input, fans out only the key hashing and the gathers of the
+/// output columns. Both paths produce the same groups and score bits.
 ///
 /// `raw_acc_out`, if given, receives the per-group complement products
 /// before finalization (acc_g = prod(1 - s_i)); delta maintenance stores

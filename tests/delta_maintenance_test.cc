@@ -4,8 +4,10 @@
 // maintained relation must be *bit-identical* to evaluating the same
 // subplan from scratch at the new version — same rows, same order, same
 // score bits. Covers chunk-seam append batches (cap-1 / cap / cap+1),
-// fallback-to-sweep for non-append commits, partial maintenance when a
-// commit touches several tables, and a readers-vs-writer stress.
+// filtered delta scans (constants, repeated variables, append chunks the
+// zone maps rule out), fallback-to-sweep for non-append commits, partial
+// maintenance when a commit touches several tables, and a readers-vs-writer
+// stress.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,18 +50,22 @@ std::vector<PreparedQuery> PrepareAll(
   return out;
 }
 
-// R(a,b) joins S(b). Weights step in 1/16 so products are exact enough to
-// expose any reordered accumulation as a bit difference (they are exact in
-// binary FP, so equal values imply equal operation sequences).
-Database MakeDb(size_t r_rows, Rng* rng) {
+// R(a,b,...) joins S(b); R's columns after the first hold 0..5. Weights
+// step in 1/16 so products are exact enough to expose any reordered
+// accumulation as a bit difference (they are exact in binary FP, so equal
+// values imply equal operation sequences).
+Database MakeDb(size_t r_rows, Rng* rng, int r_arity = 2) {
   Database db;
   std::vector<std::pair<std::vector<int64_t>, double>> rows;
   for (size_t i = 0; i < r_rows; ++i) {
-    rows.push_back({{static_cast<int64_t>(rng->NextBounded(5)),
-                     static_cast<int64_t>(rng->NextBounded(6))},
-                    static_cast<double>(rng->NextBounded(15) + 1) / 16.0});
+    std::vector<int64_t> row = {static_cast<int64_t>(rng->NextBounded(5))};
+    for (int c = 1; c < r_arity; ++c) {
+      row.push_back(static_cast<int64_t>(rng->NextBounded(6)));
+    }
+    rows.push_back(
+        {row, static_cast<double>(rng->NextBounded(15) + 1) / 16.0});
   }
-  AddTable(&db, "R", 2, rows);
+  AddTable(&db, "R", r_arity, rows);
   AddTable(&db, "S", 1,
            {{{0}, 0.5},
             {{1}, 0.25},
@@ -123,6 +129,72 @@ TEST(DeltaMaintenanceTest, MaintainedEntriesBitIdenticalAcrossChunkSeams) {
           << ": maintained entry must serve as a hit at the new version";
       ExpectBitIdentical(expect[i]->answers, got[i]->answers,
                          "delta " + std::to_string(delta) + " query " +
+                             std::to_string(i));
+    }
+  }
+}
+
+TEST(DeltaMaintenanceTest, FilteredDeltaScansBitIdenticalAcrossChunkSeams) {
+  // A constant and a repeated variable send the delta scan down its
+  // filtered path: chunks the constant's zone maps rule out are skipped,
+  // and selected rows of the first chunk that precede the appended ones are
+  // cut. cap 4, and R starts on a seam with 96 rows.
+  ChunkCapOverride cap(4);
+  Rng rng(61);
+  Database db = MakeDb(96, &rng, /*r_arity=*/3);
+
+  QueryEngine engine = QueryEngine::Borrow(db);
+  ConjunctiveQuery qc = Q("q(x) :- R(x,y,3), S(y)");
+  ConjunctiveQuery qr = Q("q(x) :- R(x,y,y), S(y)");
+  const std::vector<PreparedQuery> batch = PrepareAll(&engine, {qc, qr});
+  for (const auto& r : engine.ExecuteBatch(batch)) ASSERT_TRUE(r.ok());
+
+  using Rows = std::vector<std::vector<int64_t>>;
+  auto random_rows = [&rng](size_t n) {
+    Rows rows(n);
+    for (auto& row : rows) {
+      for (int c = 0; c < 3; ++c) {
+        row.push_back(static_cast<int64_t>(rng.NextBounded(6)));
+      }
+    }
+    return rows;
+  };
+  // `ruled_out` fills two whole chunks whose third column holds only 4 and
+  // 5, so the zone maps rule both out for the constant, while the repeated
+  // variable still selects (., 4, 4) and (., 5, 5). `both` passes both
+  // filters and ends mid-chunk, so the next delta scan must cut it.
+  const Rows ruled_out = {{0, 4, 4}, {1, 5, 5}, {2, 0, 4}, {3, 1, 5},
+                          {4, 4, 4}, {0, 5, 5}, {1, 2, 4}, {2, 3, 5}};
+  const Rows both = {{1, 3, 3}, {2, 3, 3}};
+  // R grows 96 -> 99 (ends mid-chunk) -> 104 (crosses a seam, ends on one)
+  // -> 112 (ruled out) -> 114 (both) -> 118 -> 119 -> 128.
+  const std::vector<Rows> batches = {random_rows(3), random_rows(5),
+                                     ruled_out,      both,
+                                     random_rows(4), random_rows(1),
+                                     random_rows(9)};
+  size_t maintained = engine.stats().result_cache_delta_maintained;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    auto w = db.BeginWrite();
+    for (size_t i = 0; i < batches[b].size(); ++i) {
+      std::vector<Value> row;
+      for (int64_t v : batches[b][i]) row.push_back(Value::Int64(v));
+      w.AppendRow(0, row, static_cast<double>(i % 15 + 1) / 16.0);
+    }
+    w.Commit();
+    EXPECT_GT(engine.stats().result_cache_delta_maintained, maintained)
+        << "batch " << b;
+    maintained = engine.stats().result_cache_delta_maintained;
+
+    QueryEngine fresh = QueryEngine::Borrow(db);
+    auto expect = fresh.ExecuteBatch(PrepareAll(&fresh, {qc, qr}));
+    auto got = engine.ExecuteBatch(batch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(expect[i].ok() && got[i].ok());
+      EXPECT_FALSE(expect[i]->answers.empty());
+      EXPECT_GT(got[i]->result_cache_hits, 0u)
+          << "batch " << b << " query " << i;
+      ExpectBitIdentical(expect[i]->answers, got[i]->answers,
+                         "batch " + std::to_string(b) + " query " +
                              std::to_string(i));
     }
   }

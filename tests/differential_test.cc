@@ -152,8 +152,9 @@ TEST(DifferentialTest, MorselParallelJoinMatchesSortJoinReference) {
   // nested-loop reference would compare ~10^9 row pairs. 45000 probe rows
   // against 20000 build rows: probe keys over [1, 40000], build keys over
   // [1, 30000], so most probes miss and the rest match one or more rows.
-  // Narrow keys take the dense build; wide keys take the partitioned hash
-  // build under the pool, with a Bloom filter that stays on.
+  // Narrow keys take the dense build; wide keys take one hash index, with a
+  // Bloom filter that stays on. Under the pool the probe fans out either
+  // way.
   Scheduler pool(4);
   for (int64_t stride : {int64_t{1}, kWideKeyStride}) {
     Rng rng(6100);

@@ -242,8 +242,9 @@ void ExpectBitIdenticalUpToStride(const Rel& dense, const Rel& wide) {
 }
 
 TEST(ParallelOperatorsTest, HashJoinMatchesSequentialBitForBit) {
-  // Large enough to trip both the partitioned build (>= 16Ki rows) and the
-  // morsel-parallel probe (>= 32Ki rows); wide keys keep it hashed.
+  // Large enough for the pool to take the morsel-parallel probe (>= 32Ki
+  // probe rows) and the output gathers (>= 32Ki output rows); the build is
+  // one hash index either way. Wide keys keep it hashed.
   Rel left = RandomBinaryRel(0, 1, 36'000, 18'000, 41, kWideKeyStride);
   Rel right = RandomBinaryRel(1, 2, 40'000, 18'000, 42, kWideKeyStride);
 
@@ -281,6 +282,10 @@ TEST(ParallelOperatorsTest, DenseHashJoinMatchesSequentialAndHashedBitForBit) {
 }
 
 TEST(ParallelOperatorsTest, ProjectIndependentMatchesSequentialBitForBit) {
+  // The hash grouping runs one sequential kernel with or without a pool;
+  // only the batch hashing and the key gathers can fan out, from two
+  // chunks of rows up. 50k rows at the default chunk capacity reach
+  // neither, so the pooled call must match by running the same code.
   Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43, kWideKeyStride);
   bool dense = true;
   Rel sequential = ProjectIndependent(in, MaskOf(0), nullptr, nullptr, &dense);
@@ -294,8 +299,8 @@ TEST(ParallelOperatorsTest, ProjectIndependentMatchesSequentialBitForBit) {
 
 TEST(ParallelOperatorsTest, DenseProjectIndependentMatchesHashedBitForBit) {
   // The same draws with narrow keys: groups come from a direct-address
-  // array, with or without a scheduler, and match the sequential and the
-  // partition-parallel hash groupings over the wide keys.
+  // array, with or without a scheduler, and match the hash grouping over
+  // the wide keys, with and without a pool.
   Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43);
   Rel wide = RandomBinaryRel(0, 1, 50'000, 700, 43, kWideKeyStride);
   Scheduler pool(4);
@@ -476,9 +481,9 @@ TEST(SimdDifferentialTest, HashCombineRangeMatchesScalarAcrossChunkSeams) {
 }
 
 TEST(SimdDifferentialTest, HashJoinMatchesScalarBitForBit) {
-  // Big enough to engage the prefetched + Bloom-filtered probe path and
-  // the partitioned build; seeded so most probes miss (Bloom stays on).
-  // Wide keys keep the join hashed.
+  // Big enough to engage the prefetched + Bloom-filtered probe path;
+  // seeded so most probes miss (Bloom stays on). Wide keys keep the join
+  // hashed.
   Rel left = RandomBinaryRel(0, 1, 36'000, 200'000, 51, kWideKeyStride);
   Rel right = RandomBinaryRel(1, 2, 40'000, 200'000, 52, kWideKeyStride);
   Rel vec = HashJoin(left, right);
@@ -691,7 +696,8 @@ TEST(LaneTest, HashJoinFoldsBothLanesInBothRoleOrders) {
 }
 
 TEST(LaneTest, ParallelHashJoinFoldsBothLanes) {
-  // Narrow keys take the dense build, wide keys the partitioned hash build.
+  // Narrow keys take the dense build, wide keys the hash build; on the pool
+  // the probe and the output gathers fan out either way.
   for (int64_t stride : {int64_t{1}, kWideKeyStride}) {
     Rel a = WithLane2(RandomBinaryRel(0, 1, 36'000, 18'000, 75, stride), 76);
     Rel b = WithLane2(RandomBinaryRel(1, 2, 40'000, 18'000, 77, stride), 78);
@@ -704,7 +710,7 @@ TEST(LaneTest, ParallelHashJoinFoldsBothLanes) {
 
 TEST(LaneTest, GroupedProjectionFoldsBothLanesSequentialAndParallel) {
   // Narrow keys group through the dense array, wide keys through the hash
-  // kernel and its partition-parallel path.
+  // kernel.
   for (auto [cap_size, stride] :
        {std::pair{size_t{8}, int64_t{1}},
         std::pair{Column::kDefaultChunkCapacity, int64_t{1}},
@@ -716,8 +722,9 @@ TEST(LaneTest, GroupedProjectionFoldsBothLanesSequentialAndParallel) {
     ExpectLanes(ProjectIndependent(in, MaskOf(0)),
                 ProjectIndependent(Lane1Only(in), MaskOf(0)),
                 ProjectIndependent(Lane2Only(in), MaskOf(0)));
-    // Partition-parallel path (>= 2 morsels of rows with a scheduler),
-    // checked against the sequential single-lane runs.
+    // With a pool, checked against the sequential single-lane runs: the
+    // grouping stays sequential, while at chunk capacity 8 the batch
+    // hashing and the key gathers fan out.
     Scheduler pool(4);
     ExpectLanes(ProjectIndependent(in, MaskOf(0), &pool),
                 ProjectIndependent(Lane1Only(in), MaskOf(0)),
