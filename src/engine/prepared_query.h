@@ -34,8 +34,8 @@ class PreparedQuery {
   const ConjunctiveQuery& original() const { return impl_->original; }
   /// The canonicalized query the plans are compiled against.
   const ConjunctiveQuery& canonical() const { return impl_->canon.query; }
-  /// Engine-wide identity of the compiled artifact (canonical rendering
-  /// plus the optimization flags it was compiled under).
+  /// Engine-wide identity of the compiled artifact: the canonical
+  /// rendering (an engine compiles under one set of optimization flags).
   const std::string& cache_key() const { return impl_->cache_key; }
   /// Number of "$k" / "?" placeholders a Bindings must fill.
   int num_params() const { return impl_->canon.query.num_params(); }

@@ -24,17 +24,10 @@ namespace {
 /// database version, binding tags).
 constexpr size_t kReductionCacheCapacity = 64;
 
-/// Cache key: canonical query rendering plus the flags that change the
-/// compiled artifact.
-std::string CacheKey(const ConjunctiveQuery& q, const PropagationOptions& o) {
-  std::string key = q.ToString();
-  key += '|';
-  key += o.opt1_single_plan ? '1' : '0';
-  key += o.opt2_reuse_subplans ? '1' : '0';
-  key += o.enum_opts.use_deterministic ? '1' : '0';
-  key += o.enum_opts.use_fds ? '1' : '0';
-  return key;
-}
+/// Max cached evaluated subplan relations shared across Submit /
+/// ExecuteBatch workloads. Synchronous Execute never consults the result
+/// cache, so single-query timings measure evaluation, not caching.
+constexpr size_t kResultCacheCapacity = 256;
 
 /// String constants unknown to the database pool carry parse-local negative
 /// codes; two different strings in two different queries can share a code,
@@ -75,6 +68,9 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
                          EngineOptions opts)
     : db_(std::move(db)),
       opts_(opts),
+      plan_cache_(opts_.plan_cache_capacity),
+      reduction_cache_(kReductionCacheCapacity),
+      result_cache_(kResultCacheCapacity),
       m_queries_(metrics_.counter("engine.queries")),
       m_batch_queries_(metrics_.counter("engine.batch_queries")),
       m_prepared_(metrics_.counter("engine.prepared")),
@@ -121,9 +117,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const Database> db,
       m_anytime_rounds_per_query_(
           metrics_.histogram("engine.anytime.refine_rounds_per_query")),
       m_anytime_run_ns_(metrics_.histogram("engine.anytime.run_ns")) {
-  if (opts_.result_cache_capacity > 0) {
-    result_cache_ = std::make_unique<ResultCache>(opts_.result_cache_capacity);
-  }
   // On every commit: record commit telemetry, roll hot cache entries
   // forward across append-only commits, and sweep version-stale entries
   // (results and Opt. 3 reductions) — anything older than the oldest live
@@ -139,8 +132,7 @@ void QueryEngine::OnCommit(const CommitInfo& info) {
   if (info.append_only && info.appended_rows > 0) {
     m_commit_append_ns_per_row_->Record(info.commit_ns / info.appended_rows);
   }
-  if (info.append_only && opts_.delta_maintain_limit > 0 &&
-      result_cache_ != nullptr) {
+  if (info.append_only && opts_.delta_maintain_limit > 0) {
     MaintainCacheEntries(info);
   }
   SweepStaleResults();
@@ -154,7 +146,7 @@ void QueryEngine::MaintainCacheEntries(const CommitInfo& info) {
   // commit's deltas alone would miss the newer one's rows.
   Snapshot snap = db_->snapshot();
   if (snap.version() != info.version) return;
-  auto candidates = result_cache_->CollectMaintainable(
+  auto candidates = result_cache_.CollectMaintainable(
       info.version - 1, opts_.delta_maintain_limit);
   if (candidates.empty()) return;
   std::unordered_map<std::string, size_t> first_new;
@@ -169,8 +161,8 @@ void QueryEngine::MaintainCacheEntries(const CommitInfo& info) {
     // Not maintainable for this commit (role flip, several changed scans):
     // leave the entry to the ordinary sweep below.
     if (!m.ok()) continue;
-    result_cache_->Put(c.key, info.version, std::move(m->rel),
-                       std::move(m->recipe));
+    result_cache_.Put(c.key, info.version, std::move(m->rel),
+                      std::move(m->recipe));
     ++maintained;
   }
   if (maintained > 0) m_delta_maintained_->Add(maintained);
@@ -178,22 +170,12 @@ void QueryEngine::MaintainCacheEntries(const CommitInfo& info) {
 
 void QueryEngine::SweepStaleResults() {
   const uint64_t min_live = db_->OldestLiveSnapshotVersion();
-  if (result_cache_ != nullptr) {
-    const size_t swept = result_cache_->EvictOlderThan(min_live);
-    if (swept > 0) m_swept_->Add(swept);
-  }
-  // The Opt. 3 reduction cache is version-keyed too: reductions of dead
-  // versions are unhittable (their fingerprint embeds the version) and
-  // pin materialized reduced tables, so sweep them on the same hook.
+  const size_t swept = result_cache_.EvictOlderThan(min_live);
+  if (swept > 0) m_swept_->Add(swept);
+  // Reductions of dead versions can never be requested again and pin
+  // materialized reduced tables, so they go on the same hook.
   std::lock_guard lock(reduction_mu_);
-  for (auto it = reduction_cache_.begin(); it != reduction_cache_.end();) {
-    if (it->second.version < min_live) {
-      reduction_lru_.erase(it->second.lru_pos);
-      it = reduction_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  reduction_cache_.EvictOlderThan(min_live);
 }
 
 QueryEngine QueryEngine::Borrow(const Database& db, EngineOptions opts) {
@@ -220,7 +202,7 @@ Result<PreparedQuery> QueryEngine::Prepare(const ConjunctiveQuery& q) {
   if (!canon.ok()) return canon.status();
   impl->canon = std::move(*canon);
   impl->share_results = !HasUnknownStringConstants(impl->canon.query);
-  impl->cache_key = CacheKey(impl->canon.query, opts_.propagation);
+  impl->cache_key = impl->canon.query.ToString();
 
   bool cache_hit = false;
   bool renamed_hit = false;
@@ -239,17 +221,13 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
     const ConjunctiveQuery& q, const std::string& key,
     const std::string& original_text, bool* cache_hit, bool* renamed_hit) {
   *renamed_hit = false;
-  if (opts_.plan_cache_capacity > 0) {
+  {
     std::lock_guard lock(plan_mu_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      // True LRU: a hit refreshes the entry (splice keeps the iterator
-      // valid and moves the node to the front).
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_pos);
+    if (PlanCacheEntry* hit = plan_cache_.Find(key, 0)) {
       *cache_hit = true;
-      *renamed_hit = it->second.original_text != original_text;
+      *renamed_hit = hit->original_text != original_text;
       m_plan_hits_->Add(1);
-      return it->second.compiled;
+      return hit->compiled;
     }
   }
   *cache_hit = false;
@@ -289,22 +267,10 @@ Result<std::shared_ptr<const CompiledPlans>> QueryEngine::GetOrCompile(
   }
 
   m_plan_misses_->Add(1);
-  if (opts_.plan_cache_capacity > 0) {
-    std::lock_guard lock(plan_mu_);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      // Lost a compile race; adopt (and touch) the installed artifact.
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_pos);
-      return it->second.compiled;
-    }
-    plan_lru_.push_front(key);
-    plan_cache_.emplace(
-        key, PlanCacheEntry{compiled, original_text, plan_lru_.begin()});
-    if (plan_cache_.size() > opts_.plan_cache_capacity) {
-      plan_cache_.erase(plan_lru_.back());
-      plan_lru_.pop_back();
-    }
-  }
+  std::lock_guard lock(plan_mu_);
+  // Lost a compile race: adopt (and touch) the installed artifact.
+  if (PlanCacheEntry* won = plan_cache_.Find(key, 0)) return won->compiled;
+  plan_cache_.Put(key, 0, PlanCacheEntry{compiled, original_text});
   return std::shared_ptr<const CompiledPlans>(std::move(compiled));
 }
 
@@ -515,7 +481,7 @@ Result<QueryResult> QueryEngine::ExecuteInternal(const PreparedQuery& prepared,
     obs::ScopedSpan eval_span(trace, "evaluate", root);
     auto evaluated = EvaluatePlans(
         snap, *exec_q, *impl.compiled, effective, scheduler,
-        use_result_cache ? result_cache_.get() : nullptr, /*lane2=*/{},
+        use_result_cache ? &result_cache_ : nullptr, /*lane2=*/{},
         trace, eval_span.id());
     if (!evaluated.ok()) return evaluated.status();
     result.nodes_evaluated = evaluated->nodes_evaluated;
@@ -655,33 +621,21 @@ Result<std::shared_ptr<const std::vector<Table>>> QueryEngine::GetOrReduce(
     const std::string& key, const Snapshot& snap, const ConjunctiveQuery& q,
     const std::unordered_map<int, const Table*>& overrides,
     SemiJoinStats* stats) {
-  const bool cacheable = !key.empty();
-  if (cacheable) {
+  {
     std::lock_guard lock(reduction_mu_);
-    auto it = reduction_cache_.find(key);
-    if (it != reduction_cache_.end()) {
-      reduction_lru_.splice(reduction_lru_.begin(), reduction_lru_,
-                            it->second.lru_pos);
+    if (auto* hit = reduction_cache_.Find(key, snap.version())) {
       m_reduction_hits_->Add(1);
-      return it->second.tables;
+      return *hit;
     }
   }
   auto r = SemiJoinReduce(snap, q, overrides, stats);
   if (!r.ok()) return r.status();
   auto tables = std::make_shared<const std::vector<Table>>(std::move(*r));
   m_reduction_misses_->Add(1);
-  if (cacheable) {
-    std::lock_guard lock(reduction_mu_);
-    auto it = reduction_cache_.find(key);
-    if (it != reduction_cache_.end()) return it->second.tables;  // lost race
-    reduction_lru_.push_front(key);
-    reduction_cache_.emplace(
-        key, ReductionEntry{tables, snap.version(), reduction_lru_.begin()});
-    if (reduction_cache_.size() > kReductionCacheCapacity) {
-      reduction_cache_.erase(reduction_lru_.back());
-      reduction_lru_.pop_back();
-    }
-  }
+  std::lock_guard lock(reduction_mu_);
+  // Lost a reduction race: adopt (and touch) the installed tables.
+  if (auto* won = reduction_cache_.Find(key, snap.version())) return *won;
+  reduction_cache_.Put(key, snap.version(), tables);
   return tables;
 }
 
@@ -774,16 +728,14 @@ EngineStats QueryEngine::stats() const {
   s.canonical_remap_hits = m_remap_hits_->Value();
   s.reduction_cache_hits = m_reduction_hits_->Value();
   s.reduction_cache_misses = m_reduction_misses_->Value();
-  if (result_cache_) {
-    ResultCacheStats rc = result_cache_->stats();
-    s.result_cache_hits = rc.hits;
-    s.result_cache_misses = rc.misses;
-    s.result_cache_in_flight_waits = rc.in_flight_waits;
-    s.result_cache_evictions = rc.evictions;
-    s.result_cache_delta_maintained = m_delta_maintained_->Value();
-    s.result_cache_swept = m_swept_->Value();
-    s.result_cache_entries = rc.entries;
-  }
+  const ResultCacheStats rc = result_cache_.stats();
+  s.result_cache_hits = rc.hits;
+  s.result_cache_misses = rc.misses;
+  s.result_cache_in_flight_waits = rc.in_flight_waits;
+  s.result_cache_evictions = rc.evictions;
+  s.result_cache_delta_maintained = m_delta_maintained_->Value();
+  s.result_cache_swept = m_swept_->Value();
+  s.result_cache_entries = rc.entries;
   {
     std::shared_lock lock(mu_);
     if (scheduler_) s.tasks_executed = scheduler_->tasks_executed();

@@ -45,7 +45,6 @@
 
 #include <atomic>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -67,6 +66,7 @@
 #include "src/query/cq.h"
 #include "src/serve/result_cache.h"
 #include "src/serve/scheduler.h"
+#include "src/serve/versioned_lru.h"
 #include "src/storage/database.h"
 
 namespace dissodb {
@@ -75,14 +75,9 @@ namespace dissodb {
 /// PropagationOptions (Section 4 optimization toggles).
 struct EngineOptions {
   PropagationOptions propagation;
-  /// Max cached compiled plans (true LRU; a Prepare hit refreshes the
-  /// entry); 0 disables the cache.
+  /// Max cached compiled plans (LRU; a Prepare hit refreshes the entry);
+  /// 0 disables the cache.
   size_t plan_cache_capacity = 1024;
-  /// Max cached evaluated subplan relations shared across Submit /
-  /// ExecuteBatch workloads; 0 disables the result cache. Synchronous
-  /// Execute never consults it, so single-query timings measure
-  /// evaluation, not caching.
-  size_t result_cache_capacity = 256;
   /// Delta-maintain up to this many hot result-cache entries per
   /// append-only commit, hottest (most recently used) first: instead of
   /// sweeping an entry the commit made stale, re-evaluate its subplan over
@@ -347,9 +342,10 @@ class QueryEngine {
   void RecordScans(const ChunkedScanStats& scans);
 
   /// Opt. 3 support: returns the semi-join reduction of the executed query
-  /// under `overrides` against `snap`, cached under `key` when non-empty.
-  /// `stats`, if non-null, accumulates the reduction's semi-join counters
-  /// (only when the reduction is actually computed, not on a cache hit).
+  /// under `overrides` against `snap`, cached under (`key`, snapshot
+  /// version). `stats`, if non-null, accumulates the reduction's semi-join
+  /// counters (only when the reduction is actually computed, not on a
+  /// cache hit).
   Result<std::shared_ptr<const std::vector<Table>>> GetOrReduce(
       const std::string& key, const Snapshot& snap, const ConjunctiveQuery& q,
       const std::unordered_map<int, const Table*>& overrides,
@@ -377,33 +373,24 @@ class QueryEngine {
   /// and stale-entry sweeps of both caches).
   int commit_hook_token_ = -1;
 
-  // Compiled-plan cache: true LRU (hits splice to the front).
+  // Compiled-plan cache keyed by canonical query text, stored at version 0
+  // (a compiled plan does not depend on the data).
   struct PlanCacheEntry {
     std::shared_ptr<const CompiledPlans> compiled;
     /// Original (pre-canonicalization) spelling that installed the entry;
     /// a hit from a different spelling is a canonicalization win.
     std::string original_text;
-    std::list<std::string>::iterator lru_pos;
   };
   mutable std::mutex plan_mu_;
-  std::unordered_map<std::string, PlanCacheEntry> plan_cache_;
-  std::list<std::string> plan_lru_;  // front = most recently used
+  VersionedLru<PlanCacheEntry> plan_cache_;
 
-  // Opt. 3 reduction cache (LRU), keyed by reduction fingerprint; entries
-  // are version-stamped so the commit-hook sweep can drop reductions no
-  // held snapshot can request anymore (the fingerprint embeds the version,
-  // so a dead-version entry is unhittable and would otherwise linger).
-  struct ReductionEntry {
-    std::shared_ptr<const std::vector<Table>> tables;
-    uint64_t version = 0;
-    std::list<std::string>::iterator lru_pos;
-  };
+  // Opt. 3 reduction cache keyed by (reduction tag, snapshot version); the
+  // commit-hook sweep drops the versions no held snapshot pins any more.
   mutable std::mutex reduction_mu_;
-  std::unordered_map<std::string, ReductionEntry> reduction_cache_;
-  std::list<std::string> reduction_lru_;  // front = most recently used
+  VersionedLru<std::shared_ptr<const std::vector<Table>>> reduction_cache_;
 
   mutable std::shared_mutex mu_;          // guards scheduler_ init
-  std::unique_ptr<ResultCache> result_cache_;
+  ResultCache result_cache_;
 
   // Engine-owned metrics registry (declared before scheduler_, which records
   // into it) plus cached handles for the hot counters — EngineStats is

@@ -24,14 +24,15 @@
 
 #include <cstdint>
 #include <future>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/exec/rel.h"
+#include "src/serve/versioned_lru.h"
 
 namespace dissodb {
 
@@ -41,7 +42,7 @@ struct ResultCacheStats {
   size_t hits = 0;
   size_t misses = 0;  ///< leader acquisitions, i.e. actual computations
   size_t in_flight_waits = 0;  ///< requests that waited on a leader instead
-  /// Capacity evictions, stale-version discards and EvictOlderThan sweeps.
+  /// Capacity evictions plus entries dropped by EvictOlderThan sweeps.
   size_t evictions = 0;
   size_t entries = 0;
 };
@@ -60,9 +61,8 @@ class ResultCache {
     std::shared_future<std::shared_ptr<const Rel>> pending;
   };
 
-  /// Holds at most `capacity` relations (LRU eviction); 0 disables the
-  /// cache entirely (Get always misses, Put drops, Acquire always leads).
-  explicit ResultCache(size_t capacity) : capacity_(capacity) {}
+  /// Holds at most `capacity` relations (LRU eviction); 0 stores nothing.
+  explicit ResultCache(size_t capacity) : lru_(capacity) {}
 
   /// Returns the cached relation for `key` computed at `db_version`, or
   /// nullptr. Entries for other versions are untouched (they may serve
@@ -113,14 +113,11 @@ class ResultCache {
                                                      size_t limit) const;
 
   ResultCacheStats stats() const;
-  size_t capacity() const { return capacity_; }
 
  private:
-  struct Entry {
-    uint64_t db_version;
+  struct Stored {
     std::shared_ptr<const Rel> rel;
     std::shared_ptr<const DeltaRecipe> recipe;
-    std::list<std::string>::iterator lru_pos;
   };
 
   struct InFlight {
@@ -128,32 +125,16 @@ class ResultCache {
     std::shared_future<std::shared_ptr<const Rel>> future;
   };
 
-  /// Stored entries and in-flight computations are both keyed per
-  /// (key, version): entries for several live snapshot versions coexist,
-  /// and a mid-batch commit starts an independent computation rather than
-  /// handing waiters another version's result.
-  static std::string VersionedKey(const std::string& key, uint64_t db_version) {
-    return key + '@' + std::to_string(db_version);
-  }
-
-  /// Put() body; caller holds mu_.
-  void PutLocked(const std::string& key, uint64_t db_version,
-                 std::shared_ptr<const Rel> rel,
-                 std::shared_ptr<const DeltaRecipe> recipe);
-
-  const size_t capacity_;
   mutable std::mutex mu_;
-  /// Lower bound on every stored entry's version (exact after a sweep,
-  /// conservative after LRU evictions): lets EvictOlderThan skip the scan
-  /// when nothing can be stale. ~0 when empty.
-  uint64_t min_entry_version_ = ~uint64_t{0};
-  std::unordered_map<std::string, Entry> map_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> in_flight_;
+  VersionedLru<Stored> lru_;
+  /// In-flight computations are keyed per (key, version) like the stored
+  /// entries: a mid-batch commit starts an independent computation rather
+  /// than handing waiters another version's result.
+  std::map<std::pair<std::string, uint64_t>, std::shared_ptr<InFlight>>
+      in_flight_;
   size_t hits_ = 0;
   size_t misses_ = 0;
   size_t in_flight_waits_ = 0;
-  size_t evictions_ = 0;
 };
 
 }  // namespace dissodb

@@ -252,27 +252,5 @@ TEST(BatchEngineTest, BatchFromDatalogTextsAndEmptyBatch) {
   EXPECT_FALSE(engine.Prepare("q(x) :- ").ok());
 }
 
-TEST(BatchEngineTest, ResultCacheDisabledStillMatchesSequential) {
-  ChainSpec spec;
-  spec.k = 3;
-  spec.n = 150;
-  spec.seed = 23;
-  Database db = MakeChainDatabase(spec);
-  ConjunctiveQuery q = MakeChainQuery(3);
-
-  EngineOptions opts;
-  opts.result_cache_capacity = 0;
-  QueryEngine engine = QueryEngine::Borrow(db, opts);
-  auto prepared = engine.Prepare(q);
-  ASSERT_TRUE(prepared.ok());
-  auto seq = engine.Execute(*prepared);
-  ASSERT_TRUE(seq.ok());
-  for (const auto& r : engine.ExecuteBatch({*prepared, *prepared})) {
-    ASSERT_TRUE(r.ok());
-    ExpectSameRankings(seq->answers, r->answers, "no-cache batch");
-  }
-  EXPECT_EQ(engine.stats().result_cache_hits, 0u);
-}
-
 }  // namespace
 }  // namespace dissodb

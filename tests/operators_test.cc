@@ -15,6 +15,7 @@ namespace dissodb {
 namespace {
 
 using testing_util::AddTable;
+using testing_util::ChunkCapOverride;
 using testing_util::kWideKeyStride;
 using testing_util::Q;
 using testing_util::Vars;
@@ -283,18 +284,20 @@ TEST(ParallelOperatorsTest, DenseHashJoinMatchesSequentialAndHashedBitForBit) {
 
 TEST(ParallelOperatorsTest, ProjectIndependentMatchesSequentialBitForBit) {
   // The hash grouping runs one sequential kernel with or without a pool;
-  // only the batch hashing and the key gathers can fan out, from two
-  // chunks of rows up. 50k rows at the default chunk capacity reach
-  // neither, so the pooled call must match by running the same code.
-  Rel in = RandomBinaryRel(0, 1, 50'000, 700, 43, kWideKeyStride);
+  // the batch hashing and the key gathers fan out from two chunks of rows
+  // up. At chunk capacity 1024, 50k rows over a 40k-key domain (about 28k
+  // groups) reach both.
+  ChunkCapOverride cap(1024);
+  Rel in = RandomBinaryRel(0, 1, 50'000, 40'000, 43, kWideKeyStride);
   bool dense = true;
   Rel sequential = ProjectIndependent(in, MaskOf(0), nullptr, nullptr, &dense);
   EXPECT_FALSE(dense);
   Scheduler pool(4);
   Rel parallel = ProjectIndependent(in, MaskOf(0), &pool, nullptr, &dense);
   EXPECT_FALSE(dense);
-  EXPECT_GT(sequential.NumRows(), 0u);
+  EXPECT_GE(sequential.NumRows(), 2048u);
   ExpectBitIdentical(sequential, parallel);
+  EXPECT_GT(pool.tasks_executed(), 1u);
 }
 
 TEST(ParallelOperatorsTest, DenseProjectIndependentMatchesHashedBitForBit) {
@@ -317,11 +320,17 @@ TEST(ParallelOperatorsTest, DenseProjectIndependentMatchesHashedBitForBit) {
 }
 
 TEST(ParallelOperatorsTest, ProjectDistinctMatchesSequentialBitForBit) {
+  // Two grouped columns hash; at chunk capacity 1024 the 40k rows and
+  // their groups (most of the 14,400 pairs) fan out the hashing and the
+  // key gathers.
+  ChunkCapOverride cap(1024);
   Rel in = RandomBinaryRel(0, 1, 40'000, 120, 44);
   Rel sequential = ProjectDistinct(in, MaskOf(0) | MaskOf(1));
   Scheduler pool(3);
   Rel parallel = ProjectDistinct(in, MaskOf(0) | MaskOf(1), &pool);
+  EXPECT_GE(sequential.NumRows(), 2048u);
   ExpectBitIdentical(sequential, parallel);
+  EXPECT_GT(pool.tasks_executed(), 1u);
 }
 
 TEST(ParallelOperatorsTest, SmallInputsBypassTheParallelPath) {
@@ -338,8 +347,6 @@ TEST(ParallelOperatorsTest, SmallInputsBypassTheParallelPath) {
 // Chunked filtered scans: chunk-parallel selection and zone-map pruning
 // must emit exactly the sequential relation (row order included).
 // ---------------------------------------------------------------------------
-
-using testing_util::ChunkCapOverride;
 
 /// R(a, b) with `rows` rows: column a clustered (row i gets i / cluster),
 /// column b pseudo-random in [0, domain).

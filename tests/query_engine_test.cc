@@ -152,6 +152,46 @@ TEST(QueryEngineTest, CacheCapacityZeroDisablesCaching) {
   EXPECT_FALSE(r2->from_plan_cache);
 }
 
+TEST(QueryEngineTest, ReductionCacheIsLruPerSnapshotVersion) {
+  Database db = RstDatabase();
+  EngineOptions opts;
+  opts.propagation.opt3_semijoin_reduction = true;
+  QueryEngine engine = QueryEngine::Borrow(db, opts);
+  auto prepared = engine.Prepare("q(x) :- R(x), S(x,$0), T($0)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  // Executes with $0 = `v` (pinned to `snap` when given) and reports
+  // whether the Opt. 3 reduction came from the cache.
+  auto hits = [&](int64_t v, const Snapshot* snap = nullptr) {
+    const size_t before = engine.stats().reduction_cache_hits;
+    const Bindings b = Bindings().Set(0, Value::Int64(v));
+    auto r = snap != nullptr ? engine.Execute(*prepared, b, *snap)
+                             : engine.Execute(*prepared, b);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return engine.stats().reduction_cache_hits > before;
+  };
+
+  for (int64_t v = 0; v < 64; ++v) EXPECT_FALSE(hits(v)) << v;
+  EXPECT_EQ(engine.stats().reduction_cache_misses, 64u);
+  EXPECT_TRUE(hits(0));    // 0 is now the most recently used
+  EXPECT_FALSE(hits(64));  // the 65th reduction evicts 1, the least recent
+  EXPECT_TRUE(hits(0));
+  EXPECT_FALSE(hits(1));
+
+  // An append makes a new version; the held snapshot's entries survive the
+  // commit-hook sweep and keep serving executions pinned to it.
+  const Snapshot held = db.snapshot();
+  {
+    auto w = db.BeginWrite();
+    w.AppendRow(0, std::vector<Value>{Value::Int64(3)}, 0.25);  // R(3)
+    w.Commit();
+  }
+  EXPECT_TRUE(hits(1, &held));
+  EXPECT_FALSE(hits(1));
+  EXPECT_EQ(engine.stats().reduction_cache_hits, 3u);
+  EXPECT_EQ(engine.stats().reduction_cache_misses, 67u);
+}
+
 TEST(QueryEngineTest, BooleanQueryMatchesReferencePlan) {
   Database db = RstDatabase();
   ConjunctiveQuery q = Q("q() :- R(x), S(x,y), T(y)");

@@ -171,16 +171,6 @@ TEST(ResultCacheTest, InFlightEntriesAreVersionScoped) {
   EXPECT_DOUBLE_EQ(hit->Score(0), 0.2);
 }
 
-TEST(ResultCacheTest, CapacityZeroAcquireAlwaysLeads) {
-  ResultCache cache(0);
-  auto t1 = cache.Acquire("k", 1);
-  auto t2 = cache.Acquire("k", 1);
-  EXPECT_TRUE(t1.leader);
-  EXPECT_TRUE(t2.leader);  // disabled cache: no dedup, no storage
-  cache.Complete("k", 1, OneRowRel(0.5));
-  EXPECT_EQ(cache.Get("k", 1), nullptr);
-}
-
 TEST(ResultCacheTest, ConcurrentAcquireComputesEachKeyOnce) {
   ResultCache cache(64);
   constexpr int kThreads = 8;
